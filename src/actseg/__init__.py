@@ -6,13 +6,12 @@ high-resolution feature enhancement, hand-localization loss, and segmental
 evaluation metrics.
 """
 
-from ._kernels import HAS_NUMBA, USING_NUMBA
 from .align import (AlignmentResult, CropGeometry, alignment, enhance, fallback_geometry,
                     footprint, load_geometry, normalized_offset, normalized_size,
                     place_hand_features)
 from .classify import (LogitsBackend, NoiseModel, classify_clip, load_logits,
                        make_synthetic_backend, one_hot_logits, predict_clip, synth_timeline)
-from .cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_stream, clean_timeline,
+from .cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                        compute_class_stats, read_class_stats, sweep_kappa, threshold,
                        write_class_stats)
 from .grid import (FeatureMap, MixerWeights, concat_channels, load_feature_map, mix_1x1,
@@ -21,7 +20,7 @@ from .hands import (HandLossConfig, HandObservation, HandTarget, decode, f1_at_t
                     hand_loss, hand_loss_grad)
 from .metrics import (EvalConfig, edit_score, evaluate, f1_at_iou, frame_accuracy,
                       per_class_f1, segment_level_f1)
-from .pipeline import PipelineConfig, StreamSession, run_offline, run_stream, stream_all
+from .pipeline import PipelineConfig, StreamSession, run_offline, stream_all
 from .refstats import reference_class_stats
 from .sampling import (ClipSpec, center_sample_start, clip_span_seconds, inference_clip,
                        middle_clip, prediction_lag, surround_sample_start, training_clip)

@@ -1,42 +1,13 @@
-"""Numeric kernels, each in a pure-numpy and an optional numba-jitted variant.
+"""Numeric kernels shared by the batch, streaming and enhancement paths.
 
-The active backend is chosen at import time from the ACTSEG_BACKEND
-environment variable:
-
-    auto   use numba when importable, numpy otherwise (default)
-    numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy path
-
-Both variants of every kernel perform floating-point additions in the same
-order, so results are bit-identical across backends and between the batch
-and streaming code paths that share them.
+Callers look each kernel up as ``_kernels.<name>`` at call time, so a
+profiler can wrap one by patching the module attribute.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("ACTSEG_BACKEND", "auto").strip().lower()
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"ACTSEG_BACKEND must be auto, numba or numpy, got {_FLAG!r}")
 
-HAS_NUMBA = False
-if _FLAG != "numpy":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _FLAG == "numba":
-            raise RuntimeError("ACTSEG_BACKEND=numba but numba is not importable")
-
-USING_NUMBA = HAS_NUMBA and _FLAG != "numpy"
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def resize_nearest_numpy(src, out_h, out_w):
+def resize_nearest(src, out_h, out_w):
     """Nearest-neighbor resize of a (t, c, h, w) array: out[i,j] = src[i*h//out_h, j*w//out_w]."""
     h, w = src.shape[2], src.shape[3]
     rows = (np.arange(out_h) * h) // out_h
@@ -44,14 +15,14 @@ def resize_nearest_numpy(src, out_h, out_w):
     return np.ascontiguousarray(src[:, :, rows[:, None], cols[None, :]])
 
 
-def mix_1x1_numpy(m, weight, bias):
+def mix_1x1(m, weight, bias):
     """Per-pixel channel mixing: out[t,o,i,j] = sum_c weight[o,c]*m[t,c,i,j] + bias[o]."""
     out = np.einsum("oc,tchw->tohw", weight, m)
     out += bias.reshape(1, -1, 1, 1)
     return out
 
 
-def bn_residual_numpy(base, enh, scale, shift, mean, var):
+def bn_residual(base, enh, scale, shift, mean, var):
     """Residual add followed by fixed-statistics batchnorm, per channel."""
     x = base + enh
     c = base.shape[1]
@@ -59,7 +30,7 @@ def bn_residual_numpy(base, enh, scale, shift, mean, var):
     return (x - mean.reshape(1, c, 1, 1)) * sc + shift.reshape(1, c, 1, 1)
 
 
-def levenshtein_numpy(a, b):
+def levenshtein(a, b):
     """Edit distance between two integer sequences (vectorized row recurrence)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -81,119 +52,15 @@ def levenshtein_numpy(a, b):
     return int(prev[-1])
 
 
-def gather_mean_numpy(table, idx):
+def gather_mean(table, idx):
     """Row means of table gathered at idx: out[r] = mean_j table[idx[r, j]].
 
-    Accumulates over j sequentially so the reduction order matches the
-    jitted variant exactly.
+    Accumulates over j sequentially, so a row adds its window in the same
+    order whether it arrives alone (the (1, T) streaming call) or inside an
+    (n, T) batch; that is what keeps stream and batch labels byte-identical.
     """
     acc = table[idx[:, 0]].astype(np.float64, copy=True)
     for j in range(1, idx.shape[1]):
         acc += table[idx[:, j]]
     acc /= idx.shape[1]
     return acc
-
-
-# ---------------------------------------------------------------- loop path
-# Plain-python sources compiled by numba; not used uncompiled.
-
-
-def _resize_nearest_loop(src, out_h, out_w):
-    t, c, h, w = src.shape
-    out = np.empty((t, c, out_h, out_w), dtype=src.dtype)
-    for i in range(out_h):
-        si = (i * h) // out_h
-        for j in range(out_w):
-            sj = (j * w) // out_w
-            for k in range(t):
-                for l in range(c):
-                    out[k, l, i, j] = src[k, l, si, sj]
-    return out
-
-
-def _mix_1x1_loop(m, weight, bias):
-    t, c, h, w = m.shape
-    c_out = weight.shape[0]
-    out = np.empty((t, c_out, h, w), dtype=np.float64)
-    for k in range(t):
-        for o in range(c_out):
-            for i in range(h):
-                for j in range(w):
-                    s = 0.0
-                    for cc in range(c):
-                        s += weight[o, cc] * m[k, cc, i, j]
-                    out[k, o, i, j] = s + bias[o]
-    return out
-
-
-def _bn_residual_loop(base, enh, scale, shift, mean, var):
-    t, c, h, w = base.shape
-    out = np.empty_like(base)
-    for l in range(c):
-        sc = scale[l] / np.sqrt(var[l])
-        for k in range(t):
-            for i in range(h):
-                for j in range(w):
-                    out[k, l, i, j] = (base[k, l, i, j] + enh[k, l, i, j] - mean[l]) * sc + shift[l]
-    return out
-
-
-def _levenshtein_loop(a, b):
-    na, nb = a.size, b.size
-    if na == 0:
-        return nb
-    if nb == 0:
-        return na
-    prev = np.arange(nb + 1, dtype=np.int64)
-    curr = np.empty(nb + 1, dtype=np.int64)
-    for i in range(1, na + 1):
-        curr[0] = i
-        ai = a[i - 1]
-        for j in range(1, nb + 1):
-            cost = 0 if b[j - 1] == ai else 1
-            best = prev[j] + 1
-            if curr[j - 1] + 1 < best:
-                best = curr[j - 1] + 1
-            if prev[j - 1] + cost < best:
-                best = prev[j - 1] + cost
-            curr[j] = best
-        prev, curr = curr, prev
-    return int(prev[nb])
-
-
-def _gather_mean_loop(table, idx):
-    n, t = idx.shape
-    k = table.shape[1]
-    out = np.empty((n, k), dtype=np.float64)
-    for r in range(n):
-        for col in range(k):
-            out[r, col] = table[idx[r, 0], col]
-        for j in range(1, t):
-            row = idx[r, j]
-            for col in range(k):
-                out[r, col] += table[row, col]
-        for col in range(k):
-            out[r, col] /= t
-    return out
-
-
-if HAS_NUMBA:
-    _jit = numba.njit(cache=False)
-    resize_nearest_numba = _jit(_resize_nearest_loop)
-    mix_1x1_numba = _jit(_mix_1x1_loop)
-    bn_residual_numba = _jit(_bn_residual_loop)
-    levenshtein_numba = _jit(_levenshtein_loop)
-    gather_mean_numba = _jit(_gather_mean_loop)
-
-if USING_NUMBA:
-    resize_nearest = resize_nearest_numba
-    mix_1x1 = mix_1x1_numba
-    bn_residual = bn_residual_numba
-    levenshtein = levenshtein_numba
-    gather_mean = gather_mean_numba
-else:
-    resize_nearest = resize_nearest_numpy
-    mix_1x1 = mix_1x1_numpy
-    bn_residual = bn_residual_numpy
-    levenshtein = levenshtein_numpy
-    gather_mean = gather_mean_numpy

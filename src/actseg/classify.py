@@ -33,6 +33,10 @@ class LogitsBackend:
         arr = np.ascontiguousarray(np.asarray(logits, dtype=np.float64))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"logits must be (n_frames, n_classes), got shape {arr.shape}")
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            frame, col = np.argwhere(bad)[0]
+            raise ValueError(f"non-finite logit {arr[frame, col]} at frame {frame}, column {col}")
         self._table = _softmax_rows(arr) if softmax_average else arr
         self._table.flags.writeable = False
         self.softmax_average = softmax_average

@@ -6,6 +6,7 @@ previous confirmed action. kappa is calibrated by sweeping [1.0, 2.0] in 0.1
 steps against background-omitted F1@0.5.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -166,10 +167,6 @@ class StreamCleaner:
         return out
 
 
-def clean_stream(cfg: CleanerConfig) -> StreamCleaner:
-    return StreamCleaner(cfg)
-
-
 def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
     """Offline cleaning: stream the whole timeline through a cleaner and flush."""
     arr = as_timeline(labels)
@@ -196,8 +193,7 @@ def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
     eval_cfg = metrics.EvalConfig(ignore_background=True, background_id=cfg_base.background_id)
     scores = {}
     for kappa in SWEEP_KAPPAS:
-        cfg = CleanerConfig(kappa, cfg_base.stats, cfg_base.fps,
-                            cfg_base.background_id, cfg_base.num_classes)
+        cfg = dataclasses.replace(cfg_base, kappa=kappa)
         vals = [metrics.f1_at_iou(clean_timeline(r, cfg), g, 0.5, eval_cfg)
                 for r, g in zip(raws, gts)]
         scores[kappa] = float(np.mean(vals))

@@ -101,7 +101,8 @@ def _cmd_run(args) -> int:
     backend = classify.LogitsBackend.from_file(args.logits, args.softmax_average)
     cleaner = None
     if not args.no_clean:
-        cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps)
+        cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
+                                         num_classes=backend.num_classes)
     cfg = pipeline.PipelineConfig(t, tau, fps, backend.num_classes, cleaner)
     raw, cleaned = pipeline.run_offline(cfg, backend)
 

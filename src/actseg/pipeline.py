@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import LogitsBackend
-from .cleaning import CleanerConfig, StreamCleaner
+from .cleaning import CleanerConfig, StreamCleaner, clean_timeline
 from .sampling import middle_offset, prediction_lag
 from .timeline import NUM_CLASSES
 
@@ -58,14 +58,7 @@ def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None
         raw[lo:hi] = np.argmax(scores, axis=1)
     if cfg.cleaner is None:
         return raw, raw.copy()
-    cleaner = StreamCleaner(cfg.cleaner)
-    cleaned = np.empty_like(raw)
-    for i in range(seq_len):
-        for f, lab in cleaner.push(i, int(raw[i])):
-            cleaned[f] = lab
-    for f, lab in cleaner.flush():
-        cleaned[f] = lab
-    return raw, cleaned
+    return raw, clean_timeline(raw, cfg.cleaner)
 
 
 class StreamSession:
@@ -132,10 +125,6 @@ class StreamSession:
         if self._cleaner is not None:
             out.extend(self._cleaner.flush())
         return out
-
-
-def run_stream(cfg: PipelineConfig, backend: LogitsBackend, on_raw=None) -> StreamSession:
-    return StreamSession(cfg, backend, on_raw)
 
 
 def stream_all(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None) -> np.ndarray:

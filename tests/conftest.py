@@ -1,20 +1,4 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py and cross-test fixtures
-
-from actseg import _kernels  # noqa: E402
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger one compilation of every jitted kernel before any timed test."""
-    m = np.ones((1, 1, 2, 2))
-    _kernels.resize_nearest(m, 3, 3)
-    _kernels.mix_1x1(m, np.ones((1, 1)), np.zeros(1))
-    _kernels.bn_residual(m, m, np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
-    _kernels.levenshtein(np.array([1, 2], dtype=np.int64), np.array([1], dtype=np.int64))
-    _kernels.gather_mean(np.ones((4, 3)), np.zeros((2, 2), dtype=np.int64))

@@ -1,8 +1,7 @@
 """End-to-end acceptance checks.
 
 Each test pins one headline guarantee of the engine at its stated tolerance
-and asserts a wall-clock budget around the workload (JIT warm-up happens in
-the session fixture, so budgets measure steady-state behaviour).
+and asserts a wall-clock budget around the workload.
 """
 
 import math

@@ -21,6 +21,15 @@ class TestBackend:
         with pytest.raises(ValueError):
             LogitsBackend(np.zeros((0, 25)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("softmax_average", [False, True])
+    def test_rejects_non_finite(self, bad, softmax_average):
+        logits = one_hot_logits([5] * 100)
+        logits[50, 3] = bad
+        logits[70, 1] = bad
+        with pytest.raises(ValueError, match="frame 50, column 3"):
+            LogitsBackend(logits, softmax_average)
+
     def test_from_timeline_one_hot(self):
         b = LogitsBackend.from_timeline([0, 3, 24])
         assert b.table.shape == (3, 25)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamCleaner,
-                             clean_stream, clean_timeline, compute_class_stats,
-                             kappa_scores, read_class_stats, sweep_kappa, threshold,
-                             write_class_stats)
+                             clean_timeline, compute_class_stats, kappa_scores,
+                             read_class_stats, sweep_kappa, threshold, write_class_stats)
 from actseg.refstats import REFERENCE_CLASSES, class_name, reference_class_stats
 from actseg.timeline import BACKGROUND_ID, Segment
 
@@ -79,8 +78,8 @@ class TestCleanerConfig:
             CleanerConfig(fps=-1.0)
 
 
-def run_stream(labels, cfg):
-    cleaner = clean_stream(cfg)
+def push_all(labels, cfg):
+    cleaner = StreamCleaner(cfg)
     emitted = []
     for i, lab in enumerate(labels):
         emitted.extend(cleaner.push(i, lab))
@@ -121,7 +120,7 @@ class TestStreamCleaner:
         cfg = CleanerConfig(kappa=1.2, stats=stats_of({0: (6.0, 2.0), 1: (4.0, 1.0), 24: (5.0, 1.0)}))
         for _ in range(50):
             labels = rng.choice([0, 1, 24], size=rng.integers(1, 120)).tolist()
-            emitted = run_stream(labels, cfg)
+            emitted = push_all(labels, cfg)
             frames = [f for f, _ in emitted]
             assert frames == list(range(len(labels)))
 
@@ -131,7 +130,7 @@ class TestStreamCleaner:
         bound = cfg.max_threshold()
         for _ in range(30):
             labels = rng.choice([0, 1, 24], size=100).tolist()
-            cleaner = clean_stream(cfg)
+            cleaner = StreamCleaner(cfg)
             for i, lab in enumerate(labels):
                 for f, _ in cleaner.push(i, lab):
                     assert i - f <= bound
@@ -157,7 +156,7 @@ class TestStreamCleaner:
             labels = rng.choice([0, 3, 24], size=rng.integers(1, 150)).tolist()
             batch = clean_timeline(labels, cfg)
             streamed = np.empty(len(labels), dtype=np.int64)
-            for f, lab in run_stream(labels, cfg):
+            for f, lab in push_all(labels, cfg):
                 streamed[f] = lab
             assert np.array_equal(batch, streamed)
 

@@ -147,6 +147,29 @@ class TestRun:
         assert code == 2
         assert "5" in err
 
+    def test_thirty_class_logits_clean(self, capsys, tmp_path):
+        labels = [27] * 40 + [BACKGROUND_ID] * 30 + [29] * 40
+        logits_path = tmp_path / "thirty.logits"
+        write_logits_binary(logits_path, one_hot_logits(labels, 30))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                               "--tau", "1", "--out-dir", str(out_dir))
+        assert code == 0, err
+        cleaned = read_timeline_csv(out_dir / "cleaned.csv")
+        assert cleaned.size == len(labels)
+        assert {27, 29} <= set(cleaned.tolist())
+
+    def test_non_finite_logits_is_data_error(self, capsys, tmp_path):
+        logits = one_hot_logits([5] * 100)
+        logits[50, 3] = np.nan
+        logits_path = tmp_path / "nan.logits"
+        write_logits_binary(logits_path, logits)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path),
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "frame 50, column 3" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         labels = [0] * 80
         logits_path, _ = make_run_inputs(tmp_path, labels)

@@ -1,93 +1,41 @@
-"""Backend parity: the jitted kernels must agree with the pure-numpy ones."""
+"""Kernels against direct numpy reductions and the brute-force DP oracle."""
 
 import numpy as np
-import pytest
 
 from actseg import _kernels
 from oracles import levenshtein_ref
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
 
-
-def test_levenshtein_numpy_matches_dp_oracle():
+def test_levenshtein_matches_dp_oracle():
     rng = np.random.default_rng(0)
     for _ in range(60):
         a = rng.integers(0, 5, size=int(rng.integers(0, 15)))
         b = rng.integers(0, 5, size=int(rng.integers(0, 15)))
-        assert _kernels.levenshtein_numpy(a, b) == levenshtein_ref(a, b)
+        assert _kernels.levenshtein(a, b) == levenshtein_ref(a, b)
 
 
-def test_levenshtein_numpy_edges():
+def test_levenshtein_edges():
     empty = np.array([], dtype=np.int64)
     seq = np.array([1, 2, 3], dtype=np.int64)
-    assert _kernels.levenshtein_numpy(empty, empty) == 0
-    assert _kernels.levenshtein_numpy(seq, empty) == 3
-    assert _kernels.levenshtein_numpy(empty, seq) == 3
-    assert _kernels.levenshtein_numpy(seq, seq) == 0
-
-
-@needs_numba
-def test_levenshtein_backends_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        a = rng.integers(0, 4, size=int(rng.integers(0, 20)))
-        b = rng.integers(0, 4, size=int(rng.integers(0, 20)))
-        assert _kernels.levenshtein_numba(a, b) == _kernels.levenshtein_numpy(a, b)
-
-
-@needs_numba
-def test_resize_backends_bit_identical():
-    rng = np.random.default_rng(2)
-    for _ in range(15):
-        src = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 4)),
-                               int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-        nh, nw = int(rng.integers(1, 15)), int(rng.integers(1, 15))
-        a = _kernels.resize_nearest_numpy(src, nh, nw)
-        b = _kernels.resize_nearest_numba(src, nh, nw)
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_mix_backends_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        m = rng.normal(size=(2, c_in, 4, 5))
-        weight = rng.normal(size=(c_out, c_in))
-        bias = rng.normal(size=c_out)
-        a = _kernels.mix_1x1_numpy(m, weight, bias)
-        b = _kernels.mix_1x1_numba(m, weight, bias)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-@needs_numba
-def test_bn_residual_backends_bit_identical():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        c = int(rng.integers(1, 6))
-        base = rng.normal(size=(2, c, 3, 4))
-        enh = rng.normal(size=(2, c, 3, 4))
-        args = (rng.normal(size=c), rng.normal(size=c), rng.normal(size=c),
-                rng.uniform(0.5, 2.0, c))
-        a = _kernels.bn_residual_numpy(base, enh, *args)
-        b = _kernels.bn_residual_numba(base, enh, *args)
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_gather_mean_backends_bit_identical():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        table = rng.normal(size=(50, 7))
-        idx = rng.integers(0, 50, size=(int(rng.integers(1, 30)), int(rng.integers(1, 9))))
-        a = _kernels.gather_mean_numpy(table, idx)
-        b = _kernels.gather_mean_numba(table, idx)
-        assert np.array_equal(a, b)
+    assert _kernels.levenshtein(empty, empty) == 0
+    assert _kernels.levenshtein(seq, empty) == 3
+    assert _kernels.levenshtein(empty, seq) == 3
+    assert _kernels.levenshtein(seq, seq) == 0
 
 
 def test_gather_mean_is_row_mean():
     rng = np.random.default_rng(6)
     table = rng.normal(size=(20, 5))
     idx = rng.integers(0, 20, size=(8, 4))
-    out = _kernels.gather_mean_numpy(table, idx)
+    out = _kernels.gather_mean(table, idx)
     assert np.allclose(out, table[idx].mean(axis=1), rtol=1e-12, atol=1e-15)
+
+
+def test_gather_mean_row_independent_of_batch():
+    # a streaming (1, T) call must give the bytes its row gets in an (n, T) batch
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(60, 25))
+    idx = rng.integers(0, 60, size=(40, 8))
+    batch = _kernels.gather_mean(table, idx)
+    for r in range(idx.shape[0]):
+        assert _kernels.gather_mean(table, idx[r:r + 1]).tobytes() == batch[r].tobytes()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend
+from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
-from actseg.pipeline import PipelineConfig, StreamSession, run_offline, run_stream, stream_all
+from actseg.pipeline import PipelineConfig, StreamSession, run_offline, stream_all
 from actseg.sampling import inference_clip, prediction_lag
 from actseg.timeline import BACKGROUND_ID, segments_from_timeline
 
@@ -84,7 +84,7 @@ class TestStreamSession:
         lag = prediction_lag(cfg.t, cfg.tau)
         assert lag == 32
         arrived = {}
-        session = run_stream(cfg, backend, on_raw=lambda m, lab: arrived.setdefault(m, cur[0]))
+        session = StreamSession(cfg, backend, on_raw=lambda m, lab: arrived.setdefault(m, cur[0]))
         cur = [0]
         for i in range(200):
             cur[0] = i
@@ -100,7 +100,7 @@ class TestStreamSession:
         backend = LogitsBackend.from_timeline(gt)
         stats = {c: ClassStats(c, 5, 6.0, 2.0) for c in (0, 1, 2, BACKGROUND_ID)}
         cfg = PipelineConfig(cleaner=CleanerConfig(kappa=1.0, stats=stats))
-        session = run_stream(cfg, backend)
+        session = StreamSession(cfg, backend)
         got = []
         for i in range(400):
             got.extend(session.push(i))
@@ -124,23 +124,32 @@ class TestStreamSession:
 
     def test_stream_equals_batch_across_shapes(self):
         rng = np.random.default_rng(4)
+        noise_rng = np.random.default_rng(14)
+        stats = {c: ClassStats(c, 5, 8.0, 2.0) for c in (0, 1, 2, BACKGROUND_ID)}
         for t, tau in [(1, 1), (2, 3), (3, 2), (8, 8), (5, 7), (16, 2)]:
             gt = block_timeline(rng, 257)
             backend = make_synthetic_backend(gt, NoiseModel(substitution_prob=0.1, seed=t))
             cfg = PipelineConfig(t=t, tau=tau)
             raw, _ = run_offline(cfg, backend)
             assert np.array_equal(stream_all(cfg, backend), raw)
+            # real-valued logits: unlike one-hot ones, their window sums round
+            logits = 2.0 * one_hot_logits(gt) + noise_rng.normal(0.0, 0.5, size=(gt.size, 25))
+            backend = LogitsBackend(logits)
+            for cleaner in (None, CleanerConfig(kappa=1.2, stats=stats)):
+                cfg = PipelineConfig(t=t, tau=tau, cleaner=cleaner)
+                _, cleaned = run_offline(cfg, backend)
+                assert stream_all(cfg, backend).tobytes() == cleaned.tobytes()
 
     def test_out_of_order_push_rejected(self):
         backend = LogitsBackend.from_timeline([0] * 10)
-        session = run_stream(PipelineConfig(), backend)
+        session = StreamSession(PipelineConfig(), backend)
         session.push(0)
         with pytest.raises(ValueError, match="out-of-order"):
             session.push(2)
 
     def test_push_past_backend_rejected(self):
         backend = LogitsBackend.from_timeline([0] * 3)
-        session = run_stream(PipelineConfig(t=1, tau=1), backend)
+        session = StreamSession(PipelineConfig(t=1, tau=1), backend)
         for i in range(3):
             session.push(i)
         with pytest.raises(ValueError, match="outside backend range"):
@@ -148,7 +157,7 @@ class TestStreamSession:
 
     def test_finish_twice_rejected(self):
         backend = LogitsBackend.from_timeline([0] * 10)
-        session = run_stream(PipelineConfig(), backend)
+        session = StreamSession(PipelineConfig(), backend)
         session.push(0)
         session.finish()
         with pytest.raises(RuntimeError):
@@ -158,7 +167,7 @@ class TestStreamSession:
 
     def test_empty_session_finish(self):
         backend = LogitsBackend.from_timeline([0] * 10)
-        session = run_stream(PipelineConfig(), backend)
+        session = StreamSession(PipelineConfig(), backend)
         assert session.finish() == []
 
     def test_cleaned_stream_equals_offline_cleaning_of_raw(self):
