@@ -31,25 +31,42 @@ def bn_residual(base, enh, scale, shift, mean, var):
 
 
 def levenshtein(a, b):
-    """Edit distance between two integer sequences (vectorized row recurrence)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    prev = np.arange(b.size + 1, dtype=np.int64)
-    js = np.arange(1, b.size + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        sub = prev[:-1] + (b != a[i - 1])
-        cand = np.minimum(prev[1:] + 1, sub)
-        # curr[j] = min(cand[j], curr[j-1]+1) unrolled: curr[j] = j + min(i, min_{k<=j}(cand[k]-k))
-        run = np.minimum.accumulate(cand - js)
-        curr = np.empty_like(prev)
-        curr[0] = i
-        curr[1:] = js + np.minimum(run, i)
-        prev = curr
-    return int(prev[-1])
+    """Edit distance between two integer sequences.
+
+    Bit-parallel recurrence of Myers (1999) in Hyyrö's (2001) form for
+    Levenshtein distance: the DP matrix's vertical and horizontal +1/-1
+    deltas for one column are bit vectors over the shorter sequence, held
+    in Python ints, so a column costs a few big-int operations instead of
+    a loop over its cells.
+    """
+    a = np.asarray(a, dtype=np.int64).tolist()
+    b = np.asarray(b, dtype=np.int64).tolist()
+    if len(a) > len(b):
+        a, b = b, a
+    m = len(a)
+    if m == 0:
+        return len(b)
+    peq = {}                       # symbol -> bit i set where a[i] is that symbol
+    for i, sym in enumerate(a):
+        peq[sym] = peq.get(sym, 0) | (1 << i)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, dist = full, 0, m      # column 0: D[i][0] = i, all vertical deltas +1
+    for sym in b:
+        eq = peq.get(sym, 0)
+        xv = eq | vn
+        xh = ((((eq & vp) + vp) ^ vp) | eq) & full
+        hp = vn | (full ^ (xh | vp))
+        hn = vp & xh
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = ((hp << 1) | 1) & full    # row 0: D[0][j] = j, a +1 shifts in
+        hn = (hn << 1) & full
+        vp = hn | (full ^ (xv | hp))
+        vn = hp & xv
+    return dist
 
 
 def gather_mean(table, idx):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _kernels
 from .sampling import ClipSpec
-from .timeline import NUM_CLASSES, as_timeline, segments_from_timeline
+from .timeline import NUM_CLASSES, as_timeline, encode_runs
 
 _MAGIC = b"ATSL"
 
@@ -127,16 +127,14 @@ def synth_timeline(gt, nm: NoiseModel, num_classes: int = NUM_CLASSES) -> np.nda
     rng = np.random.default_rng(nm.seed)
 
     if nm.boundary_jitter_std > 0:
-        segs = segments_from_timeline(labels)
-        if len(segs) > 1:
-            inner = np.array([s.start for s in segs[1:]], dtype=np.int64)
-            inner = inner + np.rint(rng.normal(0.0, nm.boundary_jitter_std, inner.size)).astype(np.int64)
+        starts, _, run_labels = encode_runs(labels)
+        if starts.size > 1:
+            shift = rng.normal(0.0, nm.boundary_jitter_std, starts.size - 1)
+            inner = starts[1:] + np.rint(shift).astype(np.int64)
             inner = np.clip(inner, 0, n)
             inner = np.maximum.accumulate(inner)
             bounds = np.concatenate(([0], inner, [n]))
-            for s, b0, b1 in zip(segs, bounds[:-1], bounds[1:]):
-                if b1 > b0:
-                    labels[b0:b1] = s.class_id
+            labels = np.repeat(run_labels, np.diff(bounds))
 
     if nm.spike_rate > 0:
         count = int(rng.poisson(nm.spike_rate * n / 1000.0))

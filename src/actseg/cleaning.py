@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .timeline import BACKGROUND_ID, NUM_CLASSES, as_timeline
+from .timeline import BACKGROUND_ID, NUM_CLASSES, as_timeline, encode_runs
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
 
@@ -69,6 +69,11 @@ class CleanerConfig:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.fps <= 0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
+        if not 0 <= self.background_id < self.num_classes:
+            raise ValueError(f"background id {self.background_id} outside [0, {self.num_classes})")
+        for cid in self.stats:
+            if not 0 <= cid < self.num_classes:
+                raise ValueError(f"stats class id {cid} outside [0, {self.num_classes})")
 
     def threshold_for(self, class_id: int) -> int:
         # classes unseen in training clean at threshold 1 (never too short)
@@ -82,106 +87,121 @@ class CleanerConfig:
 
 
 class StreamCleaner:
-    """Streaming run-length filter; emits (frame, label) pairs as they finalize.
+    """Streaming run-length filter over consecutive frames.
 
-    Frames buffer until their run either reaches its class threshold
-    (confirmed: the run survives, later same-label frames pass straight
-    through) or ends early (too short: the buffered frames are relabeled with
-    the previous confirmed action and merge into it). The previous action
-    starts as background, so a too-short leading run becomes background. A
-    frame therefore waits at most max-threshold pushes before finalizing.
+    A run buffers until it either reaches its class threshold (confirmed:
+    the run survives, later same-label frames pass straight through) or ends
+    early (too short: its frames are relabeled with the previous confirmed
+    action and merge into it). The previous action starts as background, so
+    a too-short leading run becomes background. A frame therefore waits at
+    most max-threshold frames before finalizing.
+
+    The state machine takes whole runs: push_run(start, length, label) feeds
+    `length` frames of one label and returns the finalized (start, end,
+    label) ranges. Batch cleaning feeds it a run-length encoding; push feeds
+    it one frame at a time. Either way a run's fate depends only on its
+    label and total length, so both give the same labels.
     """
 
     def __init__(self, cfg: CleanerConfig):
         self.cfg = cfg
-        self._prev = cfg.background_id
-        self._label = None
-        self._buf = []
-        self._len = 0
+        self._thresholds = [cfg.threshold_for(c) for c in range(cfg.num_classes)]
+        self._prev = cfg.background_id     # label of the last confirmed run
+        self._label = None                 # label of the current run
+        self._len = 0                      # frames in the current run
         self._confirmed = False
-        self._last_frame = None
+        self._pending = 0                  # first frame of the unconfirmed current run
+        self._next = None                  # frame the next push must start at
         self._closed = False
 
-    def _start_run(self, frame, label, out):
+    def _start_run(self, start, length, label, out):
         self._label = label
-        self._len = 1
-        if 1 >= self.cfg.threshold_for(label):
+        self._len = length
+        if length >= self._thresholds[label]:
             self._confirmed = True
             self._prev = label
-            self._buf = []
-            out.append((frame, label))
+            out.append((start, start + length, label))
         else:
             self._confirmed = False
-            self._buf = [frame]
+            self._pending = start
 
-    def push(self, frame_index: int, raw_label: int):
-        """Feed one raw prediction; returns the labels finalized by it, in frame order."""
+    def push_run(self, start: int, length: int, label: int):
+        """Feed frames [start, start+length) of one raw label; returns the
+        (start, end, label) ranges finalized by them, in frame order."""
         if self._closed:
             raise RuntimeError("cleaner already flushed")
-        if self._last_frame is not None and frame_index <= self._last_frame:
-            raise ValueError(f"out-of-order push: frame {frame_index} after {self._last_frame}")
-        label = int(raw_label)
+        if self._next is not None and start != self._next:
+            raise ValueError(f"out-of-order push: frame {start}, expected {self._next}")
+        if length < 1:
+            raise ValueError(f"run length must be >= 1, got {length}")
         if not 0 <= label < self.cfg.num_classes:
             raise ValueError(f"label {label} outside [0, {self.cfg.num_classes})")
-        self._last_frame = frame_index
+        end = start + length
+        self._next = end
 
         out = []
         if self._label is None:
-            self._start_run(frame_index, label, out)
+            self._start_run(start, length, label, out)
         elif label == self._label:
-            self._len += 1
+            self._len += length
             if self._confirmed:
-                out.append((frame_index, label))
-            else:
-                self._buf.append(frame_index)
-                if self._len >= self.cfg.threshold_for(label):
-                    self._confirmed = True
-                    self._prev = label
-                    out.extend((f, label) for f in self._buf)
-                    self._buf = []
+                out.append((start, end, label))
+            elif self._len >= self._thresholds[label]:
+                self._confirmed = True
+                self._prev = label
+                out.append((self._pending, end, label))
         elif self._confirmed:
-            self._start_run(frame_index, label, out)
+            self._start_run(start, length, label, out)
         else:
             # too-short run: relabel it with the previous action and merge
-            out.extend((f, self._prev) for f in self._buf)
-            self._buf = []
+            out.append((self._pending, start, self._prev))
             if label == self._prev:
-                # incoming frame continues the merged (already confirmed) run
-                self._label = self._prev
+                # the incoming run continues the merged (already confirmed) run
+                self._label = label
                 self._confirmed = True
-                self._len += 1
-                out.append((frame_index, label))
+                self._len += length
+                out.append((start, end, label))
             else:
-                self._start_run(frame_index, label, out)
+                self._start_run(start, length, label, out)
         return out
 
-    def flush(self):
-        """Finalize a pending run; a still-unconfirmed tail merges into the previous action."""
+    def push(self, frame_index: int, raw_label: int):
+        """Feed the next frame's raw prediction; returns the (frame, label)
+        pairs finalized by it, in frame order."""
+        return [(f, lab) for s, e, lab in self.push_run(frame_index, 1, int(raw_label))
+                for f in range(s, e)]
+
+    def flush_ranges(self):
+        """Finalize a pending run, as (start, end, label) ranges like push_run;
+        a still-unconfirmed tail merges into the previous action."""
         if self._closed:
             raise RuntimeError("cleaner already flushed")
         self._closed = True
         if self._confirmed or self._label is None:
             return []
-        out = [(f, self._prev) for f in self._buf]
-        self._buf = []
-        return out
+        return [(self._pending, self._next, self._prev)]
+
+    def flush(self):
+        """flush_ranges as (frame, label) pairs, like push."""
+        return [(f, lab) for s, e, lab in self.flush_ranges() for f in range(s, e)]
 
 
 def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
-    """Offline cleaning: stream the whole timeline through a cleaner and flush."""
+    """Offline cleaning: feed the timeline's runs through a cleaner and flush."""
     arr = as_timeline(labels)
+    if arr.size == 0:
+        return arr.copy()
     cleaner = StreamCleaner(cfg)
-    out = np.empty_like(arr)
-    seen = 0
-    for i, lab in enumerate(arr):
-        for f, cl in cleaner.push(i, int(lab)):
-            out[f] = cl
-            seen += 1
-    for f, cl in cleaner.flush():
-        out[f] = cl
-        seen += 1
-    assert seen == arr.size  # every frame finalized exactly once
-    return out
+    ranges = []
+    for start, end, label in zip(*(a.tolist() for a in encode_runs(arr))):
+        ranges += cleaner.push_run(start, end - start, label)
+    ranges += cleaner.flush_ranges()
+    r = np.array(ranges, dtype=np.int64)
+    starts, ends = r[:, 0], r[:, 1]
+    # every frame finalized exactly once: the ranges tile [0, size) in order
+    assert (starts[0] == 0 and ends[-1] == arr.size and np.all(ends > starts)
+            and np.array_equal(starts[1:], ends[:-1])), "cleaner ranges do not tile the timeline"
+    return np.repeat(r[:, 2], ends - starts)
 
 
 def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):

@@ -103,6 +103,10 @@ def _cmd_run(args) -> int:
     if not args.no_clean:
         cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
                                          num_classes=backend.num_classes)
+        uncovered = sorted(set(range(backend.num_classes)) - set(cleaner.stats))
+        if uncovered:
+            print(f"actseg: warning: no length stats for classes {', '.join(map(str, uncovered))};"
+                  " their runs are never cleaned", file=sys.stderr)
     cfg = pipeline.PipelineConfig(t, tau, fps, backend.num_classes, cleaner)
     raw, cleaned = pipeline.run_offline(cfg, backend)
 
@@ -196,8 +200,8 @@ def _cmd_synth(args) -> int:
             classify.write_logits_binary(args.out_logits, logits)
     changed = int(np.sum(noisy != gt))
     _emit(args, {"frames": int(gt.size), "changed_frames": changed,
-                 "segments_before": len(timeline.segments_from_timeline(gt)),
-                 "segments_after": len(timeline.segments_from_timeline(noisy))})
+                 "segments_before": int(timeline.encode_runs(gt)[0].size),
+                 "segments_after": int(timeline.encode_runs(noisy)[0].size)})
     return 0
 
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .timeline import BACKGROUND_ID, Segment, as_timeline, segments_from_timeline  # noqa: F401
+from .timeline import BACKGROUND_ID, as_timeline, encode_runs
+from .timeline import Segment, segments_from_timeline  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -24,11 +25,15 @@ class EvalConfig:
 DEFAULT_EVAL = EvalConfig()
 
 
-def _scored_segments(labels, cfg):
-    segs = segments_from_timeline(labels)
+def _scored_runs(labels, cfg):
+    """(starts, ends, labels) of a timeline's runs, without background runs when ignored."""
+    runs = encode_runs(labels)
+    if runs[2].min() < 0:
+        raise ValueError(f"class_id must be >= 0, got {runs[2].min()}")
     if cfg.ignore_background:
-        segs = [s for s in segs if s.class_id != cfg.background_id]
-    return segs
+        keep = runs[2] != cfg.background_id
+        runs = tuple(a[keep] for a in runs)
+    return runs
 
 
 def frame_accuracy(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
@@ -49,8 +54,8 @@ def edit_score(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
     p, g = as_timeline(pred), as_timeline(gt)
     if p.size != g.size:
         raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-    pl = np.array([s.class_id for s in _scored_segments(p, cfg)], dtype=np.int64)
-    gl = np.array([s.class_id for s in _scored_segments(g, cfg)], dtype=np.int64)
+    pl = _scored_runs(p, cfg)[2]
+    gl = _scored_runs(g, cfg)[2]
     longest = max(pl.size, gl.size)
     if longest == 0:
         return 100.0
@@ -58,32 +63,57 @@ def edit_score(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
     return 100.0 * (1.0 - dist / longest)
 
 
-def _match_counts(pred_segs, gt_segs, threshold):
-    """Greedy matching: predictions in temporal order claim the unconsumed
-    same-class ground-truth segment of maximal IoU (ties to the earliest);
-    a claim below the threshold is a false positive and consumes nothing."""
-    if gt_segs:
-        g_start = np.array([s.start for s in gt_segs], dtype=np.float64)
-        g_end = np.array([s.end for s in gt_segs], dtype=np.float64)
-        g_cls = np.array([s.class_id for s in gt_segs], dtype=np.int64)
-    used = np.zeros(len(gt_segs), dtype=bool)
-    tp = fp = 0
-    for p in pred_segs:
-        if not gt_segs:
-            fp += 1
-            continue
-        inter = np.minimum(g_end, p.end) - np.maximum(g_start, p.start)
-        union = np.maximum(g_end, p.end) - np.minimum(g_start, p.start)
-        iou = np.maximum(inter, 0.0) / union
-        iou[(g_cls != p.class_id) | used] = -1.0
-        best = int(np.argmax(iou))
-        if iou[best] >= threshold:
-            tp += 1
-            used[best] = True
-        else:
-            fp += 1
-    fn = int(len(gt_segs) - used.sum())
-    return tp, fp, fn
+def _overlap_pairs(pred, gt, length):
+    """Same-class (pred, gt) run pairs with positive overlap, and their IoU.
+
+    Pairs come ordered by prediction, then by ground truth, both temporal.
+    Keys class*(length+1)+frame sort the ground-truth runs by class, then
+    by time; within a class the runs are disjoint, so their start and end
+    keys are both ascending, and the runs overlapping prediction p form
+    the contiguous block of those ending after p starts and starting
+    before p ends.
+    """
+    ps, pe, pc = pred
+    gs, ge, gc = gt
+    order = np.lexsort((gs, gc))
+    base = gc[order] * (length + 1)
+    lo = np.searchsorted(base + ge[order], pc * (length + 1) + ps, side="right")
+    hi = np.searchsorted(base + gs[order], pc * (length + 1) + pe, side="left")
+    count = hi - lo
+    pair_p = np.repeat(np.arange(ps.size), count)
+    # positions lo[p] .. hi[p]-1 of each prediction's block, concatenated
+    offsets = np.arange(pair_p.size) - np.repeat(np.cumsum(count) - count, count)
+    pair_g = order[np.repeat(lo, count) + offsets]
+    inter = np.minimum(pe[pair_p], ge[pair_g]) - np.maximum(ps[pair_p], gs[pair_g])
+    union = np.maximum(pe[pair_p], ge[pair_g]) - np.minimum(ps[pair_p], gs[pair_g])
+    return pair_p, pair_g, inter / union
+
+
+def _claimed(pairs, threshold):
+    """Ground-truth runs claimed by the greedy matching at one threshold.
+
+    Predictions in temporal order claim the unconsumed same-class
+    ground-truth run of maximal IoU (ties to the earliest); a claim below
+    the threshold is a false positive and consumes nothing. Every threshold
+    is > 0, so a candidate without overlap never matches or consumes, and a
+    candidate below the threshold is never the claimed one: if any
+    candidate reaches the threshold, the maximum does. The scan therefore
+    only visits the overlap pairs at or above the threshold.
+    """
+    pair_p, pair_g, iou = pairs
+    keep = iou >= threshold
+    pp, pg, pi = pair_p[keep].tolist(), pair_g[keep].tolist(), iou[keep].tolist()
+    used = set()
+    k, n = 0, len(pp)
+    while k < n:
+        p, best, best_g = pp[k], -1.0, -1
+        while k < n and pp[k] == p:
+            if pi[k] > best and pg[k] not in used:
+                best, best_g = pi[k], pg[k]
+            k += 1
+        if best_g >= 0:
+            used.add(best_g)
+    return np.fromiter(used, dtype=np.int64, count=len(used))
 
 
 def _f1_pct(tp, fp, fn) -> float:
@@ -93,29 +123,36 @@ def _f1_pct(tp, fp, fn) -> float:
     return 100.0 * 2 * tp / denom
 
 
-def f1_at_iou(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL) -> float:
-    """Segmental F1 (percent) at one IoU threshold."""
+def _scored_pairs(pred, gt, cfg):
     p, g = as_timeline(pred), as_timeline(gt)
     if p.size != g.size:
         raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-    tp, fp, fn = _match_counts(_scored_segments(p, cfg), _scored_segments(g, cfg), threshold)
-    return _f1_pct(tp, fp, fn)
+    pr, gr = _scored_runs(p, cfg), _scored_runs(g, cfg)
+    return pr, gr, _overlap_pairs(pr, gr, p.size)
+
+
+def f1_at_iou(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL) -> float:
+    """Segmental F1 (percent) at one IoU threshold."""
+    pr, gr, pairs = _scored_pairs(pred, gt, cfg)
+    tp = _claimed(pairs, threshold).size
+    return _f1_pct(tp, pr[0].size - tp, gr[0].size - tp)
 
 
 def per_class_f1(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL):
     """Per-class tp/fp/fn/F1 of the segmental matching at one threshold.
 
-    Matching never crosses classes, so the global greedy pass decomposes into
-    independent per-class passes over classes present on either side.
+    Matching never crosses classes, so each class's counts are the global
+    greedy pass's counts restricted to that class.
     """
-    p, g = as_timeline(pred), as_timeline(gt)
-    pred_segs = _scored_segments(p, cfg)
-    gt_segs = _scored_segments(g, cfg)
-    classes = sorted({s.class_id for s in pred_segs} | {s.class_id for s in gt_segs})
+    pr, gr, pairs = _scored_pairs(pred, gt, cfg)
+    classes = np.union1d(pr[2], gr[2])
+    size = int(classes[-1]) + 1 if classes.size else 0
+    n_pred = np.bincount(pr[2], minlength=size).tolist()
+    n_gt = np.bincount(gr[2], minlength=size).tolist()
+    n_tp = np.bincount(gr[2][_claimed(pairs, threshold)], minlength=size).tolist()
     rows = []
-    for cid in classes:
-        tp, fp, fn = _match_counts([s for s in pred_segs if s.class_id == cid],
-                                   [s for s in gt_segs if s.class_id == cid], threshold)
+    for cid in classes.tolist():
+        tp, fp, fn = n_tp[cid], n_pred[cid] - n_tp[cid], n_gt[cid] - n_tp[cid]
         rows.append({"class_id": cid, "tp": tp, "fp": fp, "fn": fn, "f1": _f1_pct(tp, fp, fn)})
     return rows
 

@@ -35,15 +35,26 @@ def as_timeline(labels) -> np.ndarray:
     return arr
 
 
-def segments_from_timeline(labels):
-    """Run-length encode a timeline; concatenating the runs reconstructs it."""
+def encode_runs(labels):
+    """Run-length encode a timeline into int64 arrays (starts, ends, labels).
+
+    Run i covers frames [starts[i], ends[i]) with label labels[i]; adjacent
+    runs differ in label, and np.repeat(labels, ends - starts) reconstructs
+    the timeline.
+    """
     arr = as_timeline(labels)
     if arr.size == 0:
         raise ValueError("timeline is empty")
     cuts = np.flatnonzero(arr[1:] != arr[:-1]) + 1
-    bounds = np.concatenate(([0], cuts, [arr.size]))
-    return [Segment(int(arr[bounds[i]]), int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(bounds) - 1)]
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [arr.size]))
+    return starts, ends, arr[starts]
+
+
+def segments_from_timeline(labels):
+    """Run-length encode a timeline as Segments; concatenating the runs reconstructs it."""
+    starts, ends, cls = encode_runs(labels)
+    return [Segment(c, s, e) for c, s, e in zip(cls.tolist(), starts.tolist(), ends.tolist())]
 
 
 def timeline_from_segments(segments, length=None, fill=BACKGROUND_ID) -> np.ndarray:
@@ -82,13 +93,20 @@ def read_timeline_csv(path) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
+# rows formatted per write: one string per block keeps the formatting out of
+# Python-level loops while the text held at once stays about 100 KB
+_CSV_BLOCK = 8192
+
+
 def write_timeline_csv(path, labels) -> None:
+    """CSV `frame,label_id` with csv.writer's CRLF line ends."""
     arr = as_timeline(labels)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["frame", "label_id"])
-        for i, v in enumerate(arr):
-            wr.writerow([i, int(v)])
+        fh.write("frame,label_id\r\n")
+        for lo in range(0, arr.size, _CSV_BLOCK):
+            block = arr[lo:lo + _CSV_BLOCK]
+            rows = np.column_stack((np.arange(lo, lo + block.size), block)).ravel().tolist()
+            fh.write(("%d,%d\r\n" * block.size) % tuple(rows))
 
 
 def read_segments_csv(path):

@@ -84,6 +84,43 @@ def edit_score_ref(pred, gt, ignore_background=True, background_id=24):
     return 100.0 * (1.0 - levenshtein_ref(pl, gl) / longest)
 
 
+def clean_ref(labels, threshold_of, background_id):
+    """Frame-by-frame label cleaning: a run shorter than threshold_of(label)
+    is relabeled with the previous surviving run's label (background before
+    the first one) and merges into it; an unfinished tail run that never
+    reached its threshold is relabeled the same way."""
+    out = []
+    prev = background_id        # label of the last confirmed run
+    label = None                # label of the current run
+    length = 0
+    confirmed = False
+    pending = []                # indices of the current run's unconfirmed frames
+    for i, lab in enumerate(labels):
+        lab = int(lab)
+        out.append(None)
+        if label is not None and lab != label and not confirmed:
+            for j in pending:
+                out[j] = prev
+            pending = []
+            if lab == prev:
+                label, confirmed = prev, True
+        if label is None or lab != label:
+            label, length, confirmed = lab, 0, False
+        length += 1
+        if confirmed:
+            out[i] = lab
+            continue
+        pending.append(i)
+        if length >= threshold_of(lab):
+            confirmed, prev = True, lab
+            for j in pending:
+                out[j] = lab
+            pending = []
+    for j in pending:
+        out[j] = prev
+    return out
+
+
 def central_diff(fn, x, h=1e-6):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)

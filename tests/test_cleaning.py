@@ -77,6 +77,15 @@ class TestCleanerConfig:
         with pytest.raises(ValueError):
             CleanerConfig(fps=-1.0)
 
+    def test_label_space_validated(self):
+        with pytest.raises(ValueError, match="stats class id 40 outside"):
+            CleanerConfig(stats=stats_of({0: (20.0, 5.0), 40: (20.0, 5.0)}))
+        with pytest.raises(ValueError, match="stats class id -1 outside"):
+            CleanerConfig(stats=stats_of({-1: (20.0, 5.0)}))
+        with pytest.raises(ValueError, match="background id 30 outside"):
+            CleanerConfig(background_id=30)
+        CleanerConfig(stats=stats_of({29: (20.0, 5.0)}), num_classes=30)
+
 
 def push_all(labels, cfg):
     cleaner = StreamCleaner(cfg)
@@ -159,6 +168,35 @@ class TestStreamCleaner:
             for f, lab in push_all(labels, cfg):
                 streamed[f] = lab
             assert np.array_equal(batch, streamed)
+
+    def test_push_run_returns_ranges(self):
+        # thresholds {A(0): 1, B(1): 5}: B's 2-frame run dies into A, and a
+        # piece with the current run's label continues it
+        cfg = CleanerConfig(kappa=1.0, stats=stats_of({0: (1.0, 0.0), 1: (5.0, 0.0)}))
+        cleaner = StreamCleaner(cfg)
+        assert cleaner.push_run(0, 4, 0) == [(0, 4, 0)]
+        assert cleaner.push_run(4, 2, 1) == []
+        assert cleaner.push_run(6, 3, 0) == [(4, 6, 0), (6, 9, 0)]
+        assert cleaner.push_run(9, 3, 1) == []
+        assert cleaner.push_run(12, 2, 1) == [(9, 14, 1)]
+        assert cleaner.push_run(14, 1, 1) == [(14, 15, 1)]
+        assert cleaner.flush_ranges() == []
+
+    def test_previous_label_after_short_run_passes_through(self):
+        # thresholds {A(0): 3, B(1): 5}: once B dies into A, the next A frame
+        # continues the confirmed A run and finalizes at once
+        cfg = CleanerConfig(kappa=1.0, stats=stats_of({0: (3.0, 0.0), 1: (5.0, 0.0)}))
+        cleaner = StreamCleaner(cfg)
+        got = [cleaner.push(i, lab) for i, lab in enumerate([0, 0, 0, 1, 1, 0])]
+        assert got == [[], [], [(0, 0), (1, 0), (2, 0)], [], [], [(3, 0), (4, 0), (5, 0)]]
+
+    def test_gap_rejected(self):
+        cleaner = StreamCleaner(CleanerConfig())
+        cleaner.push(0, 0)
+        with pytest.raises(ValueError, match="out-of-order push: frame 2, expected 1"):
+            cleaner.push(2, 0)
+        with pytest.raises(ValueError, match="run length"):
+            cleaner.push_run(1, 0, 0)
 
     def test_out_of_order_push_rejected(self):
         cleaner = StreamCleaner(CleanerConfig())

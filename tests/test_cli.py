@@ -159,6 +159,31 @@ class TestRun:
         assert cleaned.size == len(labels)
         assert {27, 29} <= set(cleaned.tolist())
 
+    def test_uncovered_classes_warned(self, capsys, tmp_path):
+        labels = [27] * 40 + [BACKGROUND_ID] * 30 + [29] * 40
+        logits_path = tmp_path / "thirty.logits"
+        write_logits_binary(logits_path, one_hot_logits(labels, 30))
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                               "--tau", "1")
+        assert code == 0, err
+        assert "warning" in err and "25, 26, 27, 28, 29" in err
+        # with every class covered there is nothing to warn about
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                               "--tau", "1", "--no-clean")
+        assert code == 0 and err == ""
+
+    def test_stats_class_outside_label_space_is_data_error(self, capsys, tmp_path):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        stats_path = tmp_path / "stats.json"
+        write_class_stats({0: ClassStats(0, 9, 20.0, 5.0), 40: ClassStats(40, 9, 20.0, 5.0)},
+                          stats_path)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                               "--tau", "1", "--stats", str(stats_path),
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "class id 40" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_logits_is_data_error(self, capsys, tmp_path):
         logits = one_hot_logits([5] * 100)
         logits[50, 3] = np.nan

@@ -1,6 +1,7 @@
 """Kernels against direct numpy reductions and the brute-force DP oracle."""
 
 import numpy as np
+import pytest
 
 from actseg import _kernels
 from oracles import levenshtein_ref
@@ -21,6 +22,49 @@ def test_levenshtein_edges():
     assert _kernels.levenshtein(seq, empty) == 3
     assert _kernels.levenshtein(empty, seq) == 3
     assert _kernels.levenshtein(seq, seq) == 0
+    # an empty side against one longer than a 64-bit word
+    long_seq = np.arange(70) % 4
+    assert _kernels.levenshtein(empty, long_seq) == 70
+    assert _kernels.levenshtein(long_seq, empty) == 70
+
+
+def lcg_symbols(n, k, seed):
+    """n symbols in [0, k) from a fixed linear congruential generator, so the
+    sequence does not depend on the numpy version."""
+    out, x = [], seed
+    for _ in range(n):
+        x = (1103515245 * x + 12345) % 2**31
+        out.append((x >> 16) % k)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
+def test_levenshtein_word_boundaries(m):
+    # the bit vectors span the shorter side: lengths at and around one
+    # 64-bit word, and one of many words
+    for seed in range(3 if m < 1000 else 1):
+        a = lcg_symbols(m, 5, seed)
+        b = lcg_symbols(m + 37, 5, seed + 100)
+        want = levenshtein_ref(a, b)
+        assert _kernels.levenshtein(a, b) == want
+        assert _kernels.levenshtein(b, a) == want
+
+
+def test_levenshtein_symbols_on_one_side_only():
+    # symbols of b absent from a, and of a absent from b
+    a = [0, 1, 2, 0, 1, 2, 0]
+    b = [7, 1, 8, 9, 2, 7]
+    assert _kernels.levenshtein(a, b) == levenshtein_ref(a, b)
+    assert _kernels.levenshtein(b, a) == levenshtein_ref(a, b)
+    assert _kernels.levenshtein([5] * 65, [6] * 3) == 65
+
+
+def test_levenshtein_long_sequences_match_row_recurrence():
+    # 8787 is what the former vectorized row recurrence gives on these inputs
+    a = lcg_symbols(10_000, 24, 1)
+    b = lcg_symbols(1_700, 24, 2)
+    assert _kernels.levenshtein(a, b) == 8787
+    assert _kernels.levenshtein(b, a) == 8787
 
 
 def test_gather_mean_is_row_mean():

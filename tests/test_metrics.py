@@ -105,6 +105,26 @@ class TestF1AtIoU:
     def test_vacuous_is_hundred(self):
         assert f1_at_iou([BG] * 5, [BG] * 5, 0.5) == 100.0
 
+    def test_consumed_segment_passes_claim_to_next_best(self):
+        # gt 0:[0,10) and 0:[12,16); pred 0:[0,4) claims the first (IoU 0.4),
+        # so pred 0:[5,14), whose best IoU (5/14) is that consumed segment,
+        # claims the second (IoU 2/11) instead
+        gt = [0] * 10 + [1] * 2 + [0] * 4
+        pred = [0] * 4 + [1] + [0] * 9 + [1] * 2
+        got = per_class_f1(pred, gt, 0.1, KEEP_BG)
+        assert [(r["class_id"], r["tp"], r["fp"], r["fn"]) for r in got] == \
+            [(0, 2, 0, 0), (1, 0, 2, 1)]
+        assert f1_at_iou(pred, gt, 0.1, KEEP_BG) == f1_at_iou_ref(pred, gt, 0.1, False)
+
+    def test_iou_tie_claims_earliest(self):
+        # pred 0:[2,8) ties at IoU 0.25 with gt 0:[0,4) and 0:[6,10) and
+        # takes the earlier, leaving the later one for pred 0:[9,12)
+        gt = [0] * 4 + [1] * 2 + [0] * 4 + [1] * 2
+        pred = [1] * 2 + [0] * 6 + [1] + [0] * 3
+        got = per_class_f1(pred, gt, 0.1, KEEP_BG)
+        assert got[0]["class_id"] == 0 and (got[0]["tp"], got[0]["fp"], got[0]["fn"]) == (2, 0, 0)
+        assert f1_at_iou(pred, gt, 0.1, KEEP_BG) == f1_at_iou_ref(pred, gt, 0.1, False)
+
     def test_non_increasing_in_threshold(self):
         rng = np.random.default_rng(23)
         for _ in range(100):

@@ -1,0 +1,182 @@
+"""Property tests: the run-granular cleaner, streaming, run-length encoding
+and the segmental metrics against the brute-force oracles in oracles.py.
+
+The examples are drawn by hypothesis under the deterministic profile that
+conftest.py registers.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from actseg.classify import LogitsBackend, one_hot_logits
+from actseg.cleaning import ClassStats, CleanerConfig, StreamCleaner, clean_timeline
+from actseg.metrics import EvalConfig, edit_score, f1_at_iou, per_class_f1
+from actseg.pipeline import PipelineConfig, StreamSession, run_offline
+from actseg.timeline import encode_runs, segments_from_timeline, timeline_from_segments
+from oracles import (clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref, greedy_match_ref,
+                     rle_ref)
+
+
+def run_lists(n_classes, max_len=12, max_runs=40):
+    """(label, length) pieces; neighbours may share a label, so a piece can
+    continue the run before it."""
+    return st.lists(st.tuples(st.integers(0, n_classes - 1), st.integers(1, max_len)),
+                    min_size=1, max_size=max_runs)
+
+
+def timeline_of(pieces):
+    return np.repeat([c for c, _ in pieces], [n for _, n in pieces]).astype(np.int64)
+
+
+@st.composite
+def cleaner_configs(draw, n_classes):
+    """Stats for a random subset of the classes (the rest clean at threshold
+    1), a kappa on both sides of the sweep range and any background class."""
+    stats = {}
+    for cid in range(n_classes):
+        if draw(st.booleans()):
+            mean = draw(st.floats(1.0, 16.0))
+            std = draw(st.floats(0.0, 6.0))
+            stats[cid] = ClassStats(cid, 5, mean, std)
+    kappa = draw(st.floats(0.1, 2.5))
+    background = draw(st.integers(0, n_classes - 1))
+    return CleanerConfig(kappa, stats, 15.0, background, n_classes)
+
+
+# ------------------------------------------------------------ cleaning
+
+
+@given(run_lists(5), cleaner_configs(5))
+def test_run_fed_equals_frame_fed_equals_reference(pieces, cfg):
+    labels = timeline_of(pieces)
+    want = clean_ref(labels.tolist(), cfg.threshold_for, cfg.background_id)
+
+    frame_fed = StreamCleaner(cfg)
+    pairs = [p for i, lab in enumerate(labels.tolist()) for p in frame_fed.push(i, lab)]
+    pairs += frame_fed.flush()
+    assert [f for f, _ in pairs] == list(range(labels.size))
+    assert [lab for _, lab in pairs] == want
+
+    # the drawn pieces as they are: a piece with its predecessor's label
+    # continues that run instead of starting one
+    run_fed = StreamCleaner(cfg)
+    ranges, start = [], 0
+    for lab, n in pieces:
+        ranges += run_fed.push_run(start, n, lab)
+        start += n
+    ranges += run_fed.flush_ranges()
+    assert [s for s, _, _ in ranges[1:]] == [e for _, e, _ in ranges[:-1]]
+    assert np.repeat([lab for _, _, lab in ranges],
+                     [e - s for s, e, _ in ranges]).tolist() == want
+
+    assert clean_timeline(labels, cfg).tolist() == want
+
+
+@st.composite
+def stream_cases(draw):
+    n_classes = 4
+    pieces = draw(run_lists(n_classes, max_len=15, max_runs=12))
+    t = draw(st.integers(1, 6))
+    tau = draw(st.integers(1, 4))
+    cleaner = draw(st.none() | cleaner_configs(n_classes))
+    seed = draw(st.integers(0, 2**16))
+    return pieces, t, tau, cleaner, seed
+
+
+@given(stream_cases())
+def test_stream_equals_offline_exactly_once_within_lag_bound(case):
+    pieces, t, tau, cleaner, seed = case
+    labels = timeline_of(pieces)
+    noise = np.random.default_rng(seed).normal(0.0, 0.5, (labels.size, 4))
+    backend = LogitsBackend(2.0 * one_hot_logits(labels, 4) + noise)
+    cfg = PipelineConfig(t, tau, 15.0, 4, cleaner)
+    _, want = run_offline(cfg, backend)
+
+    session = StreamSession(cfg, backend)
+    got = np.full(labels.size, -1, dtype=np.int64)
+    count = np.zeros(labels.size, dtype=np.int64)
+    emitted_at = np.zeros(labels.size, dtype=np.int64)
+    # what finish() drains counts as emitted by the last push
+    pushes = [(i, session.push(i)) for i in range(labels.size)]
+    pushes.append((labels.size - 1, session.finish()))
+    for at, out in pushes:
+        for f, lab in out:
+            got[f] = lab
+            count[f] += 1
+            emitted_at[f] = at
+
+    assert np.all(count == 1)
+    assert np.array_equal(got, want)
+    bound = (t // 2) * tau + (cleaner.max_threshold() if cleaner else 0)
+    assert np.all(emitted_at - np.arange(labels.size) <= bound)
+
+
+# ------------------------------------------------------------ run-length encoding
+
+
+@given(run_lists(6, max_len=20))
+def test_run_length_round_trip(pieces):
+    labels = timeline_of(pieces)
+    starts, ends, cls = encode_runs(labels)
+    assert list(zip(cls.tolist(), starts.tolist(), ends.tolist())) == rle_ref(labels.tolist())
+    assert np.array_equal(np.repeat(cls, ends - starts), labels)
+    assert np.all(cls[1:] != cls[:-1])
+    # fill with a label the timeline never uses, so a gap would show
+    rebuilt = timeline_from_segments(segments_from_timeline(labels), fill=99)
+    assert np.array_equal(rebuilt, labels)
+
+
+# ------------------------------------------------------------ metrics
+
+
+def per_class_ref(pred, gt, threshold, ignore_background, background_id):
+    """(class_id, tp, fp, fn) per class, from the greedy oracle run on each
+    class's runs alone."""
+    def scored(labels):
+        return [r for r in rle_ref(labels) if not (ignore_background and r[0] == background_id)]
+    pr, gr = scored(pred), scored(gt)
+    rows = []
+    for cid in sorted({r[0] for r in pr} | {r[0] for r in gr}):
+        tp, fp, fn = greedy_match_ref([r for r in pr if r[0] == cid],
+                                      [r for r in gr if r[0] == cid], threshold)
+        rows.append((cid, tp, fp, fn))
+    return rows
+
+
+@st.composite
+def scored_pairs(draw):
+    # few classes and short runs, so same-class candidates compete for the
+    # same ground truth and IoU ties occur; a prediction is either drawn on
+    # its own or the ground truth with short spikes written over it, which
+    # splits one ground-truth segment among several predictions
+    n_classes = draw(st.integers(1, 4))
+    gt = timeline_of(draw(run_lists(n_classes, max_len=8)))
+    if draw(st.booleans()):
+        pred = timeline_of(draw(run_lists(n_classes, max_len=8)))
+    else:
+        pred = gt.copy()
+        spikes = st.tuples(st.integers(0, gt.size - 1), st.integers(1, 3),
+                           st.integers(0, n_classes - 1))
+        for pos, n, label in draw(st.lists(spikes, max_size=8)):
+            pred[pos:pos + n] = label
+    n = min(pred.size, gt.size)
+    threshold = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0))
+    background = draw(st.integers(0, n_classes - 1))
+    return pred[:n], gt[:n], threshold, background
+
+
+@given(scored_pairs(), st.booleans())
+def test_metrics_equal_oracles(case, ignore_background):
+    pred, gt, threshold, background = case
+    cfg = EvalConfig(ignore_background=ignore_background, background_id=background)
+    p, g = pred.tolist(), gt.tolist()
+
+    assert f1_at_iou(pred, gt, threshold, cfg) == \
+        f1_at_iou_ref(p, g, threshold, ignore_background, background)
+    assert edit_score(pred, gt, cfg) == edit_score_ref(p, g, ignore_background, background)
+
+    rows = per_class_f1(pred, gt, threshold, cfg)
+    want = per_class_ref(p, g, threshold, ignore_background, background)
+    assert [(r["class_id"], r["tp"], r["fp"], r["fn"]) for r in rows] == want
+    assert [r["f1"] for r in rows] == [f1_pct_ref(tp, fp, fn) for _, tp, fp, fn in want]

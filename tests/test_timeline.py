@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,19 @@ class TestCsv:
         write_timeline_csv(path, labels)
         assert np.array_equal(read_timeline_csv(path), labels)
         assert path.read_text().splitlines()[0] == "frame,label_id"
+
+    def test_timeline_bytes_match_csv_writer(self, tmp_path):
+        # the file a csv.writer row loop writes, CRLF line ends included
+        labels = np.array([3, 3, 0, BACKGROUND_ID, 12], dtype=np.int64)
+        buf = io.StringIO(newline="")
+        wr = csv.writer(buf)
+        wr.writerow(["frame", "label_id"])
+        for i, v in enumerate(labels.tolist()):
+            wr.writerow([i, v])
+        path = tmp_path / "t.csv"
+        write_timeline_csv(path, labels)
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert b"\r\n" in path.read_bytes()
 
     def test_timeline_headerless(self, tmp_path):
         path = tmp_path / "t.csv"
