@@ -7,19 +7,35 @@ profiler can wrap one by patching the module attribute.
 import numpy as np
 
 
+def nearest_index(n_in, n_out, lo=0, hi=None):
+    """Source cells of output cells lo..hi-1 when n_in cells resize to n_out: i*n_in//n_out."""
+    return (np.arange(lo, n_out if hi is None else hi) * n_in) // n_out
+
+
+def gather_cells(src, rows, cols):
+    """out[:, :, i, j] = src[:, :, rows[i], cols[j]] for a (t, c, h, w) array, C-contiguous.
+
+    One take per axis: fancy indexing both axes at once yields a transposed
+    memory layout, and copying or adding that into a C-ordered array costs
+    several times the gather itself.
+    """
+    return np.take(np.take(src, rows, axis=2), cols, axis=3)
+
+
 def resize_nearest(src, out_h, out_w):
     """Nearest-neighbor resize of a (t, c, h, w) array: out[i,j] = src[i*h//out_h, j*w//out_w]."""
-    h, w = src.shape[2], src.shape[3]
-    rows = (np.arange(out_h) * h) // out_h
-    cols = (np.arange(out_w) * w) // out_w
-    return np.ascontiguousarray(src[:, :, rows[:, None], cols[None, :]])
+    return gather_cells(src, nearest_index(src.shape[2], out_h), nearest_index(src.shape[3], out_w))
 
 
 def mix_1x1(m, weight, bias):
-    """Per-pixel channel mixing: out[t,o,i,j] = sum_c weight[o,c]*m[t,c,i,j] + bias[o]."""
-    out = np.einsum("oc,tchw->tohw", weight, m)
-    out += bias.reshape(1, -1, 1, 1)
-    return out
+    """Per-pixel channel mixing: out[t,o,i,j] = sum_c weight[o,c]*m[t,c,i,j] + bias[o].
+
+    One BLAS matrix product per frame over the (c, h*w) pixel columns.
+    """
+    t, c, h, w = m.shape
+    out = weight @ m.reshape(t, c, h * w)
+    out += bias[:, None]
+    return out.reshape(t, weight.shape[0], h, w)
 
 
 def bn_residual(base, enh, scale, shift, mean, var):

@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from . import _kernels
+# enhance calls none of concat_channels, mix_1x1, residual_norm: kept as perfbench's traced run patches them here
 from .grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm, resize_nearest, zero_pad_place
 
 
@@ -144,19 +148,53 @@ def place_hand_features(fh: FeatureMap, g: CropGeometry, backbone_h: int, backbo
 
 def enhance(f: FeatureMap, f_left: FeatureMap, f_right: FeatureMap,
             g_left: CropGeometry, g_right: CropGeometry, w: MixerWeights) -> FeatureMap:
-    """Full enhancement pass: place both hand maps, concat, 1x1 mix, residual add + bn.
+    """Full enhancement pass: bn(f + W [f; place(f_left); place(f_right)] + b).
 
-    Output dims always equal f's, for any geometry including fully
-    out-of-crop hands.
+    With s = bn_scale / sqrt(bn_var) and W = [W_f | W_l | W_r] split by the
+    channel counts of f, f_left and f_right, this is computed as
+    s (I + W_f) f + s (b - bn_mean) + bn_shift, plus s W_l and s W_r applied
+    to each hand map over its visible footprint only: the placed hand maps
+    are zero everywhere else, so neither they nor the concat are built. The
+    result equals the composed primitives (place_hand_features,
+    concat_channels, mix_1x1, residual_norm) up to summation order, and a
+    zero mixer with identity bn returns f exactly. Output dims always equal
+    f's, for any geometry including fully out-of-crop hands.
     """
     if f_left.t != f.t or f_right.t != f.t:
         raise ValueError(
             f"frame counts differ: backbone {f.t}, left {f_left.t}, right {f_right.t}"
         )
-    placed_l = place_hand_features(f_left, g_left, f.h, f.w)
-    placed_r = place_hand_features(f_right, g_right, f.h, f.w)
-    mixed = mix_1x1(concat_channels([f, placed_l, placed_r]), w)
-    return residual_norm(f, mixed, w)
+    c, c_l, c_r = f.c, f_left.c, f_right.c
+    if w.c_in != c + c_l + c_r:
+        raise ValueError(f"mixer expects {w.c_in} input channels, backbone and hands have "
+                         f"{c + c_l + c_r} ({c} + {c_l} + {c_r})")
+    if w.c_out != c:
+        raise ValueError(f"mixer emits {w.c_out} channels but the backbone has {c}")
+    s = w.bn_scale / np.sqrt(w.bn_var)
+    scaled = s[:, None] * w.weight
+    backbone = scaled[:, :c] + np.diag(s)  # s (I + W_f): the residual add folded in
+    out = _kernels.mix_1x1(f.values, backbone, s * (w.bias - w.bn_mean) + w.bn_shift)
+    _add_hand(out, f_left, g_left, scaled[:, c:c + c_l])
+    _add_hand(out, f_right, g_right, scaled[:, c + c_l:])
+    return FeatureMap(out)
+
+
+def _add_hand(out, fh: FeatureMap, g: CropGeometry, weight) -> None:
+    """out += weight mixed over the part of fh's placed footprint that lies on out's grid.
+
+    Cells come from fh by the same nearest-neighbour rule as resize_nearest
+    followed by zero_pad_place.
+    """
+    h, w = out.shape[2], out.shape[3]
+    rows, cols, off_y, off_x = footprint(g, h, w)
+    y0, y1 = max(off_y, 0), min(off_y + rows, h)
+    x0, x1 = max(off_x, 0), min(off_x + cols, w)
+    if y0 >= y1 or x0 >= x1:
+        return
+    patch = _kernels.gather_cells(fh.values,
+                                  _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y),
+                                  _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x))
+    out[:, :, y0:y1, x0:x1] += _kernels.mix_1x1(patch, weight, np.zeros(weight.shape[0]))
 
 
 def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,

@@ -69,6 +69,13 @@ def _load_stats(args, fps):
     return refstats.reference_class_stats(fps)
 
 
+def _warn_uncovered(cfg):
+    uncovered = sorted(set(range(cfg.num_classes)) - set(cfg.stats))
+    if uncovered:
+        print(f"actseg: warning: no length stats for classes {', '.join(map(str, uncovered))};"
+              " their runs are never cleaned", file=sys.stderr)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -103,10 +110,7 @@ def _cmd_run(args) -> int:
     if not args.no_clean:
         cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
                                          num_classes=backend.num_classes)
-        uncovered = sorted(set(range(backend.num_classes)) - set(cleaner.stats))
-        if uncovered:
-            print(f"actseg: warning: no length stats for classes {', '.join(map(str, uncovered))};"
-                  " their runs are never cleaned", file=sys.stderr)
+        _warn_uncovered(cleaner)
     cfg = pipeline.PipelineConfig(t, tau, fps, backend.num_classes, cleaner)
     raw, cleaned = pipeline.run_offline(cfg, backend)
 
@@ -138,7 +142,10 @@ def _cmd_sweep_kappa(args) -> int:
         raise UsageError(f"{len(args.raw)} raw timelines vs {len(args.gt)} ground truths")
     raws = [timeline.read_timeline_csv(p) for p in args.raw]
     gts = [timeline.read_timeline_csv(p) for p in args.gt]
-    base = cleaning.CleanerConfig(1.0, _load_stats(args, fps), fps)
+    # the label space spans every label read, as actseg run's spans the logits' classes
+    num_classes = max(timeline.NUM_CLASSES, *(int(t.max()) + 1 for t in raws + gts))
+    base = cleaning.CleanerConfig(1.0, _load_stats(args, fps), fps, num_classes=num_classes)
+    _warn_uncovered(base)
     scores = cleaning.kappa_scores(raws, gts, base)
     best = max(cleaning.SWEEP_KAPPAS, key=lambda k: (scores[k], -k))
     _emit(args, {"best_kappa": best, "scores": {f"{k:.1f}": v for k, v in scores.items()}})

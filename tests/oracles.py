@@ -156,3 +156,22 @@ def pad_place_ref(src, target_h, target_w, off_y, off_x):
                     if 0 <= si < h and 0 <= sj < w:
                         out[k, l, i, j] = src[k, l, si, sj]
     return out
+
+
+def enhance_ref(f, left, right, place_left, place_right, mixer):
+    """bn(f + W [f; placed left; placed right] + b), one frame at a time in float64.
+
+    place_left/place_right are each hand's (rows, cols, off_y, off_x)
+    footprint; mixer carries weight, bias and the four bn vectors.
+    """
+    t, c, h, w = f.shape
+    placed = [pad_place_ref(resize_nearest_ref(m, rows, cols), h, w, off_y, off_x)
+              for m, (rows, cols, off_y, off_x) in ((left, place_left), (right, place_right))]
+    scale = mixer.bn_scale / np.sqrt(mixer.bn_var)
+    out = np.empty((t, c, h, w))
+    for k in range(t):
+        stacked = np.concatenate([f[k], placed[0][k], placed[1][k]]).reshape(-1, h * w)
+        x = f[k].reshape(c, h * w) + np.dot(mixer.weight, stacked) + mixer.bias[:, None]
+        out[k] = ((x - mixer.bn_mean[:, None]) * scale[:, None]
+                  + mixer.bn_shift[:, None]).reshape(c, h, w)
+    return out

@@ -5,6 +5,7 @@ from actseg.align import (CropGeometry, alignment, enhance, fallback_geometry, f
                           load_geometry, normalized_offset, normalized_size,
                           place_hand_features)
 from actseg.grid import FeatureMap, MixerWeights
+from oracles import enhance_ref
 
 # downscale-shorter-side-to-256, center-crop-224 deployment geometry
 REF = dict(full_w=920, full_h=720, scale_short=256, crop_size=224,
@@ -145,6 +146,65 @@ class TestEnhance:
         bad = FeatureMap(rng.normal(size=(f.t + 1, f.c, 4, 4)))
         with pytest.raises(ValueError):
             enhance(f, bad, fr, gl, gr, MixerWeights.zero(f.c, 3 * f.c))
+
+    def test_mixer_input_channels_checked(self):
+        rng = np.random.default_rng(5)
+        f, fl, fr, gl, gr = self._inputs(rng)
+        with pytest.raises(ValueError, match=r"expects 10 input channels.* 9 \(3 \+ 3 \+ 3\)"):
+            enhance(f, fl, fr, gl, gr, MixerWeights.zero(f.c, 10))
+
+    def test_mixer_output_channels_checked(self):
+        rng = np.random.default_rng(6)
+        f, fl, fr, gl, gr = self._inputs(rng)
+        with pytest.raises(ValueError, match="emits 4 channels but the backbone has 3"):
+            enhance(f, fl, fr, gl, gr, MixerWeights.zero(4, 3 * f.c))
+
+
+def random_mixer(rng, c_out, c_in):
+    """Mixer with random weights, bias and non-identity bn statistics."""
+    return MixerWeights(rng.normal(size=(c_out, c_in)), rng.normal(size=c_out),
+                        rng.normal(size=c_out), rng.normal(size=c_out), rng.normal(size=c_out),
+                        rng.uniform(0.2, 3.0, size=c_out))
+
+
+# one geometry per placement case, on the deployment crop unless named otherwise
+PLACEMENTS = {
+    "in_crop": ref_geometry(),
+    "partial_negative_offsets": ref_geometry(hand_x=0, hand_y=0),
+    "right_bottom_truncated": ref_geometry(hand_x=696, hand_y=496),
+    "out_of_crop": CropGeometry(2000, 720, 256, 224, 0, 16, 100, 100, 1900, 0),
+    "fallback": fallback_geometry(**REF),
+    "clamped_1x1": CropGeometry(920, 720, 256, 224, 50, 16, 1, 1, 400, 300),
+    "full_cover": CropGeometry(500, 500, 250, 250, 0, 0, 500, 500, 0, 0),
+}
+ENHANCE_TOL = 1e-9
+
+
+class TestEnhanceValues:
+    """enhance against the per-frame float64 loop in oracles.enhance_ref."""
+
+    def _check(self, rng, g_left, g_right, c=3, c_l=3, c_r=3, h=40, w=48):
+        f = rng.normal(size=(2, c, h, w))
+        left = rng.normal(size=(2, c_l, 14, 14))
+        right = rng.normal(size=(2, c_r, 9, 11))
+        mixer = random_mixer(rng, c, c + c_l + c_r)
+        out = enhance(FeatureMap(f), FeatureMap(left), FeatureMap(right), g_left, g_right, mixer)
+        ref = enhance_ref(f, left, right, footprint(g_left, h, w), footprint(g_right, h, w), mixer)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out.values - ref)) <= ENHANCE_TOL
+
+    @pytest.mark.parametrize("case", sorted(PLACEMENTS))
+    def test_placement_cases(self, case):
+        names = sorted(PLACEMENTS)
+        other = names[(names.index(case) + 1) % len(names)]
+        rng = np.random.default_rng(names.index(case))
+        self._check(rng, PLACEMENTS[case], PLACEMENTS[other])
+
+    def test_hand_channel_counts_differ_from_backbone(self):
+        rng = np.random.default_rng(8)
+        self._check(rng, PLACEMENTS["in_crop"], PLACEMENTS["full_cover"], c=3, c_l=2, c_r=5)
+        self._check(rng, PLACEMENTS["partial_negative_offsets"], PLACEMENTS["fallback"],
+                    c=4, c_l=1, c_r=1)
 
 
 class TestGeometry:

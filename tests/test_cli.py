@@ -267,6 +267,31 @@ class TestSweepKappa:
         assert code == 1
         assert "2 raw" in err
 
+    def test_thirty_class_timelines(self, capsys, tmp_path):
+        raw_path, gt_path = tmp_path / "raw.csv", tmp_path / "gt.csv"
+        # the largest label, 29, appears only in the ground truth
+        write_timeline_csv(raw_path, [27] * 40 + [28] * 2 + [BACKGROUND_ID] * 30 + [27] * 40)
+        write_timeline_csv(gt_path, [27] * 42 + [BACKGROUND_ID] * 30 + [29] * 40)
+        stats_path = tmp_path / "stats.json"
+        write_class_stats({28: ClassStats(28, 9, 20.0, 5.0), 29: ClassStats(29, 9, 20.0, 5.0)},
+                          stats_path)
+        code, out, err = run_cli(capsys, "sweep-kappa", "--raw", str(raw_path),
+                                 "--gt", str(gt_path), "--stats", str(stats_path))
+        assert code == 0, err
+        assert len(json.loads(out)["scores"]) == 11
+        assert "warning" in err and "26, 27;" in err
+
+    def test_stats_class_outside_label_space_is_data_error(self, capsys, tmp_path):
+        t_path = tmp_path / "t.csv"
+        write_timeline_csv(t_path, [0] * 40 + [29] * 40)
+        stats_path = tmp_path / "stats.json"
+        write_class_stats({0: ClassStats(0, 9, 20.0, 5.0), 30: ClassStats(30, 9, 20.0, 5.0)},
+                          stats_path)
+        code, _, err = run_cli(capsys, "sweep-kappa", "--raw", str(t_path), "--gt", str(t_path),
+                               "--stats", str(stats_path))
+        assert code == 2
+        assert "class id 30 outside [0, 30)" in err
+
 
 GEOMETRY = ("full_w=920\nfull_h=720\nscale_short=256\ncrop_size=224\n"
             "crop_off_x=50\ncrop_off_y=16\nhand_w=224\nhand_h=224\n"

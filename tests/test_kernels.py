@@ -83,3 +83,23 @@ def test_gather_mean_row_independent_of_batch():
     batch = _kernels.gather_mean(table, idx)
     for r in range(idx.shape[0]):
         assert _kernels.gather_mean(table, idx[r:r + 1]).tobytes() == batch[r].tobytes()
+
+
+@pytest.mark.parametrize("t, c_out, c_in, h, w", [
+    (1, 4, 4, 5, 7),       # single frame
+    (3, 2, 6, 4, 4),       # fewer outputs than inputs
+    (2, 7, 3, 3, 5),       # more outputs than inputs
+    (4, 3, 5, 1, 1),       # 1x1 grid
+    (8, 64, 192, 56, 56),  # deployment shape
+])
+def test_mix_1x1_matches_einsum(t, c_out, c_in, h, w):
+    rng = np.random.default_rng(c_out * c_in + h)
+    m = rng.normal(size=(t, c_in, h, w))
+    weight = rng.normal(size=(c_out, c_in))
+    bias = rng.normal(size=c_out)
+    out = _kernels.mix_1x1(m, weight, bias)
+    ref = np.einsum("oc,tchw->tohw", weight, m) + bias.reshape(1, -1, 1, 1)
+    # relative to the sum of |terms|, which bounds any summation order's rounding
+    scale = np.einsum("oc,tchw->tohw", np.abs(weight), np.abs(m)) + np.abs(bias).reshape(1, -1, 1, 1)
+    assert out.shape == (t, c_out, h, w)
+    assert np.all(np.abs(out - ref) <= 1e-12 * scale)

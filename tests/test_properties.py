@@ -1,5 +1,6 @@
 """Property tests: the run-granular cleaner, streaming, run-length encoding
-and the segmental metrics against the brute-force oracles in oracles.py.
+and the segmental metrics against the brute-force oracles in oracles.py,
+and the fused enhancement pass against the primitives it fuses.
 
 The examples are drawn by hypothesis under the deterministic profile that
 conftest.py registers.
@@ -9,8 +10,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from actseg.align import CropGeometry, enhance, place_hand_features
 from actseg.classify import LogitsBackend, one_hot_logits
 from actseg.cleaning import ClassStats, CleanerConfig, StreamCleaner, clean_timeline
+from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
 from actseg.metrics import EvalConfig, edit_score, f1_at_iou, per_class_f1
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.timeline import encode_runs, segments_from_timeline, timeline_from_segments
@@ -180,3 +183,42 @@ def test_metrics_equal_oracles(case, ignore_background):
     want = per_class_ref(p, g, threshold, ignore_background, background)
     assert [(r["class_id"], r["tp"], r["fp"], r["fn"]) for r in rows] == want
     assert [r["f1"] for r in rows] == [f1_pct_ref(tp, fp, fn) for _, tp, fp, fn in want]
+
+
+# ------------------------------------------------------------ enhancement
+
+
+@st.composite
+def crop_geometries(draw):
+    """Any valid crop and hand window; small crops put hands partly or fully
+    outside it, and a hand may shrink to a 1x1 footprint or cover the grid."""
+    full_w, full_h = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    scale_short = draw(st.integers(1, 64))
+    crop = draw(st.integers(1, scale_short))  # the scaled shorter side is scale_short
+    crop_x = draw(st.integers(0, scale_short - crop))
+    crop_y = draw(st.integers(0, scale_short - crop))
+    hand_w, hand_h = draw(st.integers(1, full_w)), draw(st.integers(1, full_h))
+    hand_x, hand_y = draw(st.integers(0, full_w - hand_w)), draw(st.integers(0, full_h - hand_h))
+    return CropGeometry(full_w, full_h, scale_short, crop, crop_x, crop_y,
+                        hand_w, hand_h, hand_x, hand_y)
+
+
+@given(st.integers(1, 3), st.lists(st.integers(1, 5), min_size=3, max_size=3),
+       st.lists(st.integers(1, 12), min_size=6, max_size=6), crop_geometries(),
+       crop_geometries(), st.integers(0, 2**32 - 1))
+def test_enhance_equals_composed_primitives(t, channels, dims, g_left, g_right, seed):
+    c, c_l, c_r = channels
+    h, w, hl, wl, hr, wr = dims
+    rng = np.random.default_rng(seed)
+    f = FeatureMap(rng.normal(size=(t, c, h, w)))
+    left = FeatureMap(rng.normal(size=(t, c_l, hl, wl)))
+    right = FeatureMap(rng.normal(size=(t, c_r, hr, wr)))
+    mixer = MixerWeights(rng.normal(size=(c, c + c_l + c_r)), rng.normal(size=c),
+                         rng.normal(size=c), rng.normal(size=c), rng.normal(size=c),
+                         rng.uniform(0.2, 3.0, size=c))
+    stacked = concat_channels([f, place_hand_features(left, g_left, h, w),
+                               place_hand_features(right, g_right, h, w)])
+    want = residual_norm(f, mix_1x1(stacked, mixer), mixer).values
+    got = enhance(f, left, right, g_left, g_right, mixer).values
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9
