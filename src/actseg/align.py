@@ -11,11 +11,10 @@ placed into the backbone feature map.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _keyvalue
 # enhance calls none of concat_channels, mix_1x1, residual_norm: kept as perfbench's traced run patches them here
 from .grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm, resize_nearest, zero_pad_place
 
@@ -206,29 +205,16 @@ def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_o
                         hand_w, hand_h, hx, hy)
 
 
-_GEOMETRY_KEYS = ("full_w", "full_h", "scale_short", "crop_size", "crop_off_x",
-                  "crop_off_y", "hand_w", "hand_h", "hand_cx", "hand_cy")
+# in from_center's argument order; hand_cx/hand_cy are the normalized hand center
+_GEOMETRY_KEYS = dict.fromkeys(("full_w", "full_h", "scale_short", "crop_size", "crop_off_x",
+                                "crop_off_y", "hand_w", "hand_h"), int) \
+    | dict.fromkeys(("hand_cx", "hand_cy"), _keyvalue.finite_float)
 
 
 def load_geometry(path) -> CropGeometry:
-    """Read the key=value geometry fixture; hand_cx/hand_cy are the normalized hand center."""
-    vals = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _GEOMETRY_KEYS:
-            raise ValueError(f"{path}:{ln}: unknown geometry key {key!r}")
-        vals[key] = float(raw.strip())
+    """Read a key=value geometry file naming every key of _GEOMETRY_KEYS once."""
+    vals = _keyvalue.read(path, _GEOMETRY_KEYS, "geometry")
     missing = [k for k in _GEOMETRY_KEYS if k not in vals]
     if missing:
         raise ValueError(f"{path}: missing geometry keys: {', '.join(missing)}")
-    return CropGeometry.from_center(
-        int(vals["full_w"]), int(vals["full_h"]), int(vals["scale_short"]),
-        int(vals["crop_size"]), int(vals["crop_off_x"]), int(vals["crop_off_y"]),
-        int(vals["hand_w"]), int(vals["hand_h"]), vals["hand_cx"], vals["hand_cy"],
-    )
+    return CropGeometry.from_center(*(vals[k] for k in _GEOMETRY_KEYS))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .timeline import BACKGROUND_ID, NUM_CLASSES, as_timeline, encode_runs
+from .timeline import BACKGROUND_ID, NUM_CLASSES, as_runs, as_timeline, encode_runs
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
 
@@ -33,21 +33,20 @@ class ClassStats:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.mean_frames <= 0:
-            raise ValueError(f"mean_frames must be > 0, got {self.mean_frames}")
-        if self.std_frames < 0:
-            raise ValueError(f"std_frames must be >= 0, got {self.std_frames}")
+        if not 0 < self.mean_frames < math.inf:
+            raise ValueError(f"mean_frames must be finite and > 0, got {self.mean_frames}")
+        if not 0 <= self.std_frames < math.inf:
+            raise ValueError(f"std_frames must be finite and >= 0, got {self.std_frames}")
 
 
-def compute_class_stats(segments):
-    """Per-class mean and population standard deviation of segment lengths."""
-    lengths = {}
-    for s in segments:
-        lengths.setdefault(s.class_id, []).append(s.length)
+def compute_class_stats(runs):
+    """Per-class mean and population standard deviation of run lengths, in run order."""
+    starts, ends, labels = as_runs(runs)
+    lengths = (ends - starts).astype(np.float64)
     stats = {}
-    for cid, ls in sorted(lengths.items()):
-        arr = np.asarray(ls, dtype=np.float64)
-        stats[cid] = ClassStats(cid, arr.size, float(arr.mean()), float(arr.std()))
+    for cid in np.unique(labels).tolist():
+        ls = lengths[labels == cid]
+        stats[cid] = ClassStats(cid, ls.size, float(ls.mean()), float(ls.std()))
     return stats
 
 
@@ -65,10 +64,10 @@ class CleanerConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be > 0, got {self.fps}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
         if not 0 <= self.background_id < self.num_classes:
             raise ValueError(f"background id {self.background_id} outside [0, {self.num_classes})")
         for cid in self.stats:
@@ -240,7 +239,7 @@ def read_class_stats(path):
             cid = int(rec["class_id"])
             stats[cid] = ClassStats(cid, int(rec["count"]), float(rec["mean_frames"]),
                                     float(rec["std_frames"]), str(rec.get("name", "")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None
     return stats
 

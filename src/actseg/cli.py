@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import align, classify, cleaning, hands, metrics, pipeline, refstats, timeline
+from . import _keyvalue, align, classify, cleaning, hands, metrics, pipeline, refstats, timeline
 from .grid import FeatureMap
 
 
@@ -24,27 +24,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_KEYS = {"fps": float, "t": int, "tau": int, "kappa": float,
-                "ignore_background": lambda s: s.strip().lower() in ("1", "true", "yes", "on")}
-
-
-def _load_config(path):
-    values = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](raw.strip())
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: bad value for {key}: {raw.strip()!r}") from None
-    return values
+_CONFIG_KEYS = {"fps": _keyvalue.finite_float, "t": int, "tau": int,
+                "kappa": _keyvalue.finite_float, "ignore_background": _keyvalue.boolean}
 
 
 def _resolve(args, key, fallback):
@@ -81,16 +62,12 @@ def _warn_uncovered(cfg):
 
 def _cmd_stats(args) -> int:
     fps = _resolve(args, "fps", 15.0)
-    segs = timeline.read_segments_csv(args.segments)
-    stats = cleaning.compute_class_stats(segs)
-    for cid, st in stats.items():
-        stats[cid] = cleaning.ClassStats(cid, st.count, st.mean_frames, st.std_frames,
-                                         f"class_{cid}")
+    stats = cleaning.compute_class_stats(timeline.read_segments_csv(args.segments))
     records = [
-        {"class_id": s.class_id, "name": s.name, "count": s.count,
+        {"class_id": cid, "name": f"class_{cid}", "count": s.count,
          "mean_frames": s.mean_frames, "std_frames": s.std_frames,
          "mean_seconds": s.mean_frames / fps}
-        for s in (stats[c] for c in sorted(stats))
+        for cid, s in sorted(stats.items())
     ]
     _emit(args, records)
     return 0
@@ -178,15 +155,10 @@ def _cmd_enhance_demo(args) -> int:
 
 
 def _cmd_hand_eval(args) -> int:
-    preds = hands.read_hand_predictions(args.pred)
-    gts = hands.read_hand_targets(args.gt)
-    if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} prediction rows vs {len(gts)} ground-truth rows")
-    pred_slots = hands.flatten_slots(preds)
-    gt_slots = hands.flatten_slots(gts)
     thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
     if not thresholds:
         raise UsageError("no thresholds given")
+    pred_slots, gt_slots = hands.read_hand_slots(args.pred, args.gt)
     table = {f"{thr:g}": hands.f1_at_threshold(pred_slots, gt_slots, thr) for thr in thresholds}
     _emit(args, {"slots": len(pred_slots), "f1": table})
     return 0
@@ -285,7 +257,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = _load_config(args.config) if args.config else {}
+        args.config_values = (_keyvalue.read(args.config, _CONFIG_KEYS, "config")
+                              if args.config else {})
         return args.func(args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -3,7 +3,6 @@ analytic gradient, and the distance-thresholded F1 metric."""
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,7 +108,9 @@ def f1_at_threshold(preds, gts, t_l: float) -> float:
     return 100.0 * 2 * tp / denom
 
 
-def _read_rows(path):
+def _read_rows(path, hand):
+    """(line, frame, left, right) per row of a `frame,p1,x1,y1,p2,x2,y2` CSV,
+    each hand built as hand(p, x, y); errors name the file and line."""
     rows = []
     with open(path, newline="") as fh:
         for ln, row in enumerate(csv.reader(fh), 1):
@@ -118,26 +119,36 @@ def _read_rows(path):
             if len(row) != 7:
                 raise ValueError(f"{path}:{ln}: expected 7 columns, got {len(row)}")
             try:
-                rows.append((int(row[0]), *(float(x) for x in row[1:])))
+                p1, x1, y1, p2, x2, y2 = (float(x) for x in row[1:])
+                rows.append((ln, int(row[0]), hand(p1, x1, y1), hand(p2, x2, y2)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no hand rows")
     return rows
 
 
 def read_hand_predictions(path):
     """CSV `frame,p1,x1,y1,p2,x2,y2` -> list of (frame, left, right) observations."""
-    out = []
-    for frame, p1, x1, y1, p2, x2, y2 in _read_rows(path):
-        out.append((frame, HandObservation(p1, x1, y1), HandObservation(p2, x2, y2)))
-    return out
+    return [row[1:] for row in _read_rows(path, HandObservation)]
 
 
 def read_hand_targets(path):
-    """Same CSV shape with p in {0, 1} -> list of (frame, left, right) targets."""
-    out = []
-    for frame, p1, x1, y1, p2, x2, y2 in _read_rows(path):
-        out.append((frame, HandTarget(int(p1), x1, y1), HandTarget(int(p2), x2, y2)))
-    return out
+    """Same CSV shape with p exactly 0 or 1 -> list of (frame, left, right) targets."""
+    return [row[1:] for row in _read_rows(path, HandTarget)]
+
+
+def read_hand_slots(pred_path, gt_path):
+    """Slot-aligned (predictions, targets) from a prediction CSV and a
+    ground-truth CSV whose frame columns match row for row."""
+    preds, gts = _read_rows(pred_path, HandObservation), _read_rows(gt_path, HandTarget)
+    if len(preds) != len(gts):
+        raise ValueError(f"{len(preds)} prediction rows vs {len(gts)} ground-truth rows")
+    for (ln_p, f_p, *_), (ln_g, f_g, *_) in zip(preds, gts):
+        if f_p != f_g:
+            raise ValueError(f"{pred_path}:{ln_p}: frame {f_p}, but {gt_path}:{ln_g}"
+                             f" has frame {f_g}")
+    return flatten_slots(row[1:] for row in preds), flatten_slots(row[1:] for row in gts)
 
 
 def write_hand_csv(path, rows) -> None:
@@ -151,8 +162,4 @@ def write_hand_csv(path, rows) -> None:
 
 def flatten_slots(pairs):
     """Interleave per-frame (left, right) records into one slot-aligned list."""
-    out = []
-    for _, left, right in pairs:
-        out.append(left)
-        out.append(right)
-    return out
+    return [hand for _, left, right in pairs for hand in (left, right)]

@@ -7,7 +7,8 @@ import numpy as np
 
 from . import _kernels
 from .timeline import BACKGROUND_ID, as_timeline, encode_runs
-from .timeline import Segment, segments_from_timeline  # noqa: F401  (re-exported)
+# not called here: perfbench's traced replay patches segments_from_timeline in this module
+from .timeline import segments_from_timeline  # noqa: F401
 
 
 @dataclass(frozen=True)

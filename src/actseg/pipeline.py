@@ -7,6 +7,7 @@ computable exactly floor(T/2)*tau pushes after the frame itself, and the
 cleaner adds at most its largest class threshold on top.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .classify import LogitsBackend
 from .cleaning import CleanerConfig, StreamCleaner, clean_timeline
-from .sampling import middle_offset, prediction_lag
+from .sampling import prediction_lag, window_offsets
 from .timeline import NUM_CLASSES
 
 
@@ -29,14 +30,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.t < 1 or self.tau < 1:
             raise ValueError(f"t and tau must be >= 1, got t={self.t} tau={self.tau}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be > 0, got {self.fps}")
-
-
-def _clip_offsets(cfg: PipelineConfig) -> np.ndarray:
-    # frame offsets of the window around its middle frame
-    pos = cfg.t - 1 - cfg.t // 2
-    return (np.arange(cfg.t, dtype=np.int64) - pos) * cfg.tau
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
 _CHUNK = 8192
@@ -48,7 +43,7 @@ def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None
         seq_len = backend.num_frames
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
-    offsets = _clip_offsets(cfg)
+    offsets = window_offsets(cfg.t, cfg.tau)
     raw = np.empty(seq_len, dtype=np.int64)
     for lo in range(0, seq_len, _CHUNK):
         hi = min(lo + _CHUNK, seq_len)
@@ -74,7 +69,7 @@ class StreamSession:
         self.cfg = cfg
         self.backend = backend
         self.on_raw = on_raw
-        self._offsets = _clip_offsets(cfg)
+        self._offsets = window_offsets(cfg.t, cfg.tau)
         self._lag = prediction_lag(cfg.t, cfg.tau)
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0

@@ -7,8 +7,9 @@ standard deviations are synthesized as mean/3, which keeps
 mean - kappa*std positive across the whole kappa sweep range.
 """
 
+import math
+
 from .cleaning import ClassStats
-from .timeline import BACKGROUND_ID, NUM_CLASSES  # noqa: F401 (re-export for callers)
 
 # (class_id, name, examples, mean length in seconds)
 REFERENCE_CLASSES = (
@@ -42,8 +43,8 @@ REFERENCE_CLASSES = (
 
 def reference_class_stats(fps: float = 15.0, std_ratio: float = 1 / 3):
     """Reference ClassStats in frames at the given capture rate."""
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
     stats = {}
     for cid, name, count, mean_sec in REFERENCE_CLASSES:
         mean_frames = mean_sec * fps

@@ -8,6 +8,7 @@ deployment needs that many future frames before the middle frame's label is
 computable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +28,14 @@ class ClipSpec:
     middle: int
 
 
-def _middle_pos(t: int) -> int:
-    # position of the middle frame within the clip; the trigger sits at t-1
-    return t - 1 - t // 2
+def prediction_lag(t: int, tau: int) -> int:
+    """Frames from the middle frame to the trigger: floor(T/2)*tau."""
+    return (t // 2) * tau
 
 
 def middle_offset(t: int, tau: int) -> int:
     """Frames from clip start to the middle frame."""
-    return _middle_pos(t) * tau
-
-
-def prediction_lag(t: int, tau: int) -> int:
-    """Frames from the middle frame to the trigger: floor(T/2)*tau."""
-    return (t // 2) * tau
+    return (t - 1) * tau - prediction_lag(t, tau)
 
 
 def _validate(t, tau):
@@ -49,11 +45,17 @@ def _validate(t, tau):
         raise ValueError(f"tau must be >= 1, got {tau}")
 
 
-def _build(raw_frames, t, tau, seq_len=None):
-    lo = [max(0, f) for f in raw_frames]
-    if seq_len is not None:
-        lo = [min(seq_len - 1, f) for f in lo]
-    return ClipSpec(t, tau, tuple(lo), lo[_middle_pos(t)])
+def window_offsets(t: int, tau: int) -> np.ndarray:
+    """int64 offsets of a clip's T frames from its middle frame, oldest first."""
+    _validate(t, tau)
+    return np.arange(t, dtype=np.int64) * tau - middle_offset(t, tau)
+
+
+def _build(middle, t, tau, seq_len=None):
+    # every clip is its middle plus window_offsets, clamped to [0, seq_len)
+    hi = None if seq_len is None else seq_len - 1
+    frames = np.clip(middle + window_offsets(t, tau), 0, hi)
+    return ClipSpec(t, tau, tuple(frames.tolist()), int(np.clip(middle, 0, hi)))
 
 
 def inference_clip(t0: int, t: int, tau: int, seq_len: int) -> ClipSpec:
@@ -61,10 +63,9 @@ def inference_clip(t0: int, t: int, tau: int, seq_len: int) -> ClipSpec:
 
     Indices below 0 clamp to 0 (the first frame repeats).
     """
-    _validate(t, tau)
     if not 0 <= t0 < seq_len:
         raise ValueError(f"t0 must be in [0, {seq_len}), got {t0}")
-    return _build([t0 - (t - 1 - i) * tau for i in range(t)], t, tau)
+    return _build(t0 - prediction_lag(t, tau), t, tau)
 
 
 def middle_clip(middle: int, t: int, tau: int, seq_len: int) -> ClipSpec:
@@ -73,17 +74,14 @@ def middle_clip(middle: int, t: int, tau: int, seq_len: int) -> ClipSpec:
     Near the sequence end forward indices clamp to seq_len-1 so trailing
     frames still receive predictions.
     """
-    _validate(t, tau)
     if not 0 <= middle < seq_len:
         raise ValueError(f"middle must be in [0, {seq_len}), got {middle}")
-    pos = _middle_pos(t)
-    return _build([middle + (i - pos) * tau for i in range(t)], t, tau, seq_len)
+    return _build(middle, t, tau, seq_len)
 
 
 def training_clip(start: int, t: int, tau: int, seq_len=None) -> ClipSpec:
     """Clip growing forward from a sampled start frame."""
-    _validate(t, tau)
-    return _build([start + i * tau for i in range(t)], t, tau, seq_len)
+    return _build(start + middle_offset(t, tau), t, tau, seq_len)
 
 
 def surround_sample_start(n_s: int, n_e: int, t: int, tau: int, rng: np.random.Generator) -> int:
@@ -111,6 +109,6 @@ def center_sample_start(n_s: int, n_e: int, t: int, tau: int) -> int:
 def clip_span_seconds(t: int, tau: int, fps: float) -> float:
     """Temporal coverage in seconds, counting one stride interval per sampled frame."""
     _validate(t, tau)
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
     return t * tau / fps

@@ -57,18 +57,26 @@ def segments_from_timeline(labels):
     return [Segment(c, s, e) for c, s, e in zip(cls.tolist(), starts.tolist(), ends.tolist())]
 
 
-def timeline_from_segments(segments, length=None, fill=BACKGROUND_ID) -> np.ndarray:
-    """Stamp segments onto a fill-initialized timeline; gaps keep the fill label."""
-    segments = list(segments)
+def as_runs(runs):
+    """Runs (starts, ends, labels) as three int64 arrays of one size."""
+    starts, ends, labels = r = np.array(runs, dtype=np.int64)  # ragged input raises here
+    if r.ndim != 2 or np.any((starts < 0) | (starts >= ends) | (labels < 0)):
+        raise ValueError("runs need three 1-d arrays with 0 <= start < end and label >= 0")
+    return starts, ends, labels
+
+
+def timeline_from_segments(runs, length=None, fill=BACKGROUND_ID) -> np.ndarray:
+    """Stamp runs (starts, ends, labels) on a fill-initialized timeline; gaps keep the fill."""
+    starts, ends, labels = as_runs(runs)
     if length is None:
-        if not segments:
-            raise ValueError("need segments or an explicit length")
-        length = max(s.end for s in segments)
+        if not ends.size:
+            raise ValueError("need runs or an explicit length")
+        length = int(ends.max())
+    if ends.size and ends.max() > length:
+        raise ValueError(f"a run ends at {ends.max()}, past timeline length {length}")
     out = np.full(length, fill, dtype=np.int64)
-    for s in segments:
-        if s.end > length:
-            raise ValueError(f"segment {s} exceeds timeline length {length}")
-        out[s.start:s.end] = s.class_id
+    for s, e, c in zip(starts.tolist(), ends.tolist(), labels.tolist()):
+        out[s:e] = c
     return out
 
 
@@ -110,8 +118,8 @@ def write_timeline_csv(path, labels) -> None:
 
 
 def read_segments_csv(path):
-    """CSV `start,end,label_id` with end exclusive."""
-    segs = []
+    """CSV `start,end,label_id` with end exclusive -> runs (starts, ends, labels)."""
+    rows = []
     with open(path, newline="") as fh:
         for ln, row in enumerate(csv.reader(fh), 1):
             if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
@@ -119,21 +127,21 @@ def read_segments_csv(path):
             if len(row) != 3:
                 raise ValueError(f"{path}:{ln}: expected 3 columns, got {len(row)}")
             try:
-                start, end, cid = int(row[0]), int(row[1]), int(row[2])
+                start, end, label = (int(v) for v in row)
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
-            try:
-                segs.append(Segment(cid, start, end))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-    if not segs:
+            if not (0 <= start < end < 2**63 and 0 <= label < 2**63):
+                raise ValueError(f"{path}:{ln}: need 0 <= start < end and label_id >= 0,"
+                                 f" all int64, got {row!r}")
+            rows.append((start, end, label))
+    if not rows:
         raise ValueError(f"{path}: no segment rows")
-    return segs
+    return tuple(np.array(rows, dtype=np.int64).T.copy())
 
 
-def write_segments_csv(path, segments) -> None:
+def write_segments_csv(path, runs) -> None:
+    """Runs (starts, ends, labels) as CSV `start,end,label_id`."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["start", "end", "label_id"])
-        for s in segments:
-            wr.writerow([s.start, s.end, s.class_id])
+        wr.writerows(zip(*(a.tolist() for a in as_runs(runs))))

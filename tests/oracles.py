@@ -35,6 +35,20 @@ def rle_ref(labels):
     return runs
 
 
+def class_stats_ref(runs):
+    """{class_id: (count, mean, population std)} of run lengths from
+    (class_id, start, end) triples: each class's lengths gathered in a list
+    in run order, then numpy's mean and std over that list as float64."""
+    lengths = {}
+    for cid, start, end in runs:
+        lengths.setdefault(cid, []).append(end - start)
+    stats = {}
+    for cid, ls in sorted(lengths.items()):
+        arr = np.asarray(ls, dtype=np.float64)
+        stats[cid] = (arr.size, float(arr.mean()), float(arr.std()))
+    return stats
+
+
 def iou_ref(s1, e1, s2, e2):
     inter = max(0, min(e1, e2) - max(s1, s2))
     union = max(e1, e2) - min(s1, s2)

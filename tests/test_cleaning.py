@@ -5,7 +5,8 @@ from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamClea
                              clean_timeline, compute_class_stats, kappa_scores,
                              read_class_stats, sweep_kappa, threshold, write_class_stats)
 from actseg.refstats import REFERENCE_CLASSES, class_name, reference_class_stats
-from actseg.timeline import BACKGROUND_ID, Segment
+from actseg.timeline import BACKGROUND_ID
+from oracles import class_stats_ref
 
 
 def stats_of(by_id):
@@ -15,22 +16,47 @@ def stats_of(by_id):
 
 class TestClassStats:
     def test_population_std(self):
-        segs = [Segment(3, 0, 10), Segment(3, 10, 30), Segment(3, 30, 60)]
-        st = compute_class_stats(segs)[3]
+        st = compute_class_stats(([0, 10, 30], [10, 30, 60], [3, 3, 3]))[3]
         assert st.count == 3
         assert st.mean_frames == pytest.approx(20.0)
         assert st.std_frames == pytest.approx(8.165, abs=1e-3)
 
     def test_single_segment_degenerate(self):
-        st = compute_class_stats([Segment(0, 5, 12)])[0]
+        st = compute_class_stats(([5], [12], [0]))[0]
         assert (st.mean_frames, st.std_frames) == (7.0, 0.0)
 
     def test_classes_partitioned(self):
-        segs = [Segment(0, 0, 4), Segment(1, 4, 10), Segment(0, 10, 12)]
-        stats = compute_class_stats(segs)
+        stats = compute_class_stats(([0, 4, 10], [4, 10, 12], [0, 1, 0]))
         assert sorted(stats) == [0, 1]
         assert stats[0].count == 2 and stats[1].count == 1
         assert stats[0].mean_frames == pytest.approx(3.0)
+
+    def test_matches_list_oracle_on_large_tables(self):
+        # thousands of runs per table, so numpy's pairwise summation has
+        # several blocks per class; the float bits must not move
+        rng = np.random.default_rng(2000)
+        for _ in range(20):
+            n = int(rng.integers(1, 2001))
+            starts = rng.integers(0, 10**6, n)
+            ends = starts + np.maximum(1, rng.lognormal(3.0, 1.0, n).astype(np.int64))
+            labels = rng.integers(0, 25, n)
+            got = {cid: (cs.count, cs.mean_frames.hex(), cs.std_frames.hex())
+                   for cid, cs in compute_class_stats((starts, ends, labels)).items()}
+            ref = class_stats_ref(zip(labels.tolist(), starts.tolist(), ends.tolist()))
+            want = {cid: (count, mean.hex(), std.hex()) for cid, (count, mean, std) in ref.items()}
+            assert got == want
+
+    @pytest.mark.parametrize("runs", [([5], [5], [0]), ([5], [4], [0]), ([0], [5], [-1]),
+                                      ([-1], [5], [0]), ([0, 4], [4], [0, 1])])
+    def test_invalid_runs_rejected(self, runs):
+        with pytest.raises(ValueError):
+            compute_class_stats(runs)
+
+    @pytest.mark.parametrize("mean, std", [(np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf),
+                                           (10.0, np.nan)])
+    def test_non_finite_rejected(self, mean, std):
+        with pytest.raises(ValueError, match="must be finite"):
+            ClassStats(0, 1, mean, std)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,6 +102,12 @@ class TestCleanerConfig:
             CleanerConfig(kappa=0.0)
         with pytest.raises(ValueError):
             CleanerConfig(fps=-1.0)
+
+    @pytest.mark.parametrize("field", ["kappa", "fps"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CleanerConfig(**{field: value})
 
     def test_label_space_validated(self):
         with pytest.raises(ValueError, match="stats class id 40 outside"):

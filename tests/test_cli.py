@@ -12,8 +12,8 @@ import actseg
 from actseg.cleaning import ClassStats, write_class_stats
 from actseg.cli import entry, main
 from actseg.hands import write_hand_csv
-from actseg.timeline import (BACKGROUND_ID, Segment, read_timeline_csv,
-                             write_segments_csv, write_timeline_csv)
+from actseg.timeline import (BACKGROUND_ID, read_timeline_csv, write_segments_csv,
+                             write_timeline_csv)
 from actseg.classify import one_hot_logits, write_logits_binary
 
 
@@ -32,9 +32,8 @@ def json_out(capsys, *argv):
 @pytest.fixture
 def segments_csv(tmp_path):
     path = tmp_path / "segments.csv"
-    segs = [Segment(0, 0, 10), Segment(0, 10, 30), Segment(0, 30, 60),
-            Segment(1, 60, 75), Segment(BACKGROUND_ID, 75, 135)]
-    write_segments_csv(path, segs)
+    write_segments_csv(path, ([0, 10, 30, 60, 75], [10, 30, 60, 75, 135],
+                              [0, 0, 0, 1, BACKGROUND_ID]))
     return path
 
 
@@ -51,8 +50,8 @@ class TestStats:
 
     def test_twenty_five_class_fixture(self, capsys, tmp_path):
         path = tmp_path / "all.csv"
-        segs = [Segment(c, 10 * c, 10 * c + 5 + c) for c in range(25)]
-        write_segments_csv(path, segs)
+        c = np.arange(25)
+        write_segments_csv(path, (10 * c, 10 * c + 5 + c, c))
         records = json_out(capsys, "stats", "--segments", str(path))
         assert len(records) == 25
 
@@ -195,6 +194,58 @@ class TestRun:
         assert "frame 50, column 3" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [("mean_frames", "Infinity"), ("mean_frames", "1e400"),
+                                              ("mean_frames", "NaN"), ("std_frames", "Infinity"),
+                                              ("count", "Infinity")])
+    def test_non_finite_stats_is_data_error(self, capsys, tmp_path, field, value):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        record = {"class_id": "0", "count": "9", "mean_frames": "20.0", "std_frames": "5.0"}
+        record[field] = value
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}]")
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path),
+                               "--stats", str(stats_path))
+        assert code == 2, err
+        assert f"{stats_path}: record 0:" in err
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--fps"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_data_error(self, capsys, tmp_path, flag, value):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), flag, value)
+        assert code == 2, err
+        assert f"{flag[2:]} must be finite and > 0, got {value}" in err
+
+    @pytest.mark.parametrize("text", ["ignore_background=ture\n", "kappa=nan\n", "fps=inf\n",
+                                      "t=2.5\n"])
+    def test_bad_config_value_names_line(self, capsys, tmp_path, text):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("# defaults\n" + text)
+        code, _, err = run_cli(capsys, "--config", str(cfg_path),
+                               "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert f"{cfg_path}:2: bad value for {text.partition('=')[0]}" in err
+
+    def test_repeated_config_key_names_line(self, capsys, tmp_path):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
+        cfg_path = tmp_path / "twice.cfg"
+        cfg_path.write_text("kappa=1.1\nt=2\nkappa=1.9\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg_path),
+                               "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert f"{cfg_path}:3: config key 'kappa' set twice" in err
+
+    @pytest.mark.parametrize("spelling, value", [("1", True), ("TRUE", True), ("yes", True),
+                                                 ("on", True), ("0", False), ("false", False),
+                                                 ("No", False), ("off", False)])
+    def test_config_boolean_spellings(self, capsys, tmp_path, spelling, value):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
+        cfg_path = tmp_path / "bool.cfg"
+        cfg_path.write_text(f"ignore_background = {spelling}\n")
+        report = json_out(capsys, "--config", str(cfg_path), "run", "--logits", str(logits_path))
+        assert report["config"]["ignore_background"] is value
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         labels = [0] * 80
         logits_path, _ = make_run_inputs(tmp_path, labels)
@@ -326,6 +377,29 @@ class TestEnhanceDemo:
         assert code == 0
         assert "footprint = 20x20 at (row 18, col 18)" in out
 
+    @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan"])
+    def test_bad_pixel_value_names_line(self, capsys, tmp_path, value):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY.replace("full_w=920", f"full_w={value}"))
+        code, _, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom))
+        assert code == 2, err
+        assert f"{geom}:1: bad value for full_w: '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "x"])
+    def test_bad_hand_center_names_line(self, capsys, tmp_path, value):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY.replace("hand_cx=0.5", f"hand_cx={value}"))
+        code, _, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom))
+        assert code == 2, err
+        assert f"{geom}:9: bad value for hand_cx" in err
+
+    def test_repeated_geometry_key_names_line(self, capsys, tmp_path):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY + "full_w=1920\n")
+        code, _, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom))
+        assert code == 2, err
+        assert f"{geom}:11: geometry key 'full_w' set twice" in err
+
     def test_bad_geometry_is_data_error(self, capsys, tmp_path):
         geom = tmp_path / "geom.txt"
         geom.write_text("full_w=920\n")
@@ -365,6 +439,34 @@ class TestHandEval:
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2
         assert "1 prediction rows" in err
+
+    def test_fractional_target_presence_names_line(self, capsys, tmp_path):
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
+                                   (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hand_csv(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
+                                 (1, (1, 0.5, 0.5), (0.7, 0.5, 0.5))])
+        code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{gt_path}:3: present must be 0 or 1, got 0.7" in err
+
+    def test_frame_columns_must_match(self, capsys, tmp_path):
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
+                                   (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hand_csv(gt_path, [(5, (1, 0.5, 0.5), (1, 0.5, 0.5)),
+                                 (9, (1, 0.5, 0.5), (1, 0.5, 0.5))])
+        code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{pred_path}:2: frame 0, but {gt_path}:2 has frame 5" in err
+
+    def test_header_only_files_are_data_error(self, capsys, tmp_path):
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        write_hand_csv(pred_path, [])
+        write_hand_csv(gt_path, [])
+        code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{pred_path}: no hand rows" in err
 
     def test_empty_thresholds_usage_error(self, capsys, tmp_path):
         pred_path = tmp_path / "p.csv"

@@ -1,6 +1,7 @@
-"""Property tests: the run-granular cleaner, streaming, run-length encoding
-and the segmental metrics against the brute-force oracles in oracles.py,
-and the fused enhancement pass against the primitives it fuses.
+"""Property tests: the run-granular cleaner, streaming, run-length encoding,
+class statistics and the segmental metrics against the brute-force oracles
+in oracles.py, every clip builder against the one window rule, and the
+fused enhancement pass against the primitives it fuses.
 
 The examples are drawn by hypothesis under the deterministic profile that
 conftest.py registers.
@@ -11,14 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from actseg.align import CropGeometry, enhance, place_hand_features
-from actseg.classify import LogitsBackend, one_hot_logits
-from actseg.cleaning import ClassStats, CleanerConfig, StreamCleaner, clean_timeline
+from actseg.classify import LogitsBackend, one_hot_logits, predict_clip
+from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
+                             compute_class_stats)
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
 from actseg.metrics import EvalConfig, edit_score, f1_at_iou, per_class_f1
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
-from actseg.timeline import encode_runs, segments_from_timeline, timeline_from_segments
-from oracles import (clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref, greedy_match_ref,
-                     rle_ref)
+from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
+                             training_clip, window_offsets)
+from actseg.timeline import encode_runs, timeline_from_segments
+from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
+                     greedy_match_ref, rle_ref)
 
 
 def run_lists(n_classes, max_len=12, max_runs=40):
@@ -126,8 +130,58 @@ def test_run_length_round_trip(pieces):
     assert np.array_equal(np.repeat(cls, ends - starts), labels)
     assert np.all(cls[1:] != cls[:-1])
     # fill with a label the timeline never uses, so a gap would show
-    rebuilt = timeline_from_segments(segments_from_timeline(labels), fill=99)
+    rebuilt = timeline_from_segments((starts, ends, cls), fill=99)
     assert np.array_equal(rebuilt, labels)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6), st.integers(1, 10**5)),
+                min_size=1, max_size=400))
+def test_class_stats_equal_list_oracle_bit_for_bit(table):
+    # runs may overlap or leave gaps: the statistics only read their lengths
+    triples = [(c, s, s + n) for c, s, n in table]
+    runs = tuple(np.array(col, dtype=np.int64) for col in zip(*((s, e, c) for c, s, e in triples)))
+    got = {cid: (cs.count, cs.mean_frames.hex(), cs.std_frames.hex())
+           for cid, cs in compute_class_stats(runs).items()}
+    want = {cid: (count, mean.hex(), std.hex())
+            for cid, (count, mean, std) in class_stats_ref(triples).items()}
+    assert got == want
+    assert list(got) == sorted(got)
+
+
+# ------------------------------------------------------------ clip windows
+
+
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(-120, 260), st.integers(1, 160))
+def test_clip_builders_are_middle_plus_window_offsets(t, tau, anchor, seq_len):
+    offsets = window_offsets(t, tau)
+    # the rule spelled out: T frames at stride tau, the newest (the trigger)
+    # floor(T/2) strides after the middle
+    assert offsets.dtype == np.int64
+    assert offsets.tolist() == [(i - (t - 1 - t // 2)) * tau for i in range(t)]
+
+    def clamped(middle, hi):
+        return tuple(np.clip(middle + offsets, 0, hi).tolist()), int(np.clip(middle, 0, hi))
+
+    def built(clip):
+        return clip.frames, clip.middle
+
+    start = anchor - middle_offset(t, tau)
+    assert built(training_clip(start, t, tau)) == clamped(anchor, None)
+    assert built(training_clip(start, t, tau, seq_len)) == clamped(anchor, seq_len - 1)
+    middle = min(max(anchor, 0), seq_len - 1)
+    assert built(middle_clip(middle, t, tau, seq_len)) == clamped(middle, seq_len - 1)
+    t0 = min(max(anchor + prediction_lag(t, tau), 0), seq_len - 1)
+    # the trigger is the newest frame, so the upper clamp never binds here
+    assert built(inference_clip(t0, t, tau, seq_len)) == clamped(t0 - prediction_lag(t, tau), None)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 60), st.integers(0, 2**16))
+def test_offline_windows_are_middle_clips(t, tau, seq_len, seed):
+    logits = np.random.default_rng(seed).normal(size=(seq_len, 4))
+    backend = LogitsBackend(logits)
+    raw, _ = run_offline(PipelineConfig(t, tau, 15.0, 4, None), backend)
+    want = [predict_clip(backend, middle_clip(m, t, tau, seq_len)) for m in range(seq_len)]
+    assert raw.tolist() == want
 
 
 # ------------------------------------------------------------ metrics

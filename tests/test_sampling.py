@@ -3,7 +3,7 @@ import pytest
 
 from actseg.sampling import (ClipSpec, center_sample_start, clip_span_seconds,
                              inference_clip, middle_clip, middle_offset, prediction_lag,
-                             surround_sample_start, training_clip)
+                             surround_sample_start, training_clip, window_offsets)
 
 
 class TestInferenceClip:
@@ -54,6 +54,20 @@ class TestInferenceClip:
             inference_clip(5, 0, 8, 10)
         with pytest.raises(ValueError):
             inference_clip(5, 8, 0, 10)
+
+
+class TestWindowOffsets:
+    def test_deployment_configuration(self):
+        assert window_offsets(8, 8).tolist() == [-24, -16, -8, 0, 8, 16, 24, 32]
+
+    def test_single_frame(self):
+        assert window_offsets(1, 5).tolist() == [0]
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError):
+            window_offsets(0, 8)
+        with pytest.raises(ValueError):
+            window_offsets(8, 0)
 
 
 class TestMiddleClip:

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_timeline,
+from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_timeline, encode_runs,
                              read_segments_csv, read_timeline_csv, segments_from_timeline,
                              timeline_from_segments, write_segments_csv, write_timeline_csv)
 from oracles import rle_ref
@@ -49,21 +49,20 @@ class TestRunLength:
         rng = np.random.default_rng(5)
         for _ in range(100):
             labels = rng.integers(0, NUM_CLASSES, size=rng.integers(1, 80))
-            segs = segments_from_timeline(labels)
-            back = timeline_from_segments(segs, length=len(labels))
+            back = timeline_from_segments(encode_runs(labels), length=len(labels))
             assert np.array_equal(back, labels)
 
     def test_gap_fill(self):
-        out = timeline_from_segments([Segment(2, 1, 3)], length=5)
+        out = timeline_from_segments(([1], [3], [2]), length=5)
         assert out.tolist() == [BACKGROUND_ID, 2, 2, BACKGROUND_ID, BACKGROUND_ID]
 
     def test_length_inferred_from_last_end(self):
-        out = timeline_from_segments([Segment(0, 0, 2), Segment(1, 4, 6)])
+        out = timeline_from_segments(([0, 4], [2, 6], [0, 1]))
         assert len(out) == 6
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
-            timeline_from_segments([Segment(0, 0, 10)], length=5)
+            timeline_from_segments(([0], [10], [0]), length=5)
 
     def test_as_timeline_requires_1d(self):
         with pytest.raises(ValueError):
@@ -116,12 +115,39 @@ class TestCsv:
 
     def test_segments_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
-        segs = [Segment(0, 0, 10), Segment(24, 10, 40), Segment(3, 40, 45)]
-        write_segments_csv(path, segs)
-        assert read_segments_csv(path) == segs
+        runs = ([0, 10, 40], [10, 40, 45], [0, 24, 3])
+        write_segments_csv(path, runs)
+        got = read_segments_csv(path)
+        assert all(a.dtype == np.int64 for a in got)
+        assert [a.tolist() for a in got] == [list(a) for a in runs]
+
+    def test_segments_bytes_match_csv_writer(self, tmp_path):
+        runs = (np.array([0, 10, 40]), np.array([10, 40, 45]), np.array([0, BACKGROUND_ID, 3]))
+        buf = io.StringIO(newline="")
+        wr = csv.writer(buf)
+        wr.writerow(["start", "end", "label_id"])
+        for row in zip(*(a.tolist() for a in runs)):
+            wr.writerow(row)
+        path = tmp_path / "s.csv"
+        write_segments_csv(path, runs)
+        assert path.read_bytes() == buf.getvalue().encode()
+        back = read_segments_csv(path)
+        assert all(np.array_equal(a, b) for a, b in zip(back, runs))
 
     def test_segments_invalid_row_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("start,end,label_id\n5,5,0\n")
         with pytest.raises(ValueError, match=":2:"):
             read_segments_csv(path)
+
+    @pytest.mark.parametrize("row", ["9,5,0", "-1,5,0", "0,5,-2", "0,9223372036854775808,1",
+                                     "0,5,9223372036854775808"])
+    def test_segments_out_of_range_row_reports_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"start,end,label_id\n0,4,1\n{row}\n")
+        with pytest.raises(ValueError, match=":3:"):
+            read_segments_csv(path)
+
+    def test_write_segments_rejects_invalid_runs(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_segments_csv(tmp_path / "s.csv", ([0, 5], [5, 5], [1, 2]))
