@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _kernels
 from .sampling import ClipSpec
-from .timeline import NUM_CLASSES, as_timeline, encode_runs
+from .timeline import NUM_CLASSES, _in_frame_order, _read_table, as_timeline, encode_runs
 
 _MAGIC = b"ATSL"
 
@@ -196,27 +196,8 @@ def write_logits_csv(path, logits) -> None:
 
 
 def read_logits_csv(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise ValueError(f"{path}:{ln}: expected {width} columns, got {len(row)}")
-            try:
-                frame = int(row[0])
-                vals = [float(x) for x in row[1:]]
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: malformed row {row!r}") from None
-            if frame != len(rows):
-                raise ValueError(f"{path}:{ln}: expected frame {len(rows)}, got {frame}")
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no logit rows")
-    return np.array(rows, dtype=np.float64)
+    """CSV `frame,logit_0,...` with frames 0..N-1 in order; the first row sets the width."""
+    return np.ascontiguousarray(_read_table(path, "logit", None, np.float64, _in_frame_order))
 
 
 def load_logits(path) -> np.ndarray:

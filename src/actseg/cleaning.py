@@ -236,8 +236,10 @@ def read_class_stats(path):
     stats = {}
     for i, rec in enumerate(records):
         try:
-            cid = int(rec["class_id"])
-            stats[cid] = ClassStats(cid, int(rec["count"]), float(rec["mean_frames"]),
+            cid, count = rec["class_id"], rec["count"]
+            if type(cid) is not int or type(count) is not int:  # not a float, bool or string
+                raise ValueError(f"class_id and count must be integers, got {cid!r}, {count!r}")
+            stats[cid] = ClassStats(cid, count, float(rec["mean_frames"]),
                                     float(rec["std_frames"]), str(rec.get("name", "")))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None

@@ -62,6 +62,8 @@ def _warn_uncovered(cfg):
 
 def _cmd_stats(args) -> int:
     fps = _resolve(args, "fps", 15.0)
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
     stats = cleaning.compute_class_stats(timeline.read_segments_csv(args.segments))
     records = [
         {"class_id": cid, "name": f"class_{cid}", "count": s.count,

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .timeline import _data_lines, _read_table
+
 
 @dataclass(frozen=True)
 class HandObservation:
@@ -109,33 +111,20 @@ def f1_at_threshold(preds, gts, t_l: float) -> float:
 
 
 def _read_rows(path, hand):
-    """(line, frame, left, right) per row of a `frame,p1,x1,y1,p2,x2,y2` CSV,
-    each hand built as hand(p, x, y); errors name the file and line."""
-    rows = []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
-                continue  # header or blank
-            if len(row) != 7:
-                raise ValueError(f"{path}:{ln}: expected 7 columns, got {len(row)}")
-            try:
-                p1, x1, y1, p2, x2, y2 = (float(x) for x in row[1:])
-                rows.append((ln, int(row[0]), hand(p1, x1, y1), hand(p2, x2, y2)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no hand rows")
-    return rows
+    """(frame, left, right) per row of a `frame,p1,x1,y1,p2,x2,y2` CSV, each
+    hand built as hand(p, x, y); errors name the file and line."""
+    return _read_table(path, "hand", 7, np.float64, lambda frames, values, _: [
+        (f, hand(*v[:3]), hand(*v[3:])) for f, v in zip(frames.tolist(), values.tolist())])
 
 
 def read_hand_predictions(path):
     """CSV `frame,p1,x1,y1,p2,x2,y2` -> list of (frame, left, right) observations."""
-    return [row[1:] for row in _read_rows(path, HandObservation)]
+    return _read_rows(path, HandObservation)
 
 
 def read_hand_targets(path):
     """Same CSV shape with p exactly 0 or 1 -> list of (frame, left, right) targets."""
-    return [row[1:] for row in _read_rows(path, HandTarget)]
+    return _read_rows(path, HandTarget)
 
 
 def read_hand_slots(pred_path, gt_path):
@@ -144,11 +133,11 @@ def read_hand_slots(pred_path, gt_path):
     preds, gts = _read_rows(pred_path, HandObservation), _read_rows(gt_path, HandTarget)
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} prediction rows vs {len(gts)} ground-truth rows")
-    for (ln_p, f_p, *_), (ln_g, f_g, *_) in zip(preds, gts):
+    for i, ((f_p, *_), (f_g, *_)) in enumerate(zip(preds, gts)):
         if f_p != f_g:
-            raise ValueError(f"{pred_path}:{ln_p}: frame {f_p}, but {gt_path}:{ln_g}"
-                             f" has frame {f_g}")
-    return flatten_slots(row[1:] for row in preds), flatten_slots(row[1:] for row in gts)
+            ln_p, ln_g = ([ln for ln, _ in _data_lines(p)][i] for p in (pred_path, gt_path))
+            raise ValueError(f"{pred_path}:{ln_p}: frame {f_p}, but {gt_path}:{ln_g} has frame {f_g}")
+    return flatten_slots(preds), flatten_slots(gts)
 
 
 def write_hand_csv(path, rows) -> None:

@@ -1,6 +1,8 @@
 """Per-frame label sequences, run-length segments, and their CSV formats."""
 
 import csv
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,7 @@ def as_runs(runs):
     """Runs (starts, ends, labels) as three int64 arrays of one size."""
     starts, ends, labels = r = np.array(runs, dtype=np.int64)  # ragged input raises here
     if r.ndim != 2 or np.any((starts < 0) | (starts >= ends) | (labels < 0)):
-        raise ValueError("runs need three 1-d arrays with 0 <= start < end and label >= 0")
+        raise ValueError("runs need 0 <= start < end and label >= 0, as three 1-d arrays")
     return starts, ends, labels
 
 
@@ -80,25 +82,66 @@ def timeline_from_segments(runs, length=None, fill=BACKGROUND_ID) -> np.ndarray:
     return out
 
 
+def _data_lines(path):
+    """(line number, text) of each non-empty line but a header: a first line whose first
+    field is not an optionally signed ASCII integer. Lines end as np.loadtxt ends them."""
+    with open(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line and (ln > 1 or re.fullmatch(r"\s*[+-]?[0-9]+\s*", line.split(",", 1)[0])):
+                yield ln, line
+
+
+def _read_table(path, what, ncols, dtype, check):
+    """Parse a comma table and return check(first, rest, 0): the first column as int64, the
+    other ncols - 1 columns (None: as many as the first row has) as dtype. check(first, rest,
+    base) raises ValueError at the first of its rows, numbered from base, that breaks the
+    table's rule. The whole file is parsed in C; only if that fails are the rows parsed again
+    one at a time, with the same call, to name the first bad path:line."""
+    head = next(_data_lines(path), None)
+    if head is None:
+        raise ValueError(f"{path}: no {what} rows")
+    ncols = ncols or head[1].count(",") + 1
+    dt = np.dtype(dtype if dtype == np.int64 else [("first", np.int64), ("rest", dtype, (ncols - 1,))])
+
+    def load(source, skiprows=0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 reads int "5.5" as 5
+            t = np.loadtxt(source, dt, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1 if dt.names else 2, skiprows=skiprows)
+        # the reshape fails on a table of another width
+        return (t["first"], t["rest"]) if dt.names else (t[:, 0], t.reshape(len(t), ncols)[:, 1:])
+
+    try:  # lines before the first row are empty or a header
+        return check(*load(path, int(head[0] > 1)), 0)
+    except (ValueError, DeprecationWarning):
+        for index, (ln, text) in enumerate(_data_lines(path)):
+            fields = text.split(",")
+            if len(fields) != ncols:
+                raise ValueError(f"{path}:{ln}: expected {ncols} columns, got {len(fields)}") from None
+            try:
+                row = load([text])
+            except (ValueError, DeprecationWarning):
+                bad = "malformed row" if dt.names else "non-integer field in"
+                raise ValueError(f"{path}:{ln}: {bad} {fields!r}") from None
+            try:
+                check(*row, index)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+        raise
+
+
+def _in_frame_order(frames, rest, base):
+    """rest, if frames count up from base; else a ValueError at the first that does not."""
+    bad = np.flatnonzero(frames != np.arange(base, base + frames.size))
+    if bad.size:
+        raise ValueError(f"expected frame {base + bad[0]}, got {frames[bad[0]]}")
+    return rest
+
+
 def read_timeline_csv(path) -> np.ndarray:
     """CSV `frame,label_id` with frames 0..N-1 in order."""
-    labels = []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{ln}: expected 2 columns, got {len(row)}")
-            try:
-                frame, label = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
-            if frame != len(labels):
-                raise ValueError(f"{path}:{ln}: expected frame {len(labels)}, got {frame}")
-            labels.append(label)
-    if not labels:
-        raise ValueError(f"{path}: no timeline rows")
-    return np.array(labels, dtype=np.int64)
+    return _read_table(path, "timeline", 2, np.int64, _in_frame_order)[:, 0].copy()
 
 
 # rows formatted per write: one string per block keeps the formatting out of
@@ -119,24 +162,7 @@ def write_timeline_csv(path, labels) -> None:
 
 def read_segments_csv(path):
     """CSV `start,end,label_id` with end exclusive -> runs (starts, ends, labels)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{ln}: expected 3 columns, got {len(row)}")
-            try:
-                start, end, label = (int(v) for v in row)
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
-            if not (0 <= start < end < 2**63 and 0 <= label < 2**63):
-                raise ValueError(f"{path}:{ln}: need 0 <= start < end and label_id >= 0,"
-                                 f" all int64, got {row!r}")
-            rows.append((start, end, label))
-    if not rows:
-        raise ValueError(f"{path}: no segment rows")
-    return tuple(np.array(rows, dtype=np.int64).T.copy())
+    return _read_table(path, "segment", 3, np.int64, lambda s, rest, _: as_runs((s, *rest.T)))
 
 
 def write_segments_csv(path, runs) -> None:

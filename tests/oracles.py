@@ -2,8 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, full DP matrices, finite differences) and shares no code with the
-implementations under test.
+implementations under test. The read_*_ref functions are the row-by-row
+CSV parsers that the package's whole-file table reader replaced.
 """
+
+import csv
 
 import numpy as np
 
@@ -189,3 +192,94 @@ def enhance_ref(f, left, right, place_left, place_right, mixer):
         out[k] = ((x - mixer.bn_mean[:, None]) * scale[:, None]
                   + mixer.bn_shift[:, None]).reshape(c, h, w)
     return out
+
+
+# ---------------------------------------------------------------- CSV readers
+
+
+def read_timeline_ref(path):
+    """CSV `frame,label_id` read one csv.reader row at a time."""
+    labels = []
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), 1):
+            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{ln}: expected 2 columns, got {len(row)}")
+            try:
+                frame, label = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
+            if frame != len(labels):
+                raise ValueError(f"{path}:{ln}: expected frame {len(labels)}, got {frame}")
+            labels.append(label)
+    if not labels:
+        raise ValueError(f"{path}: no timeline rows")
+    return np.array(labels, dtype=np.int64)
+
+
+def read_segments_ref(path):
+    """CSV `start,end,label_id` -> (starts, ends, labels), one row at a time."""
+    rows = []
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), 1):
+            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}:{ln}: expected 3 columns, got {len(row)}")
+            try:
+                start, end, label = (int(v) for v in row)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
+            if not (0 <= start < end < 2**63 and 0 <= label < 2**63):
+                raise ValueError(f"{path}:{ln}: need 0 <= start < end and label_id >= 0,"
+                                 f" all int64, got {row!r}")
+            rows.append((start, end, label))
+    if not rows:
+        raise ValueError(f"{path}: no segment rows")
+    return tuple(np.array(rows, dtype=np.int64).T.copy())
+
+
+def read_logits_ref(path):
+    """CSV `frame,logit_0,...`, the first row setting the width, one row at a time."""
+    rows = []
+    width = None
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), 1):
+            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
+                continue
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise ValueError(f"{path}:{ln}: expected {width} columns, got {len(row)}")
+            try:
+                frame = int(row[0])
+                vals = [float(x) for x in row[1:]]
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: malformed row {row!r}") from None
+            if frame != len(rows):
+                raise ValueError(f"{path}:{ln}: expected frame {len(rows)}, got {frame}")
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: no logit rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def read_hands_ref(path, hand):
+    """(frame, left, right) per row of a `frame,p1,x1,y1,p2,x2,y2` CSV, each
+    hand built as hand(p, x, y), one row at a time."""
+    rows = []
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), 1):
+            if not row or (ln == 1 and not row[0].strip().lstrip("-").isdigit()):
+                continue
+            if len(row) != 7:
+                raise ValueError(f"{path}:{ln}: expected 7 columns, got {len(row)}")
+            try:
+                p1, x1, y1, p2, x2, y2 = (float(x) for x in row[1:])
+                rows.append((int(row[0]), hand(p1, x1, y1), hand(p2, x2, y2)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no hand rows")
+    return rows

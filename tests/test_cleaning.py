@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,17 @@ class TestStatsIO:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
+            read_class_stats(path)
+
+    @pytest.mark.parametrize("class_id, count", [("3.9", "2"), ("3", "2.7"), ("3.0", "2"),
+                                                 ("true", "2"), ("3", "true"), ('"3"', "2"),
+                                                 ("3", '"2"'), ("null", "2")])
+    def test_class_id_and_count_must_be_json_integers(self, tmp_path, class_id, count):
+        path = tmp_path / "bad.json"
+        path.write_text(f'[{{"class_id": 0, "count": 1, "mean_frames": 9.0, "std_frames": 1.0}},'
+                        f' {{"class_id": {class_id}, "count": {count}, "mean_frames": 9.0,'
+                        f' "std_frames": 1.0}}]')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 1: "):
             read_class_stats(path)
 
     def test_missing_field_rejected(self, tmp_path):

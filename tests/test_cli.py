@@ -69,6 +69,36 @@ class TestStats:
         assert code == 2
         assert ":3:" in err
 
+    def test_plus_signed_first_row_is_kept(self, capsys, tmp_path):
+        # a first row "+0,10,3" is data, not a header to drop
+        path = tmp_path / "signed.csv"
+        path.write_text("+0,10,3\n10,30,3\n")
+        records = json_out(capsys, "stats", "--segments", str(path))
+        assert [(r["class_id"], r["count"], r["mean_frames"]) for r in records] == [(3, 2, 15.0)]
+
+    def test_overflowing_field_names_line(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("start,end,label_id\n0,99999999999999999999,3\n")
+        code, _, err = run_cli(capsys, "stats", "--segments", str(path))
+        assert code == 2, err
+        assert f"{path}:2: " in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_fps_flag_is_data_error(self, capsys, segments_csv, value):
+        code, out, err = run_cli(capsys, "stats", "--segments", str(segments_csv), "--fps", value)
+        assert code == 2, err
+        assert out == ""
+        assert f"fps must be finite and > 0, got {float(value)}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_config_fps_is_data_error(self, capsys, tmp_path, segments_csv, value):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"fps={value}\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg_path),
+                               "stats", "--segments", str(segments_csv))
+        assert code == 2, err
+        assert f"fps must be finite and > 0, got {float(value)}" in err
+
 
 def make_run_inputs(tmp_path, labels):
     gt_path = tmp_path / "gt.csv"
@@ -332,6 +362,14 @@ class TestSweepKappa:
         assert len(json.loads(out)["scores"]) == 11
         assert "warning" in err and "26, 27;" in err
 
+    def test_overflowing_label_names_line(self, capsys, tmp_path):
+        raw_path, gt_path = tmp_path / "raw.csv", tmp_path / "gt.csv"
+        raw_path.write_text("frame,label_id\n0,3\n1,99999999999999999999\n")
+        write_timeline_csv(gt_path, [3, 3])
+        code, _, err = run_cli(capsys, "sweep-kappa", "--raw", str(raw_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{raw_path}:3: " in err
+
     def test_stats_class_outside_label_space_is_data_error(self, capsys, tmp_path):
         t_path = tmp_path / "t.csv"
         write_timeline_csv(t_path, [0] * 40 + [29] * 40)
@@ -459,6 +497,15 @@ class TestHandEval:
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{pred_path}:2: frame 0, but {gt_path}:2 has frame 5" in err
+
+    def test_overflowing_frame_names_line(self, capsys, tmp_path):
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        row = "99999999999999999999,1,0.5,0.5,1,0.5,0.5\n"
+        pred_path.write_text("frame,p1,x1,y1,p2,x2,y2\n" + row)
+        gt_path.write_text("frame,p1,x1,y1,p2,x2,y2\n" + row)
+        code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{pred_path}:2: " in err
 
     def test_header_only_files_are_data_error(self, capsys, tmp_path):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
