@@ -79,10 +79,12 @@ class CleanerConfig:
         st = self.stats.get(class_id)
         return threshold(st, self.kappa) if st is not None else 1
 
+    def thresholds(self) -> np.ndarray:
+        """threshold_for each label of the label space, as int64."""
+        return np.array([self.threshold_for(c) for c in range(self.num_classes)], dtype=np.int64)
+
     def max_threshold(self) -> int:
-        if not self.stats:
-            return 1
-        return max(self.threshold_for(c) for c in self.stats)
+        return int(self.thresholds().max())
 
 
 class StreamCleaner:
@@ -96,15 +98,14 @@ class StreamCleaner:
     most max-threshold frames before finalizing.
 
     The state machine takes whole runs: push_run(start, length, label) feeds
-    `length` frames of one label and returns the finalized (start, end,
-    label) ranges. Batch cleaning feeds it a run-length encoding; push feeds
-    it one frame at a time. Either way a run's fate depends only on its
-    label and total length, so both give the same labels.
+    `length` frames of one label and returns the finalized (start, end, label)
+    ranges; push feeds it one frame at a time. A run's fate depends only on its
+    label and total length: this is the incremental form of clean_timeline.
     """
 
     def __init__(self, cfg: CleanerConfig):
         self.cfg = cfg
-        self._thresholds = [cfg.threshold_for(c) for c in range(cfg.num_classes)]
+        self._thresholds = cfg.thresholds().tolist()
         self._prev = cfg.background_id     # label of the last confirmed run
         self._label = None                 # label of the current run
         self._len = 0                      # frames in the current run
@@ -186,21 +187,20 @@ class StreamCleaner:
 
 
 def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
-    """Offline cleaning: feed the timeline's runs through a cleaner and flush."""
+    """Offline cleaning in closed form over runs: a run shorter than its threshold takes
+    the label of the last run that survived, or background if none has yet."""
     arr = as_timeline(labels)
     if arr.size == 0:
         return arr.copy()
-    cleaner = StreamCleaner(cfg)
-    ranges = []
-    for start, end, label in zip(*(a.tolist() for a in encode_runs(arr))):
-        ranges += cleaner.push_run(start, end - start, label)
-    ranges += cleaner.flush_ranges()
-    r = np.array(ranges, dtype=np.int64)
-    starts, ends = r[:, 0], r[:, 1]
-    # every frame finalized exactly once: the ranges tile [0, size) in order
-    assert (starts[0] == 0 and ends[-1] == arr.size and np.all(ends > starts)
-            and np.array_equal(starts[1:], ends[:-1])), "cleaner ranges do not tile the timeline"
-    return np.repeat(r[:, 2], ends - starts)
+    starts, ends, runs = encode_runs(arr)
+    bad = runs[(runs < 0) | (runs >= cfg.num_classes)]
+    if bad.size:  # a negative label would index the threshold table from its end
+        raise ValueError(f"label {bad[0]} outside [0, {cfg.num_classes})")
+    keep = ends - starts >= cfg.thresholds()[runs]
+    last_kept = np.maximum.accumulate(np.where(keep, np.arange(runs.size), -1))
+    out = np.repeat(np.where(last_kept >= 0, runs[last_kept], cfg.background_id), ends - starts)
+    assert out.size == arr.size, "cleaned runs do not cover the timeline"
+    return out
 
 
 def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):

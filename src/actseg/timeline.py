@@ -82,13 +82,17 @@ def timeline_from_segments(runs, length=None, fill=BACKGROUND_ID) -> np.ndarray:
     return out
 
 
+# UTF-8; a byte order mark before the first line is not part of it
+_CSV_ENCODING = "utf-8-sig"
+
+
 def _data_lines(path):
-    """(line number, text) of each non-empty line but a header: a first line whose first
-    field is not an optionally signed ASCII integer. Lines end as np.loadtxt ends them."""
-    with open(path) as fh:
+    """(line number, text) of each non-empty line but a header: a first line that starts
+    with an ASCII letter. Lines end as np.loadtxt ends them."""
+    with open(path, encoding=_CSV_ENCODING) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if line and (ln > 1 or re.fullmatch(r"\s*[+-]?[0-9]+\s*", line.split(",", 1)[0])):
+            if line and (ln > 1 or not re.match("[A-Za-z]", line)):
                 yield ln, line
 
 
@@ -96,8 +100,8 @@ def _read_table(path, what, ncols, dtype, check):
     """Parse a comma table and return check(first, rest, 0): the first column as int64, the
     other ncols - 1 columns (None: as many as the first row has) as dtype. check(first, rest,
     base) raises ValueError at the first of its rows, numbered from base, that breaks the
-    table's rule. The whole file is parsed in C; only if that fails are the rows parsed again
-    one at a time, with the same call, to name the first bad path:line."""
+    table's rule. The whole file is parsed in C; only if that fails is the first bad path:line
+    searched for, by parsing blocks of rows with the same call."""
     head = next(_data_lines(path), None)
     if head is None:
         raise ValueError(f"{path}: no {what} rows")
@@ -108,26 +112,43 @@ def _read_table(path, what, ncols, dtype, check):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 reads int "5.5" as 5
             t = np.loadtxt(source, dt, delimiter=",", comments=None, quotechar=None,
-                           ndmin=1 if dt.names else 2, skiprows=skiprows)
+                           ndmin=1 if dt.names else 2, skiprows=skiprows, encoding=_CSV_ENCODING)
         # the reshape fails on a table of another width
         return (t["first"], t["rest"]) if dt.names else (t[:, 0], t.reshape(len(t), ncols)[:, 1:])
+
+    def first_error(lines, lo, hi):
+        """The path:line error of the first bad row of lines[lo:hi], or None. Parsing,
+        widths and every check are row-local (given the base), so a block that passes
+        as a whole has no bad row, and the left half of a failing block is searched first."""
+        if hi - lo > 1:
+            try:
+                check(*load([text for _, text in lines[lo:hi]]), lo)
+                return None
+            except (ValueError, DeprecationWarning):
+                mid = (lo + hi) // 2
+                return first_error(lines, lo, mid) or first_error(lines, mid, hi)
+        ln, text = lines[lo]
+        fields = text.split(",")
+        if len(fields) != ncols:
+            return ValueError(f"{path}:{ln}: expected {ncols} columns, got {len(fields)}")
+        try:
+            row = load([text])
+        except (ValueError, DeprecationWarning):
+            bad = "malformed row" if dt.names else "non-integer field in"
+            return ValueError(f"{path}:{ln}: {bad} {fields!r}")
+        try:
+            check(*row, lo)
+        except ValueError as exc:
+            return ValueError(f"{path}:{ln}: {exc}")
+        return None
 
     try:  # lines before the first row are empty or a header
         return check(*load(path, int(head[0] > 1)), 0)
     except (ValueError, DeprecationWarning):
-        for index, (ln, text) in enumerate(_data_lines(path)):
-            fields = text.split(",")
-            if len(fields) != ncols:
-                raise ValueError(f"{path}:{ln}: expected {ncols} columns, got {len(fields)}") from None
-            try:
-                row = load([text])
-            except (ValueError, DeprecationWarning):
-                bad = "malformed row" if dt.names else "non-integer field in"
-                raise ValueError(f"{path}:{ln}: {bad} {fields!r}") from None
-            try:
-                check(*row, index)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
+        lines = list(_data_lines(path))
+        error = first_error(lines, 0, len(lines))
+        if error is not None:
+            raise error from None
         raise
 
 

@@ -245,9 +245,14 @@ class TestStreamCleaner:
             cleaner.push(0, 0)
 
     def test_label_range_validated(self):
-        cleaner = StreamCleaner(CleanerConfig())
-        with pytest.raises(ValueError, match="outside"):
-            cleaner.push(0, 25)
+        # both forms of the rule, at both ends of [0, num_classes): a negative
+        # label would otherwise index the threshold table from its end
+        cfg = CleanerConfig(stats=stats_of({0: (3.0, 0.0)}))
+        for clean in (lambda label: StreamCleaner(cfg).push(0, label),
+                      lambda label: clean_timeline([0, 0, 0, label, 0], cfg)):
+            for label in (-1, cfg.num_classes):
+                with pytest.raises(ValueError, match=f"^label {label} outside "):
+                    clean(label)
 
 
 def sweep_fixture():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -75,6 +76,20 @@ class TestStats:
         path.write_text("+0,10,3\n10,30,3\n")
         records = json_out(capsys, "stats", "--segments", str(path))
         assert [(r["class_id"], r["count"], r["mean_frames"]) for r in records] == [(3, 2, 15.0)]
+
+    def test_first_row_after_byte_order_mark_is_kept(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff0,10,3\n10,30,3\n", encoding="utf-8")
+        records = json_out(capsys, "stats", "--segments", str(path))
+        assert [(r["class_id"], r["count"], r["mean_frames"]) for r in records] == [(3, 2, 15.0)]
+
+    def test_quoted_first_row_is_data_error(self, capsys, tmp_path):
+        # data, not a header to drop; quoted numbers are outside the CSV grammar
+        path = tmp_path / "quoted.csv"
+        path.write_text('"0",10,3\n10,30,3\n')
+        code, out, err = run_cli(capsys, "stats", "--segments", str(path))
+        assert code == 2, out
+        assert f"{path}:1: " in err
 
     def test_overflowing_field_names_line(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -380,6 +395,50 @@ class TestSweepKappa:
                                "--stats", str(stats_path))
         assert code == 2
         assert "class id 30 outside [0, 30)" in err
+
+
+def pinned_recording(frames=20_000, classes=25):
+    """Ground truth and logits built with integer arithmetic only, so the inputs are
+    the same bytes on every numpy: run i has label 7i mod 25 and 8 + (37i mod 83)
+    frames, and every 6-frame block carries a hashed distractor class scoring 0 to 3
+    in quarter steps against the true class's 2, which window sums add up exactly."""
+    runs = np.arange(frames // 8)
+    gt = np.repeat((7 * runs) % classes, 8 + (37 * runs) % 83)[:frames]
+    f = np.arange(frames)
+    h = (f // 6 * 2654435761) % 2**32
+    logits = np.zeros((frames, classes))
+    logits[f, gt] = 2.0
+    logits[f, (gt + 1 + h % (classes - 1)) % classes] = (h >> 8) % 13 / 4
+    return gt, logits
+
+
+class TestPinnedBatchOutputs:
+    """actseg run and sweep-kappa on a fixed recording give the outputs recorded
+    before the batch cleaner took its closed form. A change that is meant to keep
+    the outputs (a speed-up, a refactor) must keep these."""
+
+    RAW_SHA256 = "00a2a2436ebf7bb7ae9cfea6098bf8da500fc76d8a41b80228063e19047ce340"
+    CLEANED_SHA256 = "d56011f49fd5faf44390a0ec9c589b3a364cb58f05c2a7f6ee03f5db6314bd68"
+    SWEEP = {"best_kappa": 2.0, "scores": {
+        "1.0": 58.49673202614379, "1.1": 62.80193236714976, "1.2": 64.96,
+        "1.3": 68.87835703001579, "1.4": 72.07488299531981, "1.5": 74.69135802469135,
+        "1.6": 75.72519083969466, "1.7": 76.59574468085107, "1.8": 79.46026986506746,
+        "1.9": 79.46026986506746, "2.0": 81.12927191679049}}
+
+    def test_run_and_sweep_outputs_unchanged(self, capsys, tmp_path):
+        gt, logits = pinned_recording()
+        logits_path, gt_path = tmp_path / "in.logits", tmp_path / "gt.csv"
+        out_dir = tmp_path / "out"
+        write_logits_binary(logits_path, logits)
+        write_timeline_csv(gt_path, gt)
+        json_out(capsys, "run", "--logits", str(logits_path), "--gt", str(gt_path),
+                 "--out-dir", str(out_dir))
+        digests = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in ("raw.csv", "cleaned.csv")]
+        assert digests == [self.RAW_SHA256, self.CLEANED_SHA256]
+        sweep = json_out(capsys, "sweep-kappa", "--raw", str(out_dir / "raw.csv"),
+                         "--gt", str(gt_path))
+        assert sweep == self.SWEEP
 
 
 GEOMETRY = ("full_w=920\nfull_h=720\nscale_short=256\ncrop_size=224\n"
