@@ -2,7 +2,7 @@
 
 A predicted run is "statistically too short" when its length is strictly
 below floor(mean - kappa*std) for its class; such runs are absorbed into the
-previous confirmed action. kappa is calibrated by sweeping [1.0, 2.0] in 0.1
+previous surviving action. kappa is calibrated by sweeping [1.0, 2.0] in 0.1
 steps against background-omitted F1@0.5.
 """
 
@@ -88,102 +88,60 @@ class CleanerConfig:
 
 
 class StreamCleaner:
-    """Streaming run-length filter over consecutive frames.
+    """Streaming form of clean_timeline, one frame at a time.
 
-    A run buffers until it either reaches its class threshold (confirmed:
-    the run survives, later same-label frames pass straight through) or ends
-    early (too short: its frames are relabeled with the previous confirmed
-    action and merge into it). The previous action starts as background, so
-    a too-short leading run becomes background. A frame therefore waits at
-    most max-threshold frames before finalizing.
-
-    The state machine takes whole runs: push_run(start, length, label) feeds
-    `length` frames of one label and returns the finalized (start, end, label)
-    ranges; push feeds it one frame at a time. A run's fate depends only on its
-    label and total length: this is the incremental form of clean_timeline.
+    A run whose label is the label of the last surviving run (background
+    before any) keeps that label whether it survives or not, so its frames
+    pass straight through. Any other run is held: it is released with its
+    own label once it reaches its class threshold, or with the previous
+    surviving label when a different label arrives first or on flush. A
+    frame therefore waits at most max-threshold frames before finalizing.
     """
 
     def __init__(self, cfg: CleanerConfig):
         self.cfg = cfg
         self._thresholds = cfg.thresholds().tolist()
-        self._prev = cfg.background_id     # label of the last confirmed run
+        self._prev = cfg.background_id     # label of the last surviving run
         self._label = None                 # label of the current run
-        self._len = 0                      # frames in the current run
-        self._confirmed = False
-        self._pending = 0                  # first frame of the unconfirmed current run
-        self._next = None                  # frame the next push must start at
+        self._start = 0                    # first frame of the current run
+        self._held = False                 # the current run's frames are waiting
+        self._next = None                  # frame the next push must carry
         self._closed = False
-
-    def _start_run(self, start, length, label, out):
-        self._label = label
-        self._len = length
-        if length >= self._thresholds[label]:
-            self._confirmed = True
-            self._prev = label
-            out.append((start, start + length, label))
-        else:
-            self._confirmed = False
-            self._pending = start
-
-    def push_run(self, start: int, length: int, label: int):
-        """Feed frames [start, start+length) of one raw label; returns the
-        (start, end, label) ranges finalized by them, in frame order."""
-        if self._closed:
-            raise RuntimeError("cleaner already flushed")
-        if self._next is not None and start != self._next:
-            raise ValueError(f"out-of-order push: frame {start}, expected {self._next}")
-        if length < 1:
-            raise ValueError(f"run length must be >= 1, got {length}")
-        if not 0 <= label < self.cfg.num_classes:
-            raise ValueError(f"label {label} outside [0, {self.cfg.num_classes})")
-        end = start + length
-        self._next = end
-
-        out = []
-        if self._label is None:
-            self._start_run(start, length, label, out)
-        elif label == self._label:
-            self._len += length
-            if self._confirmed:
-                out.append((start, end, label))
-            elif self._len >= self._thresholds[label]:
-                self._confirmed = True
-                self._prev = label
-                out.append((self._pending, end, label))
-        elif self._confirmed:
-            self._start_run(start, length, label, out)
-        else:
-            # too-short run: relabel it with the previous action and merge
-            out.append((self._pending, start, self._prev))
-            if label == self._prev:
-                # the incoming run continues the merged (already confirmed) run
-                self._label = label
-                self._confirmed = True
-                self._len += length
-                out.append((start, end, label))
-            else:
-                self._start_run(start, length, label, out)
-        return out
 
     def push(self, frame_index: int, raw_label: int):
         """Feed the next frame's raw prediction; returns the (frame, label)
         pairs finalized by it, in frame order."""
-        return [(f, lab) for s, e, lab in self.push_run(frame_index, 1, int(raw_label))
-                for f in range(s, e)]
+        if self._closed:
+            raise RuntimeError("cleaner already flushed")
+        if self._next is not None and frame_index != self._next:
+            raise ValueError(f"out-of-order push: frame {frame_index}, expected {self._next}")
+        label = int(raw_label)
+        if not 0 <= label < self.cfg.num_classes:
+            raise ValueError(f"label {label} outside [0, {self.cfg.num_classes})")
+        self._next = frame_index + 1
 
-    def flush_ranges(self):
-        """Finalize a pending run, as (start, end, label) ranges like push_run;
-        a still-unconfirmed tail merges into the previous action."""
+        out = []
+        if label != self._label:
+            if self._held:  # the held run ended short
+                out = [(f, self._prev) for f in range(self._start, frame_index)]
+            self._label, self._start, self._held = label, frame_index, label != self._prev
+        if self._held:
+            if frame_index - self._start + 1 < self._thresholds[label]:
+                return out
+            self._held, self._prev = False, label
+            out += [(f, label) for f in range(self._start, frame_index)]
+        out.append((frame_index, label))
+        return out
+
+    def flush(self):
+        """Finalize a held tail with the previous surviving label, as (frame,
+        label) pairs like push."""
         if self._closed:
             raise RuntimeError("cleaner already flushed")
         self._closed = True
-        if self._confirmed or self._label is None:
+        if not self._held:
             return []
-        return [(self._pending, self._next, self._prev)]
-
-    def flush(self):
-        """flush_ranges as (frame, label) pairs, like push."""
-        return [(f, lab) for s, e, lab in self.flush_ranges() for f in range(s, e)]
+        return [(f, self._prev) for f in range(self._start, self._next)]
 
 
 def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:

@@ -18,6 +18,11 @@ from .grid import FeatureMap
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: it would read `run --out r.json` as --out-dir; subparsers
+    # are built from this class too
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     # argparse exits with 2 on usage errors; the contract reserves 2 for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -42,6 +47,11 @@ def _emit(args, payload) -> None:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _check_frames(path, frames, other_path, other_frames) -> None:
+    if frames != other_frames:
+        raise ValueError(f"{path} has {frames} frames, but {other_path} has {other_frames}")
 
 
 def _load_stats(args, fps):
@@ -98,8 +108,7 @@ def _cmd_run(args) -> int:
                          "ignore_background": ignore_bg}}
     if args.gt:
         gt = timeline.read_timeline_csv(args.gt)
-        if gt.size != raw.size:
-            raise ValueError(f"ground truth has {gt.size} frames, logits cover {raw.size}")
+        _check_frames(args.gt, gt.size, args.logits, raw.size)
         eval_cfg = metrics.EvalConfig(ignore_background=ignore_bg)
         names = {cid: name for cid, name, _, _ in refstats.REFERENCE_CLASSES} \
             if backend.num_classes == timeline.NUM_CLASSES else None
@@ -121,6 +130,8 @@ def _cmd_sweep_kappa(args) -> int:
         raise UsageError(f"{len(args.raw)} raw timelines vs {len(args.gt)} ground truths")
     raws = [timeline.read_timeline_csv(p) for p in args.raw]
     gts = [timeline.read_timeline_csv(p) for p in args.gt]
+    for raw_path, raw, gt_path, gt in zip(args.raw, raws, args.gt, gts):
+        _check_frames(raw_path, raw.size, gt_path, gt.size)
     # the label space spans every label read, as actseg run's spans the logits' classes
     num_classes = max(timeline.NUM_CLASSES, *(int(t.max()) + 1 for t in raws + gts))
     base = cleaning.CleanerConfig(1.0, _load_stats(args, fps), fps, num_classes=num_classes)

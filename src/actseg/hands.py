@@ -89,6 +89,8 @@ def f1_at_threshold(preds, gts, t_l: float) -> float:
     counts as both FP and FN: the detection is wrong and the true hand went
     unfound. Returns 100 when no slot has anything to find or flag.
     """
+    if not 0 < t_l < np.inf:
+        raise ValueError(f"t_l must be finite and > 0, got {t_l}")
     if len(preds) != len(gts):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(gts)} targets")
     tp = fp = fn = 0

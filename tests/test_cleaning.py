@@ -203,18 +203,27 @@ class TestStreamCleaner:
                 streamed[f] = lab
             assert np.array_equal(batch, streamed)
 
-    def test_push_run_returns_ranges(self):
-        # thresholds {A(0): 1, B(1): 5}: B's 2-frame run dies into A, and a
-        # piece with the current run's label continues it
+    def test_push_returns_finalized_frames(self):
+        # thresholds {A(0): 1, B(1): 5}: B's 2-frame run dies into A and comes
+        # out with the next A frame; B's 5-frame run comes out on its fifth frame
         cfg = CleanerConfig(kappa=1.0, stats=stats_of({0: (1.0, 0.0), 1: (5.0, 0.0)}))
         cleaner = StreamCleaner(cfg)
-        assert cleaner.push_run(0, 4, 0) == [(0, 4, 0)]
-        assert cleaner.push_run(4, 2, 1) == []
-        assert cleaner.push_run(6, 3, 0) == [(4, 6, 0), (6, 9, 0)]
-        assert cleaner.push_run(9, 3, 1) == []
-        assert cleaner.push_run(12, 2, 1) == [(9, 14, 1)]
-        assert cleaner.push_run(14, 1, 1) == [(14, 15, 1)]
-        assert cleaner.flush_ranges() == []
+        raw = [0] * 4 + [1] * 2 + [0] * 3 + [1] * 6
+        got = [cleaner.push(i, lab) for i, lab in enumerate(raw)]
+        assert got[:4] == [[(i, 0)] for i in range(4)]
+        assert got[4:7] == [[], [], [(4, 0), (5, 0), (6, 0)]]
+        assert got[7:9] == [[(7, 0)], [(8, 0)]]
+        assert got[9:] == [[], [], [], [], [(f, 1) for f in range(9, 14)], [(14, 1)]]
+        assert cleaner.flush() == []
+
+    def test_leading_background_run_passes_through(self):
+        # a run of the background label keeps that label whether it survives
+        # or not, so it comes out at once however high its threshold
+        cfg = CleanerConfig(kappa=1.0, stats=stats_of({BACKGROUND_ID: (5.0, 0.0), 1: (3.0, 0.0)}))
+        cleaner = StreamCleaner(cfg)
+        got = [cleaner.push(i, lab) for i, lab in enumerate([BACKGROUND_ID] * 2 + [1] * 3)]
+        assert got == [[(0, BACKGROUND_ID)], [(1, BACKGROUND_ID)], [], [], [(2, 1), (3, 1), (4, 1)]]
+        assert cleaner.flush() == []
 
     def test_previous_label_after_short_run_passes_through(self):
         # thresholds {A(0): 3, B(1): 5}: once B dies into A, the next A frame
@@ -229,8 +238,6 @@ class TestStreamCleaner:
         cleaner.push(0, 0)
         with pytest.raises(ValueError, match="out-of-order push: frame 2, expected 1"):
             cleaner.push(2, 0)
-        with pytest.raises(ValueError, match="run length"):
-            cleaner.push_run(1, 0, 0)
 
     def test_out_of_order_push_rejected(self):
         cleaner = StreamCleaner(CleanerConfig())

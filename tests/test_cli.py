@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import actseg
-from actseg.cleaning import ClassStats, write_class_stats
+from actseg.cleaning import ClassStats, CleanerConfig, write_class_stats
 from actseg.cli import entry, main
 from actseg.hands import write_hand_csv
+from actseg.pipeline import PipelineConfig, StreamSession, run_offline
+from actseg.refstats import reference_class_stats
 from actseg.timeline import (BACKGROUND_ID, read_timeline_csv, write_segments_csv,
                              write_timeline_csv)
-from actseg.classify import one_hot_logits, write_logits_binary
+from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary
 
 
 def run_cli(capsys, *argv):
@@ -189,7 +191,7 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--logits", str(logits_path),
                                "--gt", str(gt_path), "--no-clean")
         assert code == 2
-        assert "5" in err
+        assert f"{gt_path} has 5 frames, but {logits_path} has 10" in err
 
     def test_thirty_class_logits_clean(self, capsys, tmp_path):
         labels = [27] * 40 + [BACKGROUND_ID] * 30 + [29] * 40
@@ -363,6 +365,15 @@ class TestSweepKappa:
         assert code == 1
         assert "2 raw" in err
 
+    def test_length_mismatch_names_both_files(self, capsys, tmp_path):
+        t_path, short_path = tmp_path / "t.csv", tmp_path / "short.csv"
+        write_timeline_csv(t_path, [0] * 120)
+        write_timeline_csv(short_path, [0] * 100)
+        code, out, err = run_cli(capsys, "sweep-kappa", "--raw", str(t_path), "--gt", str(t_path),
+                                 "--raw", str(t_path), "--gt", str(short_path))
+        assert code == 2 and out == ""
+        assert f"{t_path} has 120 frames, but {short_path} has 100" in err
+
     def test_thirty_class_timelines(self, capsys, tmp_path):
         raw_path, gt_path = tmp_path / "raw.csv", tmp_path / "gt.csv"
         # the largest label, 29, appears only in the ground truth
@@ -439,6 +450,27 @@ class TestPinnedBatchOutputs:
         sweep = json_out(capsys, "sweep-kappa", "--raw", str(out_dir / "raw.csv"),
                          "--gt", str(gt_path))
         assert sweep == self.SWEEP
+
+
+class TestPinnedStreamSchedule:
+    """A cleaning StreamSession on the pinned recording, at actseg run's defaults, emits
+    each (push index, frame, label) exactly as recorded: a change to the stream path
+    must keep when each label comes out, not only the labels and the lag bound."""
+
+    SCHEDULE_SHA256 = "3dfea1a600f5718fcfb9405363e4a9b8c8832376478469ed8354be9283785c8b"
+
+    def test_emission_schedule_unchanged(self):
+        _, logits = pinned_recording()
+        backend = LogitsBackend(logits)
+        cleaner = CleanerConfig(1.4, reference_class_stats(15.0), 15.0, num_classes=25)
+        cfg = PipelineConfig(8, 8, 15.0, 25, cleaner)
+        session = StreamSession(cfg, backend)
+        schedule = [(i, f, lab) for i in range(backend.num_frames) for f, lab in session.push(i)]
+        schedule += [(backend.num_frames, f, lab) for f, lab in session.finish()]
+        assert [f for _, f, _ in schedule] == list(range(backend.num_frames))
+        assert [lab for _, _, lab in schedule] == run_offline(cfg, backend)[1].tolist()
+        text = "".join(f"{i},{f},{lab}\n" for i, f, lab in schedule)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SCHEDULE_SHA256
 
 
 GEOMETRY = ("full_w=920\nfull_h=720\nscale_short=256\ncrop_size=224\n"
@@ -574,6 +606,16 @@ class TestHandEval:
         assert code == 2, err
         assert f"{pred_path}: no hand rows" in err
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_threshold_outside_range_is_data_error(self, capsys, tmp_path, value):
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hand_csv(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5))])
+        code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path),
+                                 "--gt", str(gt_path), "--thresholds", f"0.1,{value}")
+        assert code == 2 and out == ""
+        assert f"t_l must be finite and > 0, got {float(value)}" in err
+
     def test_empty_thresholds_usage_error(self, capsys, tmp_path):
         pred_path = tmp_path / "p.csv"
         write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
@@ -648,6 +690,14 @@ class TestEntryPoint:
         result = run_entry_point(tmp_path, "run")
         assert result.returncode == 1
         assert "--logits" in result.stderr
+
+    def test_global_flag_after_subcommand_is_not_abbreviated(self, tmp_path):
+        # prefix matching would take --out for run's --out-dir and write a directory
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
+        result = run_entry_point(tmp_path, "run", "--logits", str(logits_path), "--out", "r.json")
+        assert result.returncode == 1
+        assert "unrecognized arguments: --out r.json" in result.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_console_script_maps_to_entry(self):
         tomllib = pytest.importorskip("tomllib")

@@ -133,6 +133,11 @@ class TestF1:
         assert f1_at_threshold([obs(1.0, 0.75, 0.5)], gts, 0.25) == 0.0
         assert f1_at_threshold([obs(1.0, 0.75, 0.5)], gts, 0.25 + 1e-9) == 100.0
 
+    @pytest.mark.parametrize("t_l", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, t_l):
+        with pytest.raises(ValueError, match=f"t_l must be finite and > 0, got {t_l}"):
+            f1_at_threshold([obs(1.0, 0.5, 0.5)], [tgt(1, 0.5, 0.5)], t_l)
+
     def test_absent_and_not_predicted_is_vacuous(self):
         assert f1_at_threshold([obs(0.0, 0.5, 0.5)], [tgt(0)], 0.1) == 100.0
 

@@ -1,4 +1,4 @@
-"""Property tests: the run-granular cleaner, streaming, run-length encoding,
+"""Property tests: cleaning, streaming, run-length encoding,
 class statistics and the segmental metrics against the brute-force oracles
 in oracles.py, every clip builder against the one window rule, and the
 fused enhancement pass against the primitives it fuses.
@@ -55,7 +55,7 @@ def cleaner_configs(draw, n_classes):
 
 
 @given(run_lists(5), cleaner_configs(5))
-def test_run_fed_equals_frame_fed_equals_reference(pieces, cfg):
+def test_frame_fed_equals_batch_equals_reference(pieces, cfg):
     labels = timeline_of(pieces)
     want = clean_ref(labels.tolist(), cfg.threshold_for, cfg.background_id)
 
@@ -64,18 +64,6 @@ def test_run_fed_equals_frame_fed_equals_reference(pieces, cfg):
     pairs += frame_fed.flush()
     assert [f for f, _ in pairs] == list(range(labels.size))
     assert [lab for _, lab in pairs] == want
-
-    # the drawn pieces as they are: a piece with its predecessor's label
-    # continues that run instead of starting one
-    run_fed = StreamCleaner(cfg)
-    ranges, start = [], 0
-    for lab, n in pieces:
-        ranges += run_fed.push_run(start, n, lab)
-        start += n
-    ranges += run_fed.flush_ranges()
-    assert [s for s, _, _ in ranges[1:]] == [e for _, e, _ in ranges[:-1]]
-    assert np.repeat([lab for _, _, lab in ranges],
-                     [e - s for s, e, _ in ranges]).tolist() == want
 
     assert clean_timeline(labels, cfg).tolist() == want
 
