@@ -86,14 +86,18 @@ def levenshtein(a, b):
 
 
 def gather_mean(table, idx):
-    """Row means of table gathered at idx: out[r] = mean_j table[idx[r, j]].
+    """Row means of a float64 table gathered at idx: out[r] = mean_j table[idx[r, j]].
 
-    Accumulates over j sequentially, so a row adds its window in the same
-    order whether it arrives alone (the (1, T) streaming call) or inside an
-    (n, T) batch; that is what keeps stream and batch labels byte-identical.
+    One gather, table[idx.T], gives a C-contiguous (T, n, C) block; its T
+    slabs are then added in order, oldest first, and divided by T. So a row
+    adds its window in the same order whether it arrives alone (the (1, T)
+    streaming call) or inside an (n, T) batch; that is what keeps stream and
+    batch labels byte-identical. np.add.reduce and sum do not document their
+    summation order, so they are not used.
     """
-    acc = table[idx[:, 0]].astype(np.float64, copy=True)
-    for j in range(1, idx.shape[1]):
-        acc += table[idx[:, j]]
-    acc /= idx.shape[1]
+    g = table[idx.T]
+    acc = g[0]
+    for j in range(1, g.shape[0]):
+        acc += g[j]
+    acc /= g.shape[0]
     return acc

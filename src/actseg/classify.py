@@ -56,7 +56,11 @@ class LogitsBackend:
 
     @classmethod
     def from_file(cls, path, softmax_average: bool = False):
-        return cls(load_logits(path), softmax_average)
+        logits = load_logits(path)  # its errors name the path already
+        try:
+            return cls(logits, softmax_average)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def from_timeline(cls, labels, num_classes: int = NUM_CLASSES):
@@ -180,6 +184,9 @@ def read_logits_binary(path) -> np.ndarray:
     if len(blob) < 12:
         raise ValueError(f"{path}: truncated header")
     n, k = struct.unpack("<II", blob[4:12])
+    if (len(blob) - 12) % 4:
+        raise ValueError(f"{path}: body of {len(blob) - 12} bytes is not a whole number of"
+                         " float32 values")
     body = np.frombuffer(blob, dtype="<f4", offset=12)
     if body.size != n * k:
         raise ValueError(f"{path}: expected {n * k} values, found {body.size}")

@@ -34,7 +34,9 @@ class PipelineConfig:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
-_CHUNK = 8192
+# rows per gather_mean call in run_offline: its gathered (T, rows, C) float64 block
+# is 1.6 MB at T=8, C=25; at 8192 rows it was 13 MB and raised batch peak RSS by a third
+_CHUNK = 1024
 
 
 def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
@@ -69,7 +71,7 @@ class StreamSession:
         self.cfg = cfg
         self.backend = backend
         self.on_raw = on_raw
-        self._offsets = window_offsets(cfg.t, cfg.tau)
+        self._offsets = window_offsets(cfg.t, cfg.tau)[None, :]  # one (1, T) row
         self._lag = prediction_lag(cfg.t, cfg.tau)
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0
@@ -78,9 +80,10 @@ class StreamSession:
 
     def _predict(self, middle: int, newest: int) -> int:
         idx = middle + self._offsets
-        np.clip(idx, 0, newest, out=idx)
-        scores = _kernels.gather_mean(self.backend.table, idx.reshape(1, -1))[0]
-        label = int(np.argmax(scores))
+        # clamp to [0, newest] as run_offline's np.clip does, without its Python wrapper
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, newest, out=idx)
+        label = int(_kernels.gather_mean(self.backend.table, idx)[0].argmax())
         if self.on_raw is not None:
             self.on_raw(middle, label)
         return label

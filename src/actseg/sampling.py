@@ -45,9 +45,18 @@ def _validate(t, tau):
         raise ValueError(f"tau must be >= 1, got {tau}")
 
 
+# widest clip span (t-1)*tau: offsets then lie within +-2**62, and a frame index
+# (a row of an in-memory table, far below 2**62) plus an offset stays inside int64
+_MAX_SPAN = 2**62
+
+
 def window_offsets(t: int, tau: int) -> np.ndarray:
     """int64 offsets of a clip's T frames from its middle frame, oldest first."""
     _validate(t, tau)
+    span = (int(t) - 1) * int(tau)  # Python ints: numpy ones could wrap here too
+    if span > _MAX_SPAN:
+        raise ValueError(f"t={t} and tau={tau} span (t-1)*tau = {span} frames,"
+                         " more than int64 frame indices allow (2**62)")
     return np.arange(t, dtype=np.int64) * tau - middle_offset(t, tau)
 
 

@@ -160,9 +160,19 @@ def _in_frame_order(frames, rest, base):
     return rest
 
 
+def _timeline_rows(frames, rest, base):
+    """The labels, if frames count up from base and no label is negative; else a
+    ValueError at the first row that breaks either rule."""
+    labels = _in_frame_order(frames, rest, base)[:, 0]
+    bad = np.flatnonzero(labels < 0)
+    if bad.size:
+        raise ValueError(f"label_id must be >= 0, got {labels[bad[0]]}")
+    return labels
+
+
 def read_timeline_csv(path) -> np.ndarray:
-    """CSV `frame,label_id` with frames 0..N-1 in order."""
-    return _read_table(path, "timeline", 2, np.int64, _in_frame_order)[:, 0].copy()
+    """CSV `frame,label_id` with frames 0..N-1 in order and labels >= 0."""
+    return _read_table(path, "timeline", 2, np.int64, _timeline_rows).copy()
 
 
 # rows formatted per write: one string per block keeps the formatting out of

@@ -212,6 +212,8 @@ def read_timeline_ref(path):
                 raise ValueError(f"{path}:{ln}: non-integer field in {row!r}") from None
             if frame != len(labels):
                 raise ValueError(f"{path}:{ln}: expected frame {len(labels)}, got {frame}")
+            if label < 0:
+                raise ValueError(f"{path}:{ln}: label_id must be >= 0, got {label}")
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no timeline rows")

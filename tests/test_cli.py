@@ -263,6 +263,51 @@ class TestRun:
         assert code == 2, err
         assert f"{flag[2:]} must be finite and > 0, got {value}" in err
 
+    @pytest.mark.parametrize("tau", [3 * 10**18, 2**62])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tau_beyond_int64_is_data_error(self, capsys, tmp_path, tau, source):
+        # 3e18 wrapped around in int64 and mislabelled with exit 0; 2**62 raised an
+        # OverflowError (exit 1)
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 100 + [3] * 100)
+        argv = ["run", "--logits", str(logits_path), "--no-clean",
+                "--out-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--tau", str(tau)]
+        else:
+            cfg_path = tmp_path / "wide.cfg"
+            cfg_path.write_text(f"tau={tau}\n")
+            argv = ["--config", str(cfg_path)] + argv
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, err
+        assert f"t=8 and tau={tau} " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("odd_body", "body of 20001 bytes is not a whole number of float32 values"),
+        ("no_frames", "logits must be (n_frames, n_classes), got shape (0, 25)"),
+        ("nan", "non-finite logit nan at frame 5, column 3"),
+    ])
+    def test_logits_binary_errors_name_the_file(self, capsys, tmp_path, case, message):
+        logits = one_hot_logits([5] * 200)
+        logits_path = tmp_path / f"{case}.logits"
+        if case == "nan":
+            logits[5, 3] = np.nan
+        write_logits_binary(logits_path, logits[:0] if case == "no_frames" else logits)
+        if case == "odd_body":
+            with open(logits_path, "ab") as fh:
+                fh.write(b"x")
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert f"actseg: error: {logits_path}: {message}" in err
+
+    def test_negative_gt_label_names_line(self, capsys, tmp_path):
+        logits_path, gt_path = make_run_inputs(tmp_path, [1] * 10)
+        gt_path.write_text("frame,label_id\n" + "".join(f"{i},{-3 if i == 4 else 1}\n"
+                                                          for i in range(10)))
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{gt_path}:6: label_id must be >= 0, got -3" in err
+
     @pytest.mark.parametrize("text", ["ignore_background=ture\n", "kappa=nan\n", "fps=inf\n",
                                       "t=2.5\n"])
     def test_bad_config_value_names_line(self, capsys, tmp_path, text):
@@ -395,6 +440,14 @@ class TestSweepKappa:
         code, _, err = run_cli(capsys, "sweep-kappa", "--raw", str(raw_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{raw_path}:3: " in err
+
+    def test_negative_raw_label_names_line(self, capsys, tmp_path):
+        raw_path, gt_path = tmp_path / "raw.csv", tmp_path / "gt.csv"
+        raw_path.write_text("frame,label_id\n0,3\n1,-3\n")
+        write_timeline_csv(gt_path, [3, 3])
+        code, _, err = run_cli(capsys, "sweep-kappa", "--raw", str(raw_path), "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{raw_path}:3: label_id must be >= 0, got -3" in err
 
     def test_stats_class_outside_label_space_is_data_error(self, capsys, tmp_path):
         t_path = tmp_path / "t.csv"
@@ -653,6 +706,14 @@ class TestSynth:
         assert csv_path.read_text().startswith("frame,logit_0")
         from actseg.classify import load_logits
         assert np.array_equal(load_logits(bin_path), load_logits(csv_path))
+
+    def test_negative_gt_label_names_line(self, capsys, tmp_path):
+        # was read, corrupted and reported with exit 0
+        gt_path = tmp_path / "gt.csv"
+        gt_path.write_text("frame,label_id\n0,2\n1,2\n2,-1\n")
+        code, _, err = run_cli(capsys, "synth", "--gt", str(gt_path))
+        assert code == 2, err
+        assert f"{gt_path}:4: label_id must be >= 0, got -1" in err
 
     def test_seed_reproducible(self, capsys, tmp_path):
         gt_path = tmp_path / "gt.csv"

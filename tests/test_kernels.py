@@ -85,6 +85,24 @@ def test_gather_mean_row_independent_of_batch():
         assert _kernels.gather_mean(table, idx[r:r + 1]).tobytes() == batch[r].tobytes()
 
 
+@pytest.mark.parametrize("t", [1, 2, 8, 13])
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_gather_mean_adds_each_window_oldest_first(t, n):
+    # the bytes of an explicit left fold ((t[i0] + t[i1]) + ...) / T: a kernel that
+    # sums pairwise or in reverse on every row would still pass the test above
+    rng = np.random.default_rng(100 * t + n)
+    table = rng.normal(size=(50, 25)) * 10.0 ** rng.integers(-8, 9, size=(50, 1))
+    idx = rng.integers(0, 50, size=(n, t))
+    want = np.empty((n, 25))
+    for r in range(n):
+        for c in range(25):
+            acc = float(table[idx[r, 0], c])
+            for j in range(1, t):
+                acc = acc + float(table[idx[r, j], c])
+            want[r, c] = acc / t
+    assert _kernels.gather_mean(table, idx).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("t, c_out, c_in, h, w", [
     (1, 4, 4, 5, 7),       # single frame
     (3, 2, 6, 4, 4),       # fewer outputs than inputs

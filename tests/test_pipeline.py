@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from actseg import _kernels
 from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
-from actseg.pipeline import PipelineConfig, StreamSession, run_offline, stream_all
-from actseg.sampling import inference_clip, prediction_lag
+from actseg.pipeline import _CHUNK, PipelineConfig, StreamSession, run_offline, stream_all
+from actseg.sampling import inference_clip, prediction_lag, window_offsets
 from actseg.timeline import BACKGROUND_ID, segments_from_timeline
 
 
@@ -42,6 +43,18 @@ class TestOffline:
             win = np.clip(m + (np.arange(cfg.t) - pos) * cfg.tau, 0, 299)
             want = int(np.argmax(logits[win].mean(axis=0)))
             assert raw[m] == want
+
+    @pytest.mark.parametrize("seq_len", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_raw_equals_per_row_kernel_across_chunk_edges(self, seq_len):
+        rng = np.random.default_rng(seq_len)
+        backend = LogitsBackend(rng.normal(size=(seq_len + 50, 25)))
+        cfg = PipelineConfig(t=8, tau=8)
+        raw, _ = run_offline(cfg, backend, seq_len)
+        offsets = window_offsets(cfg.t, cfg.tau)
+        want = [int(_kernels.gather_mean(backend.table,
+                                         np.clip(m + offsets, 0, seq_len - 1)[None, :])[0].argmax())
+                for m in range(seq_len)]
+        assert raw.tolist() == want
 
     def test_cleaner_applied(self):
         gt = np.array([BACKGROUND_ID] * 40 + [0] * 30 + [BACKGROUND_ID] * 40)

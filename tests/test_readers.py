@@ -9,10 +9,16 @@ are pinned one at a time below: quoted fields, `_` digit separators, integers
 beyond int64, and a first line that does not start with a letter, which the
 old parsers could drop as a header (a `+0`, a quoted row, a row after a byte
 order mark).
+
+A timeline label below 0 is an error at its line, for the reader and the row
+parser alike. The logits binary has its own fuzz test at the end: `actseg run`
+on a mutated file exits 0 with the unmutated output or 2 naming the file.
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import re
 import struct
@@ -22,7 +28,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actseg.classify import read_logits_csv, write_logits_csv
+from actseg.classify import read_logits_csv, write_logits_binary, write_logits_csv
+from actseg.cli import main
 from actseg.hands import HandObservation, HandTarget, read_hand_predictions, read_hand_targets
 from actseg.timeline import read_segments_csv, read_timeline_csv, write_timeline_csv
 from oracles import read_hands_ref, read_logits_ref, read_segments_ref, read_timeline_ref
@@ -297,3 +304,72 @@ def test_logits_round_trip_bit_exact_over_sixty_decades(tmp_path):
     back = read_logits_csv(path)
     assert back.flags.c_contiguous
     assert back.tobytes() == logits.tobytes()
+
+
+def test_negative_label_names_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("frame,label_id\n0,1\n1,-3\n2,1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: label_id must be >= 0, got -3$"):
+        read_timeline_csv(path)
+
+
+# ------------------------------------------------ the logits binary, through the CLI
+
+FUZZ_LOGITS = np.random.default_rng(23).normal(size=(40, 25)).astype("<f4")
+HEADER = 12  # b"ATSL", then frames and classes as <u4
+
+
+@st.composite
+def mutated_logits(draw):
+    """The bytes of a valid logits binary after one mutation: truncated, 1-3 bytes
+    appended, the frame or class count rewritten, or a NaN or inf written over a value."""
+    blob = bytearray(b"ATSL" + struct.pack("<II", *FUZZ_LOGITS.shape) + FUZZ_LOGITS.tobytes())
+    kind = draw(st.sampled_from(["truncate", "append", "header", "non_finite"]))
+    if kind == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if kind == "append":
+        return bytes(blob) + draw(st.binary(min_size=1, max_size=3))
+    if kind == "header":
+        at = draw(st.sampled_from([4, 8]))
+        blob[at:at + 4] = struct.pack("<I", draw(st.integers(0, 2**32 - 1)))
+        return bytes(blob)
+    at = HEADER + 4 * draw(st.integers(0, FUZZ_LOGITS.size - 1))
+    blob[at:at + 4] = np.array(draw(st.sampled_from([np.nan, np.inf, -np.inf])), "<f4").tobytes()
+    return bytes(blob)
+
+
+def run_outputs(logits_path, out_dir):
+    """(0, [stdout, raw.csv, cleaned.csv]) or (exit code, stderr) of actseg run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--logits", str(logits_path), "--t", "4", "--tau", "3",
+                     "--out-dir", str(out_dir)])
+    if code != 0:
+        return code, err.getvalue()
+    return code, [out.getvalue()] + [(out_dir / n).read_bytes() for n in ("raw.csv", "cleaned.csv")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("logits_fuzz")
+
+
+@pytest.fixture(scope="module")
+def unmutated_outputs(fuzz_dir):
+    path = fuzz_dir / "clean.logits"
+    write_logits_binary(path, FUZZ_LOGITS)
+    code, outputs = run_outputs(path, fuzz_dir / "clean_out")
+    assert code == 0, outputs
+    return outputs
+
+
+@given(blob=mutated_logits())
+def test_mutated_logits_binary_runs_unchanged_or_names_the_file(fuzz_dir, unmutated_outputs, blob):
+    path = fuzz_dir / "mutated.logits"
+    path.write_bytes(blob)
+    code, got = run_outputs(path, fuzz_dir / "mutated_out")
+    if code == 0:
+        assert got == unmutated_outputs
+    else:
+        assert code == 2
+        assert got.startswith(f"actseg: error: {path}"), got

@@ -69,6 +69,18 @@ class TestWindowOffsets:
         with pytest.raises(ValueError):
             window_offsets(8, 0)
 
+    @pytest.mark.parametrize("t, tau", [(8, 3 * 10**18), (8, 2**62), (2, 2**62 + 1), (2**62, 2)])
+    def test_span_beyond_int64_rejected(self, t, tau):
+        # offsets or frame + offset would wrap in int64, or overflow converting to it
+        with pytest.raises(ValueError, match=f"t={t} and tau={tau} "):
+            window_offsets(t, tau)
+
+    def test_widest_span_fits_int64(self):
+        offsets = window_offsets(2, 2**62)
+        assert offsets.tolist() == [0, 2**62]
+        assert (offsets + (2**62 - 1)).tolist() == [2**62 - 1, 2**63 - 1]
+        assert window_offsets(3, 2**61).tolist() == [-(2**61), 0, 2**61]
+
 
 class TestMiddleClip:
     def test_recovers_inference_clip(self):
