@@ -85,19 +85,27 @@ def levenshtein(a, b):
     return dist
 
 
+def fold_mean(slabs):
+    """Mean of T equal-shape slabs as a left fold: ((s0 + s1) + ...) + s(T-1), then / T.
+
+    The sum builds up in slabs[0], which the caller owns and gets back.
+    Every window mean of the batch and streaming paths comes from here, so
+    a row adds its window in the same order whether its slabs are gathered
+    or sliced, alone or in a batch: that is what keeps stream and batch
+    labels byte-identical. np.add.reduce and sum do not document their
+    summation order, so they are not used.
+    """
+    acc = slabs[0]
+    for j in range(1, len(slabs)):  # iterating slabs[1:] of a gathered block cost a push ~1 us
+        acc += slabs[j]
+    acc /= len(slabs)
+    return acc
+
+
 def gather_mean(table, idx):
     """Row means of a float64 table gathered at idx: out[r] = mean_j table[idx[r, j]].
 
-    One gather, table[idx.T], gives a C-contiguous (T, n, C) block; its T
-    slabs are then added in order, oldest first, and divided by T. So a row
-    adds its window in the same order whether it arrives alone (the (1, T)
-    streaming call) or inside an (n, T) batch; that is what keeps stream and
-    batch labels byte-identical. np.add.reduce and sum do not document their
-    summation order, so they are not used.
+    One gather, table[idx.T], gives a C-contiguous (T, n, C) block whose T
+    slabs fold_mean adds oldest first.
     """
-    g = table[idx.T]
-    acc = g[0]
-    for j in range(1, g.shape[0]):
-        acc += g[j]
-    acc /= g.shape[0]
-    return acc
+    return fold_mean(table[idx.T])

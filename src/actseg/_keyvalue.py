@@ -2,7 +2,8 @@
 blank lines and `#` comments skipped, errors raised as `path:line: ...`."""
 
 import math
-from pathlib import Path
+
+from .timeline import _text_lines
 
 
 def finite_float(text: str) -> float:
@@ -21,10 +22,11 @@ def boolean(text: str) -> bool:
 
 def read(path, parsers: dict, kind: str) -> dict:
     """{key: parsers[key](value)} for each key the file sets; a line without
-    `=`, an unknown or repeated key, or a value its parser rejects (ValueError
-    or KeyError) is a ValueError naming the file and line."""
+    `=`, an unknown or repeated key, a value its parser rejects (ValueError
+    or KeyError), or bytes that are not UTF-8 are a ValueError naming the
+    file and line."""
     values = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in _text_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

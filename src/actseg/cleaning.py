@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .timeline import BACKGROUND_ID, NUM_CLASSES, as_runs, as_timeline, encode_runs
+from .timeline import BACKGROUND_ID, NUM_CLASSES, _text_lines, as_runs, as_timeline, encode_runs
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
 
@@ -144,35 +144,68 @@ class StreamCleaner:
         return [(f, self._prev) for f in range(self._start, self._next)]
 
 
-def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
-    """Offline cleaning in closed form over runs: a run shorter than its threshold takes
-    the label of the last run that survived, or background if none has yet."""
-    arr = as_timeline(labels)
-    if arr.size == 0:
-        return arr.copy()
-    starts, ends, runs = encode_runs(arr)
+def _label_runs(labels, cfg: CleanerConfig):
+    """encode_runs of a nonempty timeline whose labels all lie in the label space."""
+    starts, ends, runs = encode_runs(labels)
     bad = runs[(runs < 0) | (runs >= cfg.num_classes)]
     if bad.size:  # a negative label would index the threshold table from its end
         raise ValueError(f"label {bad[0]} outside [0, {cfg.num_classes})")
+    return starts, ends, runs
+
+
+def _cleaned_run_labels(starts, ends, runs, cfg: CleanerConfig) -> np.ndarray:
+    """The cleaning rule in closed form over runs: a run survives if it reaches its
+    class threshold, and every run takes the label of the last surviving run
+    (background before any). Returns each run's label after cleaning."""
     keep = ends - starts >= cfg.thresholds()[runs]
     last_kept = np.maximum.accumulate(np.where(keep, np.arange(runs.size), -1))
-    out = np.repeat(np.where(last_kept >= 0, runs[last_kept], cfg.background_id), ends - starts)
+    return np.where(last_kept >= 0, runs[last_kept], cfg.background_id)
+
+
+def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
+    """Offline cleaning: a run shorter than its threshold takes the label of the last
+    run that survived, or background if none has yet."""
+    arr = as_timeline(labels)
+    if arr.size == 0:
+        return arr.copy()
+    starts, ends, runs = _label_runs(arr, cfg)
+    out = np.repeat(_cleaned_run_labels(starts, ends, runs, cfg), ends - starts)
     assert out.size == arr.size, "cleaned runs do not cover the timeline"
     return out
 
 
+def _merged(starts, ends, labels):
+    """Runs after joining neighbours of one label: (starts, ends, labels) again."""
+    head = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+    tail = np.concatenate((head[1:] - 1, [labels.size - 1]))
+    return starts[head], ends[tail], labels[head]
+
+
 def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
-    """Mean background-omitted F1@0.5 after cleaning, per sweep kappa."""
+    """Mean background-omitted F1@0.5 after cleaning, per sweep kappa.
+
+    Each raw and ground-truth timeline is run-length encoded once; per kappa
+    the cleaned runs come from the raw runs directly, never as frames.
+    """
     raws = [as_timeline(t) for t in timelines_raw]
     gts = [as_timeline(t) for t in timelines_gt]
     if not raws or len(raws) != len(gts):
         raise ValueError(f"need matching raw/gt timelines, got {len(raws)} vs {len(gts)}")
     eval_cfg = metrics.EvalConfig(ignore_background=True, background_id=cfg_base.background_id)
+    pairs = []
+    for r, g in zip(raws, gts):
+        if r.size != g.size:
+            raise ValueError(f"length mismatch: {r.size} vs {g.size}")
+        pairs.append((_label_runs(r, cfg_base),
+                      metrics._scored_runs(encode_runs(g), eval_cfg), r.size))
     scores = {}
     for kappa in SWEEP_KAPPAS:
         cfg = dataclasses.replace(cfg_base, kappa=kappa)
-        vals = [metrics.f1_at_iou(clean_timeline(r, cfg), g, 0.5, eval_cfg)
-                for r, g in zip(raws, gts)]
+        vals = []
+        for (starts, ends, runs), gt_runs, length in pairs:
+            cleaned = _merged(starts, ends, _cleaned_run_labels(starts, ends, runs, cfg))
+            vals.append(metrics._runs_f1(metrics._scored_runs(cleaned, eval_cfg), gt_runs,
+                                         length, 0.5))
         scores[kappa] = float(np.mean(vals))
     return scores
 
@@ -184,14 +217,17 @@ def sweep_kappa(timelines_raw, timelines_gt, cfg_base: CleanerConfig) -> float:
 
 
 def read_class_stats(path):
-    """JSON array of {class_id, name, count, mean_frames, std_frames} -> dict by class id."""
+    """JSON array of {class_id, name, count, mean_frames, std_frames} -> dict by class id.
+
+    Each class id appears once; bytes that are not UTF-8 are an error at their line."""
+    text = "".join(line for _, line in _text_lines(path))
     try:
-        records = json.loads(Path(path).read_text())
+        records = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(records, list) or not records:
         raise ValueError(f"{path}: expected a nonempty JSON array of class stats")
-    stats = {}
+    stats, record_of = {}, {}
     for i, rec in enumerate(records):
         try:
             cid, count = rec["class_id"], rec["count"]
@@ -201,6 +237,9 @@ def read_class_stats(path):
                                     float(rec["std_frames"]), str(rec.get("name", "")))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None
+        if cid in record_of:
+            raise ValueError(f"{path}: records {record_of[cid]} and {i} both have class_id {cid}")
+        record_of[cid] = i
     return stats
 
 

@@ -26,9 +26,15 @@ class EvalConfig:
 DEFAULT_EVAL = EvalConfig()
 
 
-def _scored_runs(labels, cfg):
-    """(starts, ends, labels) of a timeline's runs, without background runs when ignored."""
-    runs = encode_runs(labels)
+def _aligned(pred, gt):
+    p, g = as_timeline(pred), as_timeline(gt)
+    if p.size != g.size:
+        raise ValueError(f"length mismatch: {p.size} vs {g.size}")
+    return p, g
+
+
+def _scored_runs(runs, cfg):
+    """Runs (starts, ends, labels) without background runs when ignored."""
     if runs[2].min() < 0:
         raise ValueError(f"class_id must be >= 0, got {runs[2].min()}")
     if cfg.ignore_background:
@@ -37,11 +43,11 @@ def _scored_runs(labels, cfg):
     return runs
 
 
-def frame_accuracy(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
-    """Percent of frames labelled correctly; background ground truth is skipped when ignored."""
-    p, g = as_timeline(pred), as_timeline(gt)
-    if p.size != g.size:
-        raise ValueError(f"length mismatch: {p.size} vs {g.size}")
+def _both_scored_runs(p, g, cfg):
+    return _scored_runs(encode_runs(p), cfg), _scored_runs(encode_runs(g), cfg)
+
+
+def _accuracy(p, g, cfg) -> float:
     if cfg.ignore_background:
         mask = g != cfg.background_id
         if not mask.any():
@@ -50,18 +56,23 @@ def frame_accuracy(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
     return 100.0 * float(np.mean(p == g))
 
 
-def edit_score(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
-    """100 * (1 - levenshtein(pred segment labels, gt segment labels) / max length)."""
-    p, g = as_timeline(pred), as_timeline(gt)
-    if p.size != g.size:
-        raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-    pl = _scored_runs(p, cfg)[2]
-    gl = _scored_runs(g, cfg)[2]
+def _edit(pl, gl) -> float:
     longest = max(pl.size, gl.size)
     if longest == 0:
         return 100.0
     dist = _kernels.levenshtein(pl, gl)
     return 100.0 * (1.0 - dist / longest)
+
+
+def frame_accuracy(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
+    """Percent of frames labelled correctly; background ground truth is skipped when ignored."""
+    return _accuracy(*_aligned(pred, gt), cfg)
+
+
+def edit_score(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
+    """100 * (1 - levenshtein(pred segment labels, gt segment labels) / max length)."""
+    pr, gr = _both_scored_runs(*_aligned(pred, gt), cfg)
+    return _edit(pr[2], gr[2])
 
 
 def _overlap_pairs(pred, gt, length):
@@ -124,38 +135,42 @@ def _f1_pct(tp, fp, fn) -> float:
     return 100.0 * 2 * tp / denom
 
 
-def _scored_pairs(pred, gt, cfg):
-    p, g = as_timeline(pred), as_timeline(gt)
-    if p.size != g.size:
-        raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-    pr, gr = _scored_runs(p, cfg), _scored_runs(g, cfg)
-    return pr, gr, _overlap_pairs(pr, gr, p.size)
-
-
-def f1_at_iou(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL) -> float:
-    """Segmental F1 (percent) at one IoU threshold."""
-    pr, gr, pairs = _scored_pairs(pred, gt, cfg)
-    tp = _claimed(pairs, threshold).size
+def _f1(pr, gr, claimed) -> float:
+    tp = claimed.size
     return _f1_pct(tp, pr[0].size - tp, gr[0].size - tp)
 
 
-def per_class_f1(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL):
-    """Per-class tp/fp/fn/F1 of the segmental matching at one threshold.
+def _runs_f1(pr, gr, length, threshold) -> float:
+    """Segmental F1 (percent) at one threshold of scored runs on a timeline of length frames."""
+    return _f1(pr, gr, _claimed(_overlap_pairs(pr, gr, length), threshold))
 
-    Matching never crosses classes, so each class's counts are the global
-    greedy pass's counts restricted to that class.
-    """
-    pr, gr, pairs = _scored_pairs(pred, gt, cfg)
+
+def _class_rows(pr, gr, claimed):
+    """Per-class tp/fp/fn/F1 rows. Matching never crosses classes, so each class's
+    counts are the global greedy pass's counts restricted to that class."""
     classes = np.union1d(pr[2], gr[2])
     size = int(classes[-1]) + 1 if classes.size else 0
     n_pred = np.bincount(pr[2], minlength=size).tolist()
     n_gt = np.bincount(gr[2], minlength=size).tolist()
-    n_tp = np.bincount(gr[2][_claimed(pairs, threshold)], minlength=size).tolist()
+    n_tp = np.bincount(gr[2][claimed], minlength=size).tolist()
     rows = []
     for cid in classes.tolist():
         tp, fp, fn = n_tp[cid], n_pred[cid] - n_tp[cid], n_gt[cid] - n_tp[cid]
         rows.append({"class_id": cid, "tp": tp, "fp": fp, "fn": fn, "f1": _f1_pct(tp, fp, fn)})
     return rows
+
+
+def f1_at_iou(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL) -> float:
+    """Segmental F1 (percent) at one IoU threshold."""
+    p, g = _aligned(pred, gt)
+    return _runs_f1(*_both_scored_runs(p, g, cfg), p.size, threshold)
+
+
+def per_class_f1(pred, gt, threshold: float, cfg: EvalConfig = DEFAULT_EVAL):
+    """Per-class tp/fp/fn/F1 of the segmental matching at one threshold."""
+    p, g = _aligned(pred, gt)
+    pr, gr = _both_scored_runs(p, g, cfg)
+    return _class_rows(pr, gr, _claimed(_overlap_pairs(pr, gr, p.size), threshold))
 
 
 def segment_level_f1(pred_labels, gt_labels, micro: bool = False) -> float:
@@ -180,14 +195,23 @@ def segment_level_f1(pred_labels, gt_labels, micro: bool = False) -> float:
 
 
 def evaluate(pred, gt, cfg: EvalConfig = DEFAULT_EVAL, class_names=None) -> dict:
-    """Full report: accuracy, edit score, F1 at each threshold, per-class detail."""
+    """Full report: accuracy, edit score, F1 at each threshold, per-class detail.
+
+    Each timeline's runs and the overlap pairs are built once, and the greedy
+    matching runs once per distinct threshold; the per-class detail reuses the
+    matching at the largest threshold.
+    """
+    p, g = _aligned(pred, gt)
+    pr, gr = _both_scored_runs(p, g, cfg)
+    pairs = _overlap_pairs(pr, gr, p.size)
+    claims = {thr: _claimed(pairs, thr) for thr in set(cfg.iou_thresholds)}
     report = {
-        "acc": frame_accuracy(pred, gt, cfg),
-        "edit": edit_score(pred, gt, cfg),
-        "f1": {f"{thr:g}": f1_at_iou(pred, gt, thr, cfg) for thr in cfg.iou_thresholds},
+        "acc": _accuracy(p, g, cfg),
+        "edit": _edit(pr[2], gr[2]),
+        "f1": {f"{thr:g}": _f1(pr, gr, claims[thr]) for thr in cfg.iou_thresholds},
     }
     detail_thr = max(cfg.iou_thresholds)
-    rows = per_class_f1(pred, gt, detail_thr, cfg)
+    rows = _class_rows(pr, gr, claims[detail_thr])
     if class_names:
         for row in rows:
             name = class_names.get(row["class_id"])

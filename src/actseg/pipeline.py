@@ -34,25 +34,46 @@ class PipelineConfig:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
-# rows per gather_mean call in run_offline: its gathered (T, rows, C) float64 block
-# is 1.6 MB at T=8, C=25; at 8192 rows it was 13 MB and raised batch peak RSS by a third
+# rows per window-mean block in run_offline: an edge block gathers a (T, rows, C) float64
+# array, 1.6 MB at T=8, C=25; at 8192 rows it was 13 MB and raised batch peak RSS by a third
 _CHUNK = 1024
 
 
 def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
-    """Raw and cleaned timelines for frames [0, seq_len); windows clamp at both ends."""
+    """Raw and cleaned timelines for frames [0, seq_len); windows clamp at both ends.
+
+    A row whose whole window lies inside [0, seq_len) needs no gather: its
+    slab j is a plain slice of the table, so an interior block folds T slices
+    into one reused buffer. The edge rows gather their clamped windows. Both
+    add through _kernels.fold_mean, so every row sums its window oldest first.
+    """
     if seq_len is None:
         seq_len = backend.num_frames
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
+    table = backend.table
     offsets = window_offsets(cfg.t, cfg.tau)
+    shifts = offsets.tolist()
+    # rows first..stop-1 have every window frame inside [0, seq_len)
+    first, stop = -shifts[0], seq_len - shifts[-1]
     raw = np.empty(seq_len, dtype=np.int64)
-    for lo in range(0, seq_len, _CHUNK):
-        hi = min(lo + _CHUNK, seq_len)
-        idx = np.arange(lo, hi, dtype=np.int64)[:, None] + offsets[None, :]
-        np.clip(idx, 0, seq_len - 1, out=idx)
-        scores = _kernels.gather_mean(backend.table, idx)
-        raw[lo:hi] = np.argmax(scores, axis=1)
+    if first < stop:
+        buf = np.empty((min(_CHUNK, stop - first), table.shape[1]))
+        for lo in range(first, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            acc = buf[:hi - lo]  # the sum builds up here, never in the table
+            acc[...] = table[lo + shifts[0]:hi + shifts[0]]
+            slabs = [acc] + [table[lo + d:hi + d] for d in shifts[1:]]
+            raw[lo:hi] = np.argmax(_kernels.fold_mean(slabs), axis=1)
+        edges = ((0, first), (stop, seq_len))
+    else:
+        edges = ((0, seq_len),)
+    for edge_lo, edge_hi in edges:
+        for lo in range(edge_lo, edge_hi, _CHUNK):
+            hi = min(lo + _CHUNK, edge_hi)
+            idx = np.arange(lo, hi, dtype=np.int64)[:, None] + offsets[None, :]
+            np.clip(idx, 0, seq_len - 1, out=idx)
+            raw[lo:hi] = np.argmax(_kernels.gather_mean(table, idx), axis=1)
     if cfg.cleaner is None:
         return raw, raw.copy()
     return raw, clean_timeline(raw, cfg.cleaner)

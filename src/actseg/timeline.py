@@ -83,17 +83,32 @@ def timeline_from_segments(runs, length=None, fill=BACKGROUND_ID) -> np.ndarray:
 
 
 # UTF-8; a byte order mark before the first line is not part of it
-_CSV_ENCODING = "utf-8-sig"
+_TEXT_ENCODING = "utf-8-sig"
+
+
+def _text_lines(path):
+    """(line number, text) of each line of a UTF-8 text file, line end included; a
+    line holding bytes that are not UTF-8 is a ValueError naming path:line."""
+    # surrogateescape decodes a bad byte b to the lone surrogate U+DC00+b, which
+    # valid UTF-8 never yields, so the line can be found and the byte named
+    with open(path, encoding=_TEXT_ENCODING, errors="surrogateescape") as fh:
+        for ln, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ValueError(f"{path}:{ln}: byte {byte:#04x} is not UTF-8") from None
+            yield ln, line
 
 
 def _data_lines(path):
     """(line number, text) of each non-empty line but a header: a first line that starts
     with an ASCII letter. Lines end as np.loadtxt ends them."""
-    with open(path, encoding=_CSV_ENCODING) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line and (ln > 1 or not re.match("[A-Za-z]", line)):
-                yield ln, line
+    for ln, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if line and (ln > 1 or not re.match("[A-Za-z]", line)):
+            yield ln, line
 
 
 def _read_table(path, what, ncols, dtype, check):
@@ -112,7 +127,7 @@ def _read_table(path, what, ncols, dtype, check):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 reads int "5.5" as 5
             t = np.loadtxt(source, dt, delimiter=",", comments=None, quotechar=None,
-                           ndmin=1 if dt.names else 2, skiprows=skiprows, encoding=_CSV_ENCODING)
+                           ndmin=1 if dt.names else 2, skiprows=skiprows, encoding=_TEXT_ENCODING)
         # the reshape fails on a table of another width
         return (t["first"], t["rest"]) if dt.names else (t[:, 0], t.reshape(len(t), ncols)[:, 1:])
 
@@ -144,7 +159,7 @@ def _read_table(path, what, ncols, dtype, check):
 
     try:  # lines before the first row are empty or a header
         return check(*load(path, int(head[0] > 1)), 0)
-    except (ValueError, DeprecationWarning):
+    except (ValueError, DeprecationWarning):  # a UnicodeDecodeError too: _data_lines locates it
         lines = list(_data_lines(path))
         error = first_error(lines, 0, len(lines))
         if error is not None:

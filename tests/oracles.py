@@ -138,6 +138,18 @@ def clean_ref(labels, threshold_of, background_id):
     return out
 
 
+def kappa_scores_ref(raws, gts, kappas, threshold_of, background_id):
+    """Per kappa, the mean over recordings of background-omitted F1@0.5 after
+    frame-by-frame cleaning with threshold_of(kappa, label)."""
+    scores = {}
+    for kappa in kappas:
+        vals = [f1_at_iou_ref(clean_ref(raw, lambda label: threshold_of(kappa, label),
+                                        background_id), gt, 0.5, True, background_id)
+                for raw, gt in zip(raws, gts)]
+        scores[kappa] = float(np.mean(vals))
+    return scores
+
+
 def central_diff(fn, x, h=1e-6):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)

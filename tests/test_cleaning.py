@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamClea
                              read_class_stats, sweep_kappa, threshold, write_class_stats)
 from actseg.refstats import REFERENCE_CLASSES, class_name, reference_class_stats
 from actseg.timeline import BACKGROUND_ID
-from oracles import class_stats_ref
+from oracles import class_stats_ref, kappa_scores_ref
 
 
 def stats_of(by_id):
@@ -297,6 +298,34 @@ class TestSweep:
             assert scores[k] == (100.0 if k >= 1.5 else 0.0)
         assert sweep_kappa([raw, raw], [gt, gt], cfg) == 1.5
 
+    def test_scores_equal_frame_by_frame_oracle(self):
+        # two recordings of different lengths; class thresholds floor(mean - kappa*std)
+        # move across the sweep, so each kappa cleans differently
+        rng = np.random.default_rng(31)
+        stats = {c: ClassStats(c, 5, float(rng.uniform(8, 30)), float(rng.uniform(2, 9)))
+                 for c in (0, 1, 2, 3, BACKGROUND_ID)}
+        cfg = CleanerConfig(stats=stats)
+        raws, gts = [], []
+        for n in (1500, 2300):
+            gt = np.repeat(rng.choice([0, 1, 2, 3, BACKGROUND_ID], size=n),
+                           rng.integers(5, 40, size=n))[:n]
+            raw = gt.copy()
+            for pos in rng.integers(0, n - 12, size=n // 25):
+                raw[pos:pos + rng.integers(1, 12)] = rng.choice([0, 1, 2, 3, BACKGROUND_ID])
+            raws.append(raw)
+            gts.append(gt)
+        scores = kappa_scores(raws, gts, cfg)
+        want = kappa_scores_ref([r.tolist() for r in raws], [g.tolist() for g in gts],
+                                SWEEP_KAPPAS,
+                                lambda k, c: dataclasses.replace(cfg, kappa=k).threshold_for(c),
+                                BACKGROUND_ID)
+        assert scores == want
+        assert len(set(scores.values())) > 3
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            kappa_scores([[0, 0, 0]], [[0, 0]], CleanerConfig())
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             sweep_kappa([], [], CleanerConfig())
@@ -370,3 +399,26 @@ class TestStatsIO:
         path.write_text('[{"class_id": 0, "count": 5}]')
         with pytest.raises(ValueError, match="record 0"):
             read_class_stats(path)
+
+    def test_repeated_class_id_names_both_records(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('[{"class_id": 3, "count": 2, "mean_frames": 9.0, "std_frames": 1.0},'
+                        ' {"class_id": 5, "count": 2, "mean_frames": 9.0, "std_frames": 1.0},'
+                        ' {"class_id": 3, "count": 4, "mean_frames": 7.0, "std_frames": 1.0}]')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: records 0 and 2 both"
+                                             " have class_id 3$"):
+            read_class_stats(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'[{"class_id": 3, "count": 2,\n "mean_frames": 9.0, "std_frames": 1.0,\n'
+                         b' "name": "pick \xe9"}]\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: byte 0xe9 is not UTF-8$"):
+            read_class_stats(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "stats.json"
+        stats = {0: ClassStats(0, 5, 12.5, 3.25, "pick")}
+        write_class_stats(stats, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_class_stats(path) == stats

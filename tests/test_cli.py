@@ -230,6 +230,17 @@ class TestRun:
         assert "class id 40" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_stats_class_id_is_data_error(self, capsys, tmp_path):
+        # the later record silently replaced the earlier one, with exit 0
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        stats_path = tmp_path / "stats.json"
+        record = '{{"class_id": 3, "count": 9, "mean_frames": {}, "std_frames": 5.0}}'
+        stats_path.write_text(f"[{record.format(20.0)}, {record.format(40.0)}]")
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path),
+                               "--stats", str(stats_path))
+        assert code == 2, err
+        assert f"actseg: error: {stats_path}: records 0 and 1 both have class_id 3" in err
+
     def test_non_finite_logits_is_data_error(self, capsys, tmp_path):
         logits = one_hot_logits([5] * 100)
         logits[50, 3] = np.nan
@@ -461,6 +472,59 @@ class TestSweepKappa:
         assert "class id 30 outside [0, 30)" in err
 
 
+class TestBytesNotUtf8:
+    """A byte that is not UTF-8 in any text input exits 2 naming the file and the
+    line that holds it; the message used to be only the codec's, with no file."""
+
+    @staticmethod
+    def bad(path, lines, at):
+        """Write lines, with byte 0xff at the start of the last field of line `at`."""
+        text = [line.encode() for line in lines]
+        head, comma, last = text[at - 1].rpartition(b",")
+        text[at - 1] = head + comma + b"\xff" + last if comma else b"\xff" + text[at - 1]
+        path.write_bytes(b"\n".join(text) + b"\n")
+        return path
+
+    def expect(self, capsys, argv, path, line):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, err
+        assert err == f"actseg: error: {path}:{line}: byte 0xff is not UTF-8\n"
+
+    @pytest.mark.parametrize("at", [1, 3, 61])
+    def test_synth_gt(self, capsys, tmp_path, at):
+        lines = ["frame,label_id"] + [f"{i},1" for i in range(60)]
+        path = self.bad(tmp_path / "gt.csv", lines, at)
+        self.expect(capsys, ["synth", "--gt", str(path)], path, at)
+
+    def test_sweep_kappa_raw(self, capsys, tmp_path):
+        lines = ["frame,label_id"] + [f"{i},1" for i in range(5)]
+        path = self.bad(tmp_path / "raw.csv", lines, 3)
+        gt_path = tmp_path / "gt.csv"
+        write_timeline_csv(gt_path, [1] * 5)
+        self.expect(capsys, ["sweep-kappa", "--raw", str(path), "--gt", str(gt_path)], path, 3)
+
+    def test_run_logits_without_the_binary_magic(self, capsys, tmp_path):
+        lines = ["frame,logit_0,logit_1"] + [f"{i},0.5,1.5" for i in range(8)]
+        path = self.bad(tmp_path / "in.logits", lines, 5)
+        self.expect(capsys, ["run", "--logits", str(path)], path, 5)
+
+    def test_enhance_demo_geometry(self, capsys, tmp_path):
+        path = self.bad(tmp_path / "geom.txt", GEOMETRY.splitlines(), 9)
+        self.expect(capsys, ["enhance-demo", "--geometry", str(path)], path, 9)
+
+    def test_config(self, capsys, tmp_path, segments_csv):
+        path = self.bad(tmp_path / "bad.cfg", ["# defaults", "fps=15", "t=8"], 3)
+        self.expect(capsys, ["--config", str(path), "stats", "--segments", str(segments_csv)],
+                    path, 3)
+
+    def test_stats_json(self, capsys, tmp_path):
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        lines = ['[{"class_id": 0, "count": 9,', '"mean_frames": 20.0, "std_frames": 5.0,',
+                 '"name": "pick"}]']
+        path = self.bad(tmp_path / "stats.json", lines, 2)
+        self.expect(capsys, ["run", "--logits", str(logits_path), "--stats", str(path)], path, 2)
+
+
 def pinned_recording(frames=20_000, classes=25):
     """Ground truth and logits built with integer arithmetic only, so the inputs are
     the same bytes on every numpy: run i has label 7i mod 25 and 8 + (37i mod 83)
@@ -503,6 +567,30 @@ class TestPinnedBatchOutputs:
         sweep = json_out(capsys, "sweep-kappa", "--raw", str(out_dir / "raw.csv"),
                          "--gt", str(gt_path))
         assert sweep == self.SWEEP
+
+
+class TestPinnedBatchReport:
+    """actseg run's report.json on the pinned recording, raw and cleaned sections
+    included, as recorded before evaluate built each timeline's runs once."""
+
+    REPORT_SHA256 = "4e67ffa218ec4af67f418cc30e250370495df80e19cab2edf840d6be1faed85a"
+    F1 = {"raw": {"0.1": 64.42953020134229, "0.25": 59.827420901246406,
+                  "0.5": 55.41706615532119},
+          "cleaned": {"0.1": 77.69110764430577, "0.25": 77.37909516380655,
+                      "0.5": 72.07488299531981}}
+
+    def test_report_unchanged(self, capsys, tmp_path):
+        gt, logits = pinned_recording()
+        logits_path, gt_path = tmp_path / "in.logits", tmp_path / "gt.csv"
+        out_dir = tmp_path / "out"
+        write_logits_binary(logits_path, logits)
+        write_timeline_csv(gt_path, gt)
+        json_out(capsys, "run", "--logits", str(logits_path), "--gt", str(gt_path),
+                 "--out-dir", str(out_dir))
+        report_bytes = (out_dir / "report.json").read_bytes()
+        report = json.loads(report_bytes)
+        assert {tag: report[tag]["f1"] for tag in ("raw", "cleaned")} == self.F1
+        assert hashlib.sha256(report_bytes).hexdigest() == self.REPORT_SHA256
 
 
 class TestPinnedStreamSchedule:

@@ -56,6 +56,26 @@ class TestOffline:
                 for m in range(seq_len)]
         assert raw.tolist() == want
 
+    @pytest.mark.parametrize("t, tau", [(1, 1), (2, 1), (7, 3), (8, 8), (8, 500)])
+    def test_raw_equals_clamped_gather_at_every_short_length(self, t, tau):
+        # every seq_len up to a few rows past the window span, where interior and edge
+        # rows meet, and the chunk edges; at (8, 500) every row is an edge row. Values
+        # of 0, 1 and 2**53 make a window's sum depend on the order its slabs are
+        # added in, so the labels show a fold that is not oldest first.
+        span = (t - 1) * tau
+        lengths = [*range(1, span + 4), _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3]
+        rng = np.random.default_rng(t * 1000 + tau)
+        table = rng.choice([0.0, 1.0, 2.0**53], size=(max(lengths) + 5, 4), p=[0.45, 0.45, 0.1])
+        backend = LogitsBackend(table)
+        offsets = window_offsets(t, tau)
+        for seq_len in lengths:
+            raw, _ = run_offline(PipelineConfig(t=t, tau=tau), backend, seq_len)
+            idx = np.clip(np.arange(seq_len)[:, None] + offsets, 0, seq_len - 1)
+            want = _kernels.gather_mean(backend.table, idx).argmax(axis=1)
+            assert raw.tolist() == want.tolist(), seq_len
+        newest_first = _kernels.gather_mean(backend.table, idx[:, ::-1]).argmax(axis=1)
+        assert t < 3 or np.any(newest_first != want)  # two slabs add the same either way round
+
     def test_cleaner_applied(self):
         gt = np.array([BACKGROUND_ID] * 40 + [0] * 30 + [BACKGROUND_ID] * 40)
         backend = make_synthetic_backend(gt, NoiseModel(spike_rate=40.0, spike_len=2, seed=3))

@@ -8,7 +8,7 @@ conftest.py registers.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actseg.align import CropGeometry, enhance, place_hand_features
@@ -16,7 +16,8 @@ from actseg.classify import LogitsBackend, one_hot_logits, predict_clip
 from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                              compute_class_stats)
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
-from actseg.metrics import EvalConfig, edit_score, f1_at_iou, per_class_f1
+from actseg.metrics import (EvalConfig, edit_score, evaluate, f1_at_iou, frame_accuracy,
+                            per_class_f1)
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
                              training_clip, window_offsets)
@@ -189,6 +190,9 @@ def per_class_ref(pred, gt, threshold, ignore_background, background_id):
     return rows
 
 
+iou_thresholds = st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0)
+
+
 @st.composite
 def scored_pairs(draw):
     # few classes and short runs, so same-class candidates compete for the
@@ -206,7 +210,7 @@ def scored_pairs(draw):
         for pos, n, label in draw(st.lists(spikes, max_size=8)):
             pred[pos:pos + n] = label
     n = min(pred.size, gt.size)
-    threshold = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0))
+    threshold = draw(iou_thresholds)
     background = draw(st.integers(0, n_classes - 1))
     return pred[:n], gt[:n], threshold, background
 
@@ -225,6 +229,21 @@ def test_metrics_equal_oracles(case, ignore_background):
     want = per_class_ref(p, g, threshold, ignore_background, background)
     assert [(r["class_id"], r["tp"], r["fp"], r["fn"]) for r in rows] == want
     assert [r["f1"] for r in rows] == [f1_pct_ref(tp, fp, fn) for _, tp, fp, fn in want]
+
+
+@given(scored_pairs(), st.booleans(), st.lists(iou_thresholds, min_size=1, max_size=4))
+@example((np.array([3]), np.array([3]), 0.5, 3), True, [0.5])             # one frame, background
+@example((np.array([0, 0, 1]), np.array([2, 2, 2]), 0.5, 2), True, [0.1])  # background ground truth
+def test_evaluate_equals_public_metrics(case, ignore_background, thresholds):
+    # evaluate builds runs, overlap pairs and matchings once; the public metrics
+    # each build their own, and must give the same report
+    pred, gt, _, background = case
+    cfg = EvalConfig(tuple(thresholds), ignore_background, background)
+    detail = max(thresholds)
+    want = {"acc": frame_accuracy(pred, gt, cfg), "edit": edit_score(pred, gt, cfg),
+            "f1": {f"{thr:g}": f1_at_iou(pred, gt, thr, cfg) for thr in thresholds},
+            "per_class": per_class_f1(pred, gt, detail, cfg), "per_class_iou": detail}
+    assert evaluate(pred, gt, cfg) == want
 
 
 # ------------------------------------------------------------ enhancement

@@ -11,8 +11,9 @@ old parsers could drop as a header (a `+0`, a quoted row, a row after a byte
 order mark).
 
 A timeline label below 0 is an error at its line, for the reader and the row
-parser alike. The logits binary has its own fuzz test at the end: `actseg run`
-on a mutated file exits 0 with the unmutated output or 2 naming the file.
+parser alike. The logits binary, the stats JSON, `--config` and geometry files
+have their own fuzz tests at the end: actseg on a mutated file exits 0 with
+the output the file means or 2 naming the file.
 """
 
 import contextlib
@@ -338,15 +339,30 @@ def mutated_logits(draw):
     return bytes(blob)
 
 
-def run_outputs(logits_path, out_dir):
-    """(0, [stdout, raw.csv, cleaned.csv]) or (exit code, stderr) of actseg run."""
+def cli_outputs(argv, out_dir=None):
+    """(0, [stdout, then raw.csv and cleaned.csv if out_dir]) or (exit code, stderr) of actseg."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--logits", str(logits_path), "--t", "4", "--tau", "3",
-                     "--out-dir", str(out_dir)])
+        code = main([str(a) for a in argv])
     if code != 0:
         return code, err.getvalue()
-    return code, [out.getvalue()] + [(out_dir / n).read_bytes() for n in ("raw.csv", "cleaned.csv")]
+    files = [(out_dir / n).read_bytes() for n in ("raw.csv", "cleaned.csv")] if out_dir else []
+    return code, [out.getvalue()] + files
+
+
+def run_outputs(logits_path, out_dir, *flags):
+    """cli_outputs of actseg run at t=4, tau=3."""
+    return cli_outputs(["run", "--logits", logits_path, "--t", "4", "--tau", "3",
+                        "--out-dir", out_dir, *flags], out_dir)
+
+
+def assert_unchanged_or_names(path, code, got, want):
+    """Exit 0 with the outputs want, or exit 2 with an error that names path."""
+    if code == 0:
+        assert got == want
+    else:
+        assert code == 2
+        assert got.startswith(f"actseg: error: {path}"), got
 
 
 @pytest.fixture(scope="module")
@@ -367,9 +383,166 @@ def unmutated_outputs(fuzz_dir):
 def test_mutated_logits_binary_runs_unchanged_or_names_the_file(fuzz_dir, unmutated_outputs, blob):
     path = fuzz_dir / "mutated.logits"
     path.write_bytes(blob)
-    code, got = run_outputs(path, fuzz_dir / "mutated_out")
-    if code == 0:
-        assert got == unmutated_outputs
+    assert_unchanged_or_names(path, *run_outputs(path, fuzz_dir / "mutated_out"), unmutated_outputs)
+
+
+# ------------------------- the stats JSON, --config and geometry files, through the CLI
+# A mutation drops or duplicates a record or line, empties a value, writes a
+# non-finite, fractional or non-UTF-8 value, or truncates the file. Text is built
+# as str and encoded with surrogateescape, so "\udcff" becomes the byte 0xff.
+
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+FILE_MUTATIONS = ["drop", "duplicate", "empty", "non_finite", "fractional", "non_utf8",
+                  "truncate"]
+
+
+def encoded(text):
+    return text.encode("utf-8", "surrogateescape")
+
+
+# classes the raw labels of FUZZ_LOGITS hold at t=4, tau=3, with thresholds of 2
+# frames: each record changes the cleaned output
+STATS_RECORDS = [{"class_id": str(c), "count": "9", "mean_frames": "3.0", "std_frames": "0.5",
+                  "name": f'"class {c}"'} for c in (4, 11, 13, 18)]
+STATS_INTEGERS = ("class_id", "count")
+STATS_NUMBERS = ("class_id", "count", "mean_frames", "std_frames")
+
+
+def stats_text(records):
+    """One record a line, so a truncation may end at any field."""
+    body = ",\n".join("{" + ", ".join(f'"{k}": {v}' for k, v in r.items()) + "}" for r in records)
+    return f"[\n{body}\n]\n"
+
+
+@st.composite
+def mutated_stats(draw):
+    """(bytes of the mutated stats JSON, the records it means if a drop left a
+    valid file, else None: it means the unmutated records or nothing)."""
+    records = [dict(r) for r in STATS_RECORDS]
+    kind = draw(st.sampled_from(FILE_MUTATIONS))
+    if kind == "truncate":
+        text = encoded(stats_text(records))
+        return text[:draw(st.integers(0, len(text) - 1))], None
+    j = draw(st.integers(0, len(records) - 1))
+    if kind == "drop":
+        del records[j]
+        return encoded(stats_text(records)), records
+    if kind == "duplicate":
+        records.insert(j, records[j])
+        return encoded(stats_text(records)), None
+    fields = {"empty": list(records[j]), "non_finite": STATS_NUMBERS,
+              "fractional": STATS_INTEGERS, "non_utf8": list(records[j])}[kind]
+    field = draw(st.sampled_from(fields))
+    value = records[j][field]
+    records[j][field] = {"empty": '""', "non_finite": draw(st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "1e999"])), "fractional": f"{value}.5",
+        "non_utf8": "\udcff" + value}[kind]
+    return encoded(stats_text(records)), None
+
+
+def keyvalue_text(pairs):
+    # the comment is not ASCII, so a truncation can end inside a character
+    return "# crop \u2014 defaults\n" + "".join(f"{k}={v}\n" for k, v in pairs)
+
+
+@st.composite
+def mutated_keyvalue(draw, pairs, integer_keys):
+    """Bytes of a key=value file of pairs after one mutation of a pair line."""
+    pairs = list(pairs)
+    kind = draw(st.sampled_from(FILE_MUTATIONS))
+    if kind == "truncate":
+        text = encoded(keyvalue_text(pairs))
+
+        def whole_values(cut):
+            # a cut inside a value leaves a shorter valid value (92 of 920): a
+            # different file, not a broken one, so no cut is made there
+            tail = text[:cut].rpartition(b"\n")[2]
+            return b"=" not in tail or tail.endswith(b"=") or text[cut:cut + 1] == b"\n"
+
+        return text[:draw(st.sampled_from([c for c in range(len(text)) if whole_values(c)]))]
+    keys = [k for k, _ in pairs]
+    j = keys.index(draw(st.sampled_from(integer_keys if kind == "fractional" else keys)))
+    if kind == "drop":
+        del pairs[j]
+    elif kind == "duplicate":
+        pairs.insert(j, pairs[j])
     else:
-        assert code == 2
-        assert got.startswith(f"actseg: error: {path}"), got
+        key, value = pairs[j]
+        pairs[j] = key, {"empty": "", "non_finite": draw(st.sampled_from(NON_FINITE)),
+                         "fractional": f"{value}.5", "non_utf8": "\udcff" + value}[kind]
+    return encoded(keyvalue_text(pairs))
+
+
+# actseg run's defaults, so a dropped line means the same run
+CONFIG_PAIRS = [("fps", "15"), ("t", "8"), ("tau", "8"), ("kappa", "1.4"),
+                ("ignore_background", "yes")]
+GEOMETRY_PAIRS = [("full_w", "920"), ("full_h", "720"), ("scale_short", "256"),
+                  ("crop_size", "224"), ("crop_off_x", "50"), ("crop_off_y", "16"),
+                  ("hand_w", "224"), ("hand_h", "224"), ("hand_cx", "0.5"), ("hand_cy", "0.25")]
+GEOMETRY_INTEGERS = [k for k, _ in GEOMETRY_PAIRS[:8]]
+
+
+@pytest.fixture(scope="module")
+def text_fuzz(tmp_path_factory):
+    """The directory, logits file and ground truth the text-file fuzz runs use."""
+    d = tmp_path_factory.mktemp("text_fuzz")
+    write_logits_binary(d / "in.logits", FUZZ_LOGITS)
+    write_timeline_csv(d / "gt.csv", np.repeat([8, 13, 9, 11, 15], 8))
+    return d
+
+
+def stats_run(d, stats_path, out_name):
+    return run_outputs(d / "in.logits", d / out_name, "--stats", stats_path)
+
+
+def config_run(d, config_path, out_name):
+    return cli_outputs(["--config", config_path, "run", "--logits", d / "in.logits",
+                        "--gt", d / "gt.csv", "--out-dir", d / out_name], d / out_name)
+
+
+def geometry_run(d, geometry_path, _):
+    return cli_outputs(["enhance-demo", "--geometry", geometry_path])
+
+
+@pytest.fixture(scope="module")
+def unmutated_text_outputs(text_fuzz):
+    d, outputs = text_fuzz, {}
+    for name, run, text in [("stats", stats_run, stats_text(STATS_RECORDS)),
+                            ("config", config_run, keyvalue_text(CONFIG_PAIRS)),
+                            ("geometry", geometry_run, keyvalue_text(GEOMETRY_PAIRS))]:
+        path = d / f"clean_{name}"
+        path.write_bytes(encoded(text))
+        code, outputs[name] = run(d, path, f"clean_{name}_out")
+        assert code == 0, outputs[name]
+    return outputs
+
+
+@given(case=mutated_stats())
+def test_mutated_stats_json_runs_as_it_means_or_names_the_file(text_fuzz, unmutated_text_outputs,
+                                                               case):
+    blob, meaning = case
+    path = text_fuzz / "mutated_stats.json"
+    path.write_bytes(blob)
+    want = unmutated_text_outputs["stats"]
+    if meaning is not None:  # a dropped record: the classes left keep their stats
+        (text_fuzz / "meant_stats.json").write_bytes(encoded(stats_text(meaning)))
+        code, want = stats_run(text_fuzz, text_fuzz / "meant_stats.json", "meant_out")
+        assert code == 0, want
+    assert_unchanged_or_names(path, *stats_run(text_fuzz, path, "mutated_out"), want)
+
+
+@given(blob=mutated_keyvalue(CONFIG_PAIRS, ["t", "tau"]))
+def test_mutated_config_runs_unchanged_or_names_the_file(text_fuzz, unmutated_text_outputs, blob):
+    path = text_fuzz / "mutated.cfg"
+    path.write_bytes(blob)
+    assert_unchanged_or_names(path, *config_run(text_fuzz, path, "mutated_out"),
+                              unmutated_text_outputs["config"])
+
+
+@given(blob=mutated_keyvalue(GEOMETRY_PAIRS, GEOMETRY_INTEGERS))
+def test_mutated_geometry_runs_unchanged_or_names_the_file(text_fuzz, unmutated_text_outputs,
+                                                           blob):
+    path = text_fuzz / "mutated_geometry.txt"
+    path.write_bytes(blob)
+    assert_unchanged_or_names(path, *geometry_run(text_fuzz, path, None),
+                              unmutated_text_outputs["geometry"])
