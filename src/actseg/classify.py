@@ -2,9 +2,9 @@
 consensus averaging, plus a synthetic noisy oracle for harness work."""
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -177,20 +177,34 @@ def write_logits_binary(path, logits) -> None:
         fh.write(arr.astype("<f4").tobytes())
 
 
+# float32 values read per block, so the file's bytes are never held whole beside the table
+_LOGITS_BLOCK = 1 << 16
+
+
 def read_logits_binary(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic, not a logits file")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated header")
-    n, k = struct.unpack("<II", blob[4:12])
-    if (len(blob) - 12) % 4:
-        raise ValueError(f"{path}: body of {len(blob) - 12} bytes is not a whole number of"
-                         " float32 values")
-    body = np.frombuffer(blob, dtype="<f4", offset=12)
-    if body.size != n * k:
-        raise ValueError(f"{path}: expected {n * k} values, found {body.size}")
-    return body.reshape(n, k).astype(np.float64)
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"{path}: bad magic, not a logits file")
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated header")
+        n, k = struct.unpack("<II", head[4:])
+        body = os.fstat(fh.fileno()).st_size - 12
+        if body % 4:
+            raise ValueError(f"{path}: body of {body} bytes is not a whole number of"
+                             " float32 values")
+        if body // 4 != n * k:
+            raise ValueError(f"{path}: expected {n * k} values, found {body // 4}")
+        table = np.empty((n, k))
+        flat = table.reshape(-1)
+        block = np.empty(_LOGITS_BLOCK, "<f4")
+        for lo in range(0, flat.size, _LOGITS_BLOCK):
+            part = block[:flat.size - lo]
+            got = fh.readinto(part)
+            if got != part.nbytes:  # the file shrank after its size was read
+                raise ValueError(f"{path}: expected {n * k} values, found {lo + got // 4}")
+            flat[lo:lo + part.size] = part
+    return table
 
 
 def write_logits_csv(path, logits) -> None:

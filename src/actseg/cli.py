@@ -168,7 +168,10 @@ def _cmd_enhance_demo(args) -> int:
 
 
 def _cmd_hand_eval(args) -> int:
-    thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
+    try:
+        thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
+    except ValueError as exc:  # text that is not a number; a number out of range is data
+        raise UsageError(f"--thresholds: {exc}") from None
     if not thresholds:
         raise UsageError("no thresholds given")
     pred_slots, gt_slots = hands.read_hand_slots(args.pred, args.gt)

@@ -1,6 +1,5 @@
 """Per-frame label sequences, run-length segments, and their CSV formats."""
 
-import csv
 import re
 import warnings
 from dataclasses import dataclass
@@ -190,20 +189,55 @@ def read_timeline_csv(path) -> np.ndarray:
     return _read_table(path, "timeline", 2, np.int64, _timeline_rows).copy()
 
 
-# rows formatted per write: one string per block keeps the formatting out of
-# Python-level loops while the text held at once stays about 100 KB
-_CSV_BLOCK = 8192
+def _write_int_csv(path, header, columns) -> None:
+    """A header row, then int64 columns of one length as rows, in the bytes csv.writer
+    writes: `%d` fields, commas and CRLF line ends.
+
+    The rows are built as one uint8 array. Each column's digits are computed
+    right-aligned into an (n, width) byte block, beside a mask of the bytes `%d` prints
+    (no leading zeros; a '-' column, if the column has a negative value, kept only on
+    negative rows), and buf[keep] packs the rows."""
+    blocks = []
+    for col in columns:
+        neg = col < 0
+        mag = col.view(np.uint64)
+        if neg.any():
+            mag = np.where(neg, -mag, mag)  # uint64 negation wraps to |x|, int64 min too
+        else:
+            neg = None
+        top = int(mag.max(initial=0))
+        blocks.append((neg, mag.astype(np.min_scalar_type(top)), len(str(top))))
+    width = sum((neg is not None) + digits + 1 for neg, _, digits in blocks) + 1
+    buf = np.empty((columns[0].size, width), np.uint8)
+    keep = np.ones(buf.shape, bool)
+    at = 0
+    for neg, mag, digits in blocks:
+        if neg is not None:
+            buf[:, at] = ord("-")
+            keep[:, at] = neg
+            at += 1
+        m = mag
+        for j in range(at + digits - 1, at - 1, -1):  # last digit first
+            q = m // 10
+            t = q * 10
+            t -= ord("0")  # unsigned, so m - t wraps back to m - 10q + ord("0")
+            np.subtract(m, t, out=buf[:, j], casting="unsafe")
+            m = q
+        for j in range(digits - 1):  # leading zeros are not printed
+            np.greater_equal(mag, 10 ** (digits - 1 - j), out=keep[:, at + j])
+        at += digits
+        buf[:, at] = ord(",")
+        at += 1
+    buf[:, -2:] = (ord("\r"), ord("\n"))  # over the last column's comma
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(header)}\r\n".encode())
+        fh.write(buf[keep])
 
 
 def write_timeline_csv(path, labels) -> None:
     """CSV `frame,label_id` with csv.writer's CRLF line ends."""
     arr = as_timeline(labels)
-    with open(path, "w", newline="") as fh:
-        fh.write("frame,label_id\r\n")
-        for lo in range(0, arr.size, _CSV_BLOCK):
-            block = arr[lo:lo + _CSV_BLOCK]
-            rows = np.column_stack((np.arange(lo, lo + block.size), block)).ravel().tolist()
-            fh.write(("%d,%d\r\n" * block.size) % tuple(rows))
+    _write_int_csv(path, ("frame", "label_id"), (np.arange(arr.size, dtype=np.int64), arr))
 
 
 def read_segments_csv(path):
@@ -212,8 +246,5 @@ def read_segments_csv(path):
 
 
 def write_segments_csv(path, runs) -> None:
-    """Runs (starts, ends, labels) as CSV `start,end,label_id`."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["start", "end", "label_id"])
-        wr.writerows(zip(*(a.tolist() for a in as_runs(runs))))
+    """Runs (starts, ends, labels) as CSV `start,end,label_id` with csv.writer's CRLF line ends."""
+    _write_int_csv(path, ("start", "end", "label_id"), as_runs(runs))

@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, full DP matrices, finite differences) and shares no code with the
 implementations under test. The read_*_ref functions are the row-by-row
-CSV parsers that the package's whole-file table reader replaced.
+CSV parsers that the package's whole-file table reader replaced, and
+write_csv_ref is the csv.writer row loop that the digit-array writer replaced.
 """
 
 import csv
@@ -204,6 +205,18 @@ def enhance_ref(f, left, right, place_left, place_right, mixer):
         out[k] = ((x - mixer.bn_mean[:, None]) * scale[:, None]
                   + mixer.bn_shift[:, None]).reshape(c, h, w)
     return out
+
+
+# ---------------------------------------------------------------- CSV writers
+
+
+def write_csv_ref(path, header, columns):
+    """A header row, then the columns zipped into rows, through one csv.writer."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            wr.writerow(row)
 
 
 # ---------------------------------------------------------------- CSV readers

@@ -1,6 +1,11 @@
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from actseg import classify
 from actseg.classify import (LogitsBackend, NoiseModel, classify_clip, load_logits,
                              make_synthetic_backend, one_hot_logits, predict_clip,
                              read_logits_binary, read_logits_csv, synth_timeline,
@@ -193,6 +198,43 @@ class TestLogitsIO:
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="expected"):
             read_logits_binary(path)
+
+    @pytest.mark.parametrize("shape", [(0, 25), (1, 1), (5, 0), (31, 25), (14, 3)])
+    def test_binary_round_trip_in_blocks(self, tmp_path, monkeypatch, shape):
+        # a block of 7 values splits rows and leaves a short last block
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 7)
+        logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 20.5
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        got = read_logits_binary(path)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, logits)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"ATS", "bad magic, not a logits file"),
+        (b"ATSL\x02\x00\x00", "truncated header"),
+        (b"ATSL" + struct.pack("<II", 1, 2) + b"\x00" * 9,
+         "body of 9 bytes is not a whole number of float32 values"),
+        (b"ATSL" + struct.pack("<II", 2, 2) + b"\x00" * 12, "expected 4 values, found 3"),
+    ])
+    def test_binary_errors(self, tmp_path, blob, message):
+        path = tmp_path / "x.logits"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_logits_binary(path)
+
+    def test_binary_read_holds_the_table_and_one_block(self, tmp_path):
+        logits = np.ones((40_000, 25))
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        tracemalloc.start()
+        try:
+            table = read_logits_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # reading the whole 4 MB body first and converting it peaked at 1.5x the table
+        assert peak < table.nbytes + 4 * classify._LOGITS_BLOCK + 65536
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

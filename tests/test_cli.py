@@ -765,6 +765,15 @@ class TestHandEval:
         assert code == 1
         assert "no thresholds" in err
 
+    def test_non_numeric_threshold_usage_error(self, capsys, tmp_path):
+        # it was a data error (exit 2) naming neither the flag nor the file
+        pred_path = tmp_path / "p.csv"
+        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path),
+                                 "--gt", str(pred_path), "--thresholds", "0.1,abc")
+        assert code == 1 and out == ""
+        assert "actseg: error: --thresholds: " in err and "'abc'" in err
+
 
 class TestSynth:
     def test_zero_noise_identity(self, capsys, tmp_path):

@@ -3,11 +3,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_timeline, encode_runs,
                              read_segments_csv, read_timeline_csv, segments_from_timeline,
                              timeline_from_segments, write_segments_csv, write_timeline_csv)
-from oracles import rle_ref
+from oracles import rle_ref, write_csv_ref
 
 
 class TestSegment:
@@ -151,3 +153,68 @@ class TestCsv:
     def test_write_segments_rejects_invalid_runs(self, tmp_path):
         with pytest.raises(ValueError):
             write_segments_csv(tmp_path / "s.csv", ([0, 5], [5, 5], [1, 2]))
+
+
+# ------------------------------------------- the writers against the csv.writer row loop
+
+INT64 = np.iinfo(np.int64)
+EDGES = [INT64.min, -10, -3, -1, 0, 1, 9, 10, 255, 256, INT64.max]
+int64s = st.one_of(st.integers(INT64.min, INT64.max), st.sampled_from(EDGES))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+def assert_writes_like_row_loop(csv_dir, write, header, columns, arg):
+    write(csv_dir / "got.csv", arg)
+    write_csv_ref(csv_dir / "want.csv", header, columns)
+    assert (csv_dir / "got.csv").read_bytes() == (csv_dir / "want.csv").read_bytes()
+
+
+@given(labels=st.lists(int64s, max_size=30))
+@example(labels=[])
+@example(labels=[0])
+@example(labels=[INT64.min, -3, 0, INT64.max])
+def test_timeline_writer_equals_row_loop(csv_dir, labels):
+    assert_writes_like_row_loop(csv_dir, write_timeline_csv, ("frame", "label_id"),
+                                (range(len(labels)), labels), np.array(labels, dtype=np.int64))
+
+
+@given(labels=st.lists(st.one_of(st.integers(0, INT64.max), st.sampled_from(EDGES[4:])),
+                       min_size=1, max_size=30))
+def test_non_negative_timeline_round_trips(csv_dir, labels):
+    write_timeline_csv(csv_dir / "t.csv", labels)
+    back = read_timeline_csv(csv_dir / "t.csv")
+    assert back.dtype == np.int64 and back.tolist() == labels
+
+
+@pytest.mark.parametrize("frames", [0, 1, 10, 11, 100, 101, 100001])
+def test_frame_counts_across_digit_boundaries(csv_dir, frames):
+    labels = np.resize(np.array(EDGES, dtype=np.int64), frames)
+    assert_writes_like_row_loop(csv_dir, write_timeline_csv, ("frame", "label_id"),
+                                (range(frames), labels), labels)
+    if frames:
+        labels = np.resize(np.array(EDGES[4:], dtype=np.int64), frames)
+        write_timeline_csv(csv_dir / "t.csv", labels)
+        assert np.array_equal(read_timeline_csv(csv_dir / "t.csv"), labels)
+
+
+@st.composite
+def valid_runs(draw):
+    starts = draw(st.lists(st.integers(0, INT64.max - 1), max_size=12))
+    ends = [draw(st.integers(s + 1, INT64.max)) for s in starts]
+    labels = [draw(st.one_of(st.integers(0, INT64.max), st.sampled_from(EDGES[4:])))
+              for _ in starts]
+    return tuple(np.array(c, dtype=np.int64) for c in (starts, ends, labels))
+
+
+@given(runs=valid_runs())
+@example(runs=(np.array([0, INT64.max - 1]), np.array([10, INT64.max]), np.array([0, INT64.max])))
+def test_segments_writer_equals_row_loop(csv_dir, runs):
+    assert_writes_like_row_loop(csv_dir, write_segments_csv, ("start", "end", "label_id"),
+                                runs, runs)
+    if runs[0].size:
+        back = read_segments_csv(csv_dir / "got.csv")
+        assert all(np.array_equal(a, b) for a, b in zip(back, runs))
