@@ -6,9 +6,22 @@ import math
 from .timeline import _text_lines
 
 
+def _strict(kind):
+    """kind (int or float) without the `_` digit separator it accepts: 1_4 is an error, not 14."""
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names the type in its error message
+    return parse
+
+
+integer, real = _strict(int), _strict(float)
+
+
 def finite_float(text: str) -> float:
-    """float(text), rejecting NaN and infinities."""
-    value = float(text)
+    """real(text), rejecting NaN and infinities."""
+    value = real(text)
     if not math.isfinite(value):
         raise ValueError(text)
     return value

@@ -207,7 +207,7 @@ def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_o
 
 # in from_center's argument order; hand_cx/hand_cy are the normalized hand center
 _GEOMETRY_KEYS = dict.fromkeys(("full_w", "full_h", "scale_short", "crop_size", "crop_off_x",
-                                "crop_off_y", "hand_w", "hand_h"), int) \
+                                "crop_off_y", "hand_w", "hand_h"), _keyvalue.integer) \
     | dict.fromkeys(("hand_cx", "hand_cy"), _keyvalue.finite_float)
 
 

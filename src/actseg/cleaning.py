@@ -210,10 +210,14 @@ def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
     return scores
 
 
+def best_kappa(scores) -> float:
+    """The sweep kappa of highest score in kappa_scores' result; ties pick the smaller."""
+    return max(SWEEP_KAPPAS, key=lambda k: (scores[k], -k))
+
+
 def sweep_kappa(timelines_raw, timelines_gt, cfg_base: CleanerConfig) -> float:
     """kappa in {1.0 .. 2.0} maximizing mean F1@0.5 after cleaning; ties pick the smaller."""
-    scores = kappa_scores(timelines_raw, timelines_gt, cfg_base)
-    return max(SWEEP_KAPPAS, key=lambda k: (scores[k], -k))
+    return best_kappa(kappa_scores(timelines_raw, timelines_gt, cfg_base))
 
 
 def read_class_stats(path):

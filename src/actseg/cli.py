@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_KEYS = {"fps": _keyvalue.finite_float, "t": int, "tau": int,
+_CONFIG_KEYS = {"fps": _keyvalue.finite_float, "t": _keyvalue.integer, "tau": _keyvalue.integer,
                 "kappa": _keyvalue.finite_float, "ignore_background": _keyvalue.boolean}
 
 
@@ -137,7 +137,7 @@ def _cmd_sweep_kappa(args) -> int:
     base = cleaning.CleanerConfig(1.0, _load_stats(args, fps), fps, num_classes=num_classes)
     _warn_uncovered(base)
     scores = cleaning.kappa_scores(raws, gts, base)
-    best = max(cleaning.SWEEP_KAPPAS, key=lambda k: (scores[k], -k))
+    best = cleaning.best_kappa(scores)
     _emit(args, {"best_kappa": best, "scores": {f"{k:.1f}": v for k, v in scores.items()}})
     return 0
 
@@ -169,7 +169,7 @@ def _cmd_enhance_demo(args) -> int:
 
 def _cmd_hand_eval(args) -> int:
     try:
-        thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
+        thresholds = [_keyvalue.real(x) for x in args.thresholds.split(",") if x.strip()]
     except ValueError as exc:  # text that is not a number; a number out of range is data
         raise UsageError(f"--thresholds: {exc}") from None
     if not thresholds:
@@ -211,22 +211,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value defaults file")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
+    parser.add_argument("--seed", type=_keyvalue.integer, default=0,
+                        help="seed for randomized commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="per-class length statistics from a segment CSV")
     p.add_argument("--segments", required=True)
-    p.add_argument("--fps", type=float)
+    p.add_argument("--fps", type=_keyvalue.real)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("run", help="sliding-window run over a logits file")
     p.add_argument("--logits", required=True)
     p.add_argument("--gt", help="ground-truth timeline CSV for the evaluation report")
     p.add_argument("--stats", help="class stats JSON (bundled reference stats if omitted)")
-    p.add_argument("--t", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--fps", type=float)
-    p.add_argument("--kappa", type=float)
+    p.add_argument("--t", type=_keyvalue.integer)
+    p.add_argument("--tau", type=_keyvalue.integer)
+    p.add_argument("--fps", type=_keyvalue.real)
+    p.add_argument("--kappa", type=_keyvalue.real)
     p.add_argument("--no-clean", action="store_true", help="skip label cleaning")
     p.add_argument("--include-background", action="store_true",
                    help="score background frames/segments too")
@@ -239,15 +240,15 @@ def build_parser() -> _Parser:
     p.add_argument("--raw", action="append", required=True, help="raw timeline CSV (repeatable)")
     p.add_argument("--gt", action="append", required=True, help="aligned ground-truth CSV")
     p.add_argument("--stats")
-    p.add_argument("--fps", type=float)
+    p.add_argument("--fps", type=_keyvalue.real)
     p.set_defaults(func=_cmd_sweep_kappa)
 
     p = sub.add_parser("enhance-demo", help="hand-placement geometry walkthrough")
     p.add_argument("--geometry", required=True, help="key=value geometry file")
-    p.add_argument("--backbone-h", type=int, default=56)
-    p.add_argument("--backbone-w", type=int, default=56)
-    p.add_argument("--hand-h", type=int, default=14)
-    p.add_argument("--hand-w", type=int, default=14)
+    p.add_argument("--backbone-h", type=_keyvalue.integer, default=56)
+    p.add_argument("--backbone-w", type=_keyvalue.integer, default=56)
+    p.add_argument("--hand-h", type=_keyvalue.integer, default=14)
+    p.add_argument("--hand-w", type=_keyvalue.integer, default=14)
     p.set_defaults(func=_cmd_enhance_demo)
 
     p = sub.add_parser("hand-eval", help="localization F1 at distance thresholds")
@@ -258,10 +259,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="corrupt a ground-truth timeline into test inputs")
     p.add_argument("--gt", required=True)
-    p.add_argument("--substitution", type=float, default=0.0)
-    p.add_argument("--jitter-std", type=float, default=0.0)
-    p.add_argument("--spike-rate", type=float, default=0.0)
-    p.add_argument("--spike-len", type=int, default=1)
+    p.add_argument("--substitution", type=_keyvalue.real, default=0.0)
+    p.add_argument("--jitter-std", type=_keyvalue.real, default=0.0)
+    p.add_argument("--spike-rate", type=_keyvalue.real, default=0.0)
+    p.add_argument("--spike-len", type=_keyvalue.integer, default=1)
     p.add_argument("--out-timeline")
     p.add_argument("--out-logits")
     p.set_defaults(func=_cmd_synth)

@@ -1,8 +1,9 @@
 """End-to-end sliding-window segmentation: sampler -> classifier -> raw
 timeline -> cleaner -> cleaned timeline.
 
-The streaming session and the offline runner share one mean kernel and one
-index rule, so their outputs are byte-identical; a frame's raw prediction is
+The offline runner labels its rows in blocks and the streaming session one
+row per push, both through one window routine, _window_labels, so their
+outputs are byte-identical by construction. A frame's raw prediction is
 computable exactly floor(T/2)*tau pushes after the frame itself, and the
 cleaner adds at most its largest class threshold on top.
 """
@@ -34,46 +35,40 @@ class PipelineConfig:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
-# rows per window-mean block in run_offline: an edge block gathers a (T, rows, C) float64
-# array, 1.6 MB at T=8, C=25; at 8192 rows it was 13 MB and raised batch peak RSS by a third
+# rows per window-mean block in run_offline: its sum buffer, and each slab it gathers
+# where its windows pass an end, is a (rows, C) float64 array, 200 KB at C=25
 _CHUNK = 1024
 
 
-def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
-    """Raw and cleaned timelines for frames [0, seq_len); windows clamp at both ends.
+def _window_labels(table, lo, hi, n, shifts, buf):
+    """Argmax of each row lo..hi-1's window mean over table[:n], frames clamped to [0, n).
 
-    A row whose whole window lies inside [0, seq_len) needs no gather: its
-    slab j is a plain slice of the table, so an interior block folds T slices
-    into one reused buffer. The edge rows gather their clamped windows. Both
-    add through _kernels.fold_mean, so every row sums its window oldest first.
+    Slab j is the slice table[lo+d : hi+d], d = shifts[j], where that lies in
+    [0, n) and a gather at the clamped frames where not. fold_mean adds it to
+    slab 0, copied into the caller's buf, oldest first, as for a row in any block.
     """
+    slabs = [table[lo + d:hi + d] if 0 <= lo + d and hi + d <= n
+             else table[np.clip(np.arange(lo + d, hi + d), 0, n - 1)] for d in shifts]
+    acc = buf[:hi - lo]  # the sum builds up here, never in the table
+    acc[...] = slabs[0]
+    slabs[0] = acc
+    # the method, not np.argmax: its Python wrapper cost a push about 1 us
+    return _kernels.fold_mean(slabs).argmax(axis=1)
+
+
+def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
+    """Raw and cleaned timelines for frames [0, seq_len), labelled in blocks of _CHUNK."""
     if seq_len is None:
         seq_len = backend.num_frames
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
     table = backend.table
-    offsets = window_offsets(cfg.t, cfg.tau)
-    shifts = offsets.tolist()
-    # rows first..stop-1 have every window frame inside [0, seq_len)
-    first, stop = -shifts[0], seq_len - shifts[-1]
+    shifts = window_offsets(cfg.t, cfg.tau).tolist()
+    buf = np.empty((min(_CHUNK, seq_len), table.shape[1]))
     raw = np.empty(seq_len, dtype=np.int64)
-    if first < stop:
-        buf = np.empty((min(_CHUNK, stop - first), table.shape[1]))
-        for lo in range(first, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            acc = buf[:hi - lo]  # the sum builds up here, never in the table
-            acc[...] = table[lo + shifts[0]:hi + shifts[0]]
-            slabs = [acc] + [table[lo + d:hi + d] for d in shifts[1:]]
-            raw[lo:hi] = np.argmax(_kernels.fold_mean(slabs), axis=1)
-        edges = ((0, first), (stop, seq_len))
-    else:
-        edges = ((0, seq_len),)
-    for edge_lo, edge_hi in edges:
-        for lo in range(edge_lo, edge_hi, _CHUNK):
-            hi = min(lo + _CHUNK, edge_hi)
-            idx = np.arange(lo, hi, dtype=np.int64)[:, None] + offsets[None, :]
-            np.clip(idx, 0, seq_len - 1, out=idx)
-            raw[lo:hi] = np.argmax(_kernels.gather_mean(table, idx), axis=1)
+    for lo in range(0, seq_len, _CHUNK):
+        hi = min(lo + _CHUNK, seq_len)
+        raw[lo:hi] = _window_labels(table, lo, hi, seq_len, shifts, buf)
     if cfg.cleaner is None:
         return raw, raw.copy()
     return raw, clean_timeline(raw, cfg.cleaner)
@@ -92,26 +87,19 @@ class StreamSession:
         self.cfg = cfg
         self.backend = backend
         self.on_raw = on_raw
-        self._offsets = window_offsets(cfg.t, cfg.tau)[None, :]  # one (1, T) row
+        self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
+        self._buf = np.empty((1, backend.num_classes))
         self._lag = prediction_lag(cfg.t, cfg.tau)
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0
-        self._next_middle = 0
         self._finished = False
 
-    def _predict(self, middle: int, newest: int) -> int:
-        idx = middle + self._offsets
-        # clamp to [0, newest] as run_offline's np.clip does, without its Python wrapper
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, newest, out=idx)
-        label = int(_kernels.gather_mean(self.backend.table, idx)[0].argmax())
+    def _emit(self, middle: int):
+        # the window clamps at the newest pushed frame
+        label = int(_window_labels(self.backend.table, middle, middle + 1, self._pushed,
+                                   self._shifts, self._buf)[0])
         if self.on_raw is not None:
             self.on_raw(middle, label)
-        return label
-
-    def _emit(self, middle: int, newest: int):
-        label = self._predict(middle, newest)
-        self._next_middle = middle + 1
         if self._cleaner is None:
             return [(middle, label)]
         return self._cleaner.push(middle, label)
@@ -128,19 +116,17 @@ class StreamSession:
         middle = frame_index - self._lag
         if middle < 0:
             return []
-        return self._emit(middle, frame_index)
+        return self._emit(middle)
 
     def finish(self):
         """Drain trailing middles (their windows clamp at the last frame) and flush the cleaner."""
         if self._finished:
             raise RuntimeError("session already finished")
         self._finished = True
-        if self._pushed == 0:
-            return []
         out = []
-        newest = self._pushed - 1
-        for middle in range(self._next_middle, self._pushed):
-            out.extend(self._emit(middle, newest))
+        # push emitted every middle before pushed - lag
+        for middle in range(max(0, self._pushed - self._lag), self._pushed):
+            out.extend(self._emit(middle))
         if self._cleaner is not None:
             out.extend(self._cleaner.flush())
         return out
@@ -151,14 +137,7 @@ def stream_all(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None 
     if seq_len is None:
         seq_len = backend.num_frames
     session = StreamSession(cfg, backend)
-    out = np.empty(seq_len, dtype=np.int64)
-    seen = 0
-    for i in range(seq_len):
-        for f, lab in session.push(i):
-            out[f] = lab
-            seen += 1
-    for f, lab in session.finish():
-        out[f] = lab
-        seen += 1
-    assert seen == seq_len  # exactly-once emission
-    return out
+    pairs = [p for i in range(seq_len) for p in session.push(i)] + session.finish()
+    frames, labels = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert frames.tolist() == list(range(seq_len))  # each frame emitted once, in order
+    return labels.copy()

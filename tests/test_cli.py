@@ -320,7 +320,7 @@ class TestRun:
         assert f"{gt_path}:6: label_id must be >= 0, got -3" in err
 
     @pytest.mark.parametrize("text", ["ignore_background=ture\n", "kappa=nan\n", "fps=inf\n",
-                                      "t=2.5\n"])
+                                      "t=2.5\n", "kappa=1_4\n"])
     def test_bad_config_value_names_line(self, capsys, tmp_path, text):
         logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
         cfg_path = tmp_path / "bad.cfg"
@@ -647,7 +647,7 @@ class TestEnhanceDemo:
         assert code == 0
         assert "footprint = 20x20 at (row 18, col 18)" in out
 
-    @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan"])
+    @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan", "9_20"])
     def test_bad_pixel_value_names_line(self, capsys, tmp_path, value):
         geom = tmp_path / "geom.txt"
         geom.write_text(GEOMETRY.replace("full_w=920", f"full_w={value}"))
@@ -856,6 +856,19 @@ class TestEntryPoint:
         assert result.returncode == 1
         assert "unrecognized arguments: --out r.json" in result.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [("run", "--kappa"), ("run", "--t"),
+                                               ("hand-eval", "--thresholds")])
+    def test_digit_separator_in_flag_exits_one(self, tmp_path, command, flag):
+        # int() and float() read 1_4 as 14: the command ran with that and exited 0
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        hands_path = tmp_path / "hands.csv"
+        write_hand_csv(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        inputs = {"run": ["--logits", str(logits_path)],
+                  "hand-eval": ["--pred", str(hands_path), "--gt", str(hands_path)]}[command]
+        result = run_entry_point(tmp_path, command, *inputs, flag, "1_4")
+        assert result.returncode == 1, result.stderr
+        assert flag in result.stderr and "'1_4'" in result.stderr
 
     def test_console_script_maps_to_entry(self):
         tomllib = pytest.importorskip("tomllib")

@@ -159,7 +159,8 @@ class TestStreamSession:
         rng = np.random.default_rng(4)
         noise_rng = np.random.default_rng(14)
         stats = {c: ClassStats(c, 5, 8.0, 2.0) for c in (0, 1, 2, BACKGROUND_ID)}
-        for t, tau in [(1, 1), (2, 3), (3, 2), (8, 8), (5, 7), (16, 2)]:
+        # the last two span far past the recording: no array may be sized by (T-1)*tau
+        for t, tau in [(1, 1), (2, 3), (3, 2), (8, 8), (5, 7), (16, 2), (2, 2**62), (8, 2**59)]:
             gt = block_timeline(rng, 257)
             backend = make_synthetic_backend(gt, NoiseModel(substitution_prob=0.1, seed=t))
             cfg = PipelineConfig(t=t, tau=tau)

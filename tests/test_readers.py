@@ -449,7 +449,7 @@ def keyvalue_text(pairs):
 def mutated_keyvalue(draw, pairs, integer_keys):
     """Bytes of a key=value file of pairs after one mutation of a pair line."""
     pairs = list(pairs)
-    kind = draw(st.sampled_from(FILE_MUTATIONS))
+    kind = draw(st.sampled_from(FILE_MUTATIONS + ["digit_separator"]))
     if kind == "truncate":
         text = encoded(keyvalue_text(pairs))
 
@@ -461,7 +461,9 @@ def mutated_keyvalue(draw, pairs, integer_keys):
 
         return text[:draw(st.sampled_from([c for c in range(len(text)) if whole_values(c)]))]
     keys = [k for k, _ in pairs]
-    j = keys.index(draw(st.sampled_from(integer_keys if kind == "fractional" else keys)))
+    numeric = [k for k, v in pairs if v[0].isdigit()]
+    j = keys.index(draw(st.sampled_from({"fractional": integer_keys,
+                                         "digit_separator": numeric}.get(kind, keys))))
     if kind == "drop":
         del pairs[j]
     elif kind == "duplicate":
@@ -469,7 +471,10 @@ def mutated_keyvalue(draw, pairs, integer_keys):
     else:
         key, value = pairs[j]
         pairs[j] = key, {"empty": "", "non_finite": draw(st.sampled_from(NON_FINITE)),
-                         "fractional": f"{value}.5", "non_utf8": "\udcff" + value}[kind]
+                         "fractional": f"{value}.5", "non_utf8": "\udcff" + value,
+                         # int() and float() read 1_4 as 14 and 8_0 as 80
+                         "digit_separator": value.replace(".", "_") if "." in value
+                         else value + "_0"}[kind]
     return encoded(keyvalue_text(pairs))
 
 
