@@ -14,8 +14,8 @@ from .classify import (LogitsBackend, NoiseModel, classify_clip, load_logits,
 from .cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                        compute_class_stats, read_class_stats, sweep_kappa, threshold,
                        write_class_stats)
-from .grid import (FeatureMap, MixerWeights, concat_channels, load_feature_map, mix_1x1,
-                   residual_norm, resize_nearest, save_feature_map, zero_pad_place)
+from .grid import (FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm,
+                   resize_nearest, zero_pad_place)
 from .hands import (HandLossConfig, HandObservation, HandTarget, decode, f1_at_threshold,
                     hand_loss, hand_loss_grad)
 from .metrics import (EvalConfig, edit_score, evaluate, f1_at_iou, frame_accuracy,

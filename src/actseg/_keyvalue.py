@@ -7,9 +7,9 @@ from .timeline import _text_lines
 
 
 def _strict(kind):
-    """kind (int or float) without the `_` digit separator it accepts: 1_4 is an error, not 14."""
+    """kind (int or float) on ASCII text without `_`: 1_4 and ٨ are errors, not 14 and 8."""
     def parse(text: str):
-        if "_" in text:
+        if "_" in text or not text.isascii():
             raise ValueError(f"invalid {kind.__name__} value: {text!r}")
         return kind(text)
     parse.__name__ = kind.__name__  # argparse names the type in its error message

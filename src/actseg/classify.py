@@ -62,10 +62,6 @@ class LogitsBackend:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    @classmethod
-    def from_timeline(cls, labels, num_classes: int = NUM_CLASSES):
-        return cls(one_hot_logits(labels, num_classes))
-
 
 def classify_clip(backend: LogitsBackend, clip: ClipSpec) -> np.ndarray:
     """Consensus class scores for one clip (arithmetic mean over its frames)."""

@@ -234,11 +234,15 @@ def read_class_stats(path):
     stats, record_of = {}, {}
     for i, rec in enumerate(records):
         try:
-            cid, count = rec["class_id"], rec["count"]
-            if type(cid) is not int or type(count) is not int:  # not a float, bool or string
+            cid, count, name = rec["class_id"], rec["count"], rec.get("name", "")
+            mean, std = rec["mean_frames"], rec["std_frames"]
+            # exact types: a bool is an int to Python, and float() reads "1_2" as 12
+            if type(cid) is not int or type(count) is not int:
                 raise ValueError(f"class_id and count must be integers, got {cid!r}, {count!r}")
-            stats[cid] = ClassStats(cid, count, float(rec["mean_frames"]),
-                                    float(rec["std_frames"]), str(rec.get("name", "")))
+            if not {type(mean), type(std)} <= {int, float} or type(name) is not str:
+                raise ValueError("mean_frames and std_frames must be numbers and name a string,"
+                                 f" got {mean!r}, {std!r}, {name!r}")
+            stats[cid] = ClassStats(cid, count, float(mean), float(std), name)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None
         if cid in record_of:

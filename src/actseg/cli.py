@@ -146,7 +146,7 @@ def _cmd_enhance_demo(args) -> int:
     g = align.load_geometry(args.geometry)
     a = align.alignment(g)
     rows, cols, off_y, off_x = align.footprint(g, args.backbone_h, args.backbone_w)
-    ones = FeatureMap(np.ones((1, 1, args.hand_h, args.hand_w)))
+    ones = FeatureMap(np.ones((1, 1, 1, 1)))  # all ones at any size: the mask is the footprint
     placed = align.place_hand_features(ones, g, args.backbone_h, args.backbone_w)
     mask = (placed.values[0, 0] != 0).astype(int)
     payload = {
@@ -247,8 +247,6 @@ def build_parser() -> _Parser:
     p.add_argument("--geometry", required=True, help="key=value geometry file")
     p.add_argument("--backbone-h", type=_keyvalue.integer, default=56)
     p.add_argument("--backbone-w", type=_keyvalue.integer, default=56)
-    p.add_argument("--hand-h", type=_keyvalue.integer, default=14)
-    p.add_argument("--hand-w", type=_keyvalue.integer, default=14)
     p.set_defaults(func=_cmd_enhance_demo)
 
     p = sub.add_parser("hand-eval", help="localization F1 at distance thresholds")

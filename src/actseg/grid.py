@@ -5,7 +5,6 @@ frozen read-only arrays, safe to share across threads.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -166,24 +165,3 @@ def residual_norm(base: FeatureMap, enhancement: FeatureMap, w: MixerWeights) ->
             base.values, enhancement.values, w.bn_scale, w.bn_shift, w.bn_mean, w.bn_var
         )
     )
-
-
-def load_feature_map(path) -> FeatureMap:
-    """Read the text fixture format: header line `t c h w`, then t*c*h*w values."""
-    text = Path(path).read_text().split()
-    if len(text) < 4:
-        raise ValueError(f"{path}: truncated feature map fixture")
-    t, c, h, w = (int(x) for x in text[:4])
-    expected = t * c * h * w
-    body = text[4:]
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} values for {t}x{c}x{h}x{w}, got {len(body)}")
-    return FeatureMap(np.array(body, dtype=np.float64).reshape(t, c, h, w))
-
-
-def save_feature_map(m: FeatureMap, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{m.t} {m.c} {m.h} {m.w}\n")
-        flat = m.values.ravel()
-        for i in range(0, flat.size, m.w):
-            fh.write(" ".join(repr(float(v)) for v in flat[i:i + m.w]) + "\n")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _f1_pct
 from .timeline import _data_lines, _read_table
 
 
@@ -106,10 +107,7 @@ def f1_at_threshold(preds, gts, t_l: float) -> float:
                     fp += 1
         elif predicted:
             fp += 1
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return 100.0
-    return 100.0 * 2 * tp / denom
+    return _f1_pct(tp, fp, fn)
 
 
 def _read_rows(path, hand):
@@ -134,7 +132,8 @@ def read_hand_slots(pred_path, gt_path):
     ground-truth CSV whose frame columns match row for row."""
     preds, gts = _read_rows(pred_path, HandObservation), _read_rows(gt_path, HandTarget)
     if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} prediction rows vs {len(gts)} ground-truth rows")
+        raise ValueError(f"{pred_path} has {len(preds)} prediction rows, but {gt_path} has"
+                         f" {len(gts)} ground-truth rows")
     for i, ((f_p, *_), (f_g, *_)) in enumerate(zip(preds, gts)):
         if f_p != f_g:
             ln_p, ln_g = ([ln for ln, _ in _data_lines(p)][i] for p in (pred_path, gt_path))

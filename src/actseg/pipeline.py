@@ -78,15 +78,13 @@ class StreamSession:
     """Single-stream push interface with ordered, exactly-once emission.
 
     push(i) accepts frame i (consecutive from 0) and returns every (frame,
-    label) finalized by it; finish() drains the tail. Raw predictions are
-    reported through on_raw as soon as they exist, which is when the middle
-    frame's window is fully covered by pushed frames.
+    label) finalized by it; finish() drains the tail. Without a cleaner a
+    frame's raw label comes from the push that first covers its window.
     """
 
-    def __init__(self, cfg: PipelineConfig, backend: LogitsBackend, on_raw=None):
+    def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
         self.cfg = cfg
         self.backend = backend
-        self.on_raw = on_raw
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
         self._buf = np.empty((1, backend.num_classes))
         self._lag = prediction_lag(cfg.t, cfg.tau)
@@ -98,8 +96,6 @@ class StreamSession:
         # the window clamps at the newest pushed frame
         label = int(_window_labels(self.backend.table, middle, middle + 1, self._pushed,
                                    self._shifts, self._buf)[0])
-        if self.on_raw is not None:
-            self.on_raw(middle, label)
         if self._cleaner is None:
             return [(middle, label)]
         return self._cleaner.push(middle, label)

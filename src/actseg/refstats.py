@@ -41,19 +41,13 @@ REFERENCE_CLASSES = (
 )
 
 
-def reference_class_stats(fps: float = 15.0, std_ratio: float = 1 / 3):
+def reference_class_stats(fps: float = 15.0):
     """Reference ClassStats in frames at the given capture rate."""
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be finite and > 0, got {fps}")
     stats = {}
     for cid, name, count, mean_sec in REFERENCE_CLASSES:
         mean_frames = mean_sec * fps
-        stats[cid] = ClassStats(cid, count, mean_frames, mean_frames * std_ratio, name)
+        # * (1 / 3), not / 3: the two differ in the last bit for 12 classes
+        stats[cid] = ClassStats(cid, count, mean_frames, mean_frames * (1 / 3), name)
     return stats
-
-
-def class_name(class_id: int) -> str:
-    for cid, name, _, _ in REFERENCE_CLASSES:
-        if cid == class_id:
-            return name
-    raise KeyError(class_id)

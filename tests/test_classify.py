@@ -36,7 +36,7 @@ class TestBackend:
             LogitsBackend(logits, softmax_average)
 
     def test_from_timeline_one_hot(self):
-        b = LogitsBackend.from_timeline([0, 3, 24])
+        b = LogitsBackend(one_hot_logits([0, 3, 24]))
         assert b.table.shape == (3, 25)
         assert b.table[1, 3] == 1.0 and b.table[1].sum() == 1.0
 
@@ -49,7 +49,7 @@ class TestBackend:
 
 class TestClassifyClip:
     def test_constant_one_hot_clip(self):
-        b = LogitsBackend.from_timeline([7] * 50)
+        b = LogitsBackend(one_hot_logits([7] * 50))
         clip = inference_clip(30, 8, 2, 50)
         scores = classify_clip(b, clip)
         assert scores[7] == 1.0 and scores.sum() == 1.0

@@ -7,7 +7,7 @@ import pytest
 from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamCleaner,
                              clean_timeline, compute_class_stats, kappa_scores,
                              read_class_stats, sweep_kappa, threshold, write_class_stats)
-from actseg.refstats import REFERENCE_CLASSES, class_name, reference_class_stats
+from actseg.refstats import REFERENCE_CLASSES, reference_class_stats
 from actseg.timeline import BACKGROUND_ID
 from oracles import class_stats_ref, kappa_scores_ref
 
@@ -345,7 +345,7 @@ class TestReferenceStats:
     def test_short_action_frames(self):
         st = reference_class_stats(fps=15.0)[6]
         assert st.mean_frames == pytest.approx(14.4)
-        assert class_name(6) == "Put Down Spanner"
+        assert st.name == "Put Down Spanner"
 
     def test_background_dominates(self):
         stats = reference_class_stats()
@@ -354,8 +354,10 @@ class TestReferenceStats:
         assert bg.name == "No Action"
 
     def test_std_ratio(self):
-        stats = reference_class_stats(std_ratio=0.5)
-        assert stats[6].std_frames == pytest.approx(7.2)
+        # a third of the mean, computed as mean * (1 / 3)
+        stats = reference_class_stats()
+        assert stats[6].std_frames == pytest.approx(4.8)
+        assert all(s.std_frames == s.mean_frames * (1 / 3) for s in stats.values())
 
     def test_total_segment_count(self):
         assert sum(c[2] for c in REFERENCE_CLASSES) == sum(
@@ -393,6 +395,24 @@ class TestStatsIO:
                         f' "std_frames": 1.0}}]')
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 1: "):
             read_class_stats(path)
+
+    @pytest.mark.parametrize("field, value", [("mean_frames", '"1_2"'), ("mean_frames", '"12"'),
+                                              ("std_frames", "true"), ("std_frames", "null"),
+                                              ("mean_frames", "[12]"), ("name", "null"),
+                                              ("name", "7"), ("name", "false")])
+    def test_lengths_must_be_json_numbers_and_name_a_string(self, tmp_path, field, value):
+        # float() read "1_2" as 12.0 and true as 1.0; str() read null as "None"
+        record = {"class_id": 3, "count": 2, "mean_frames": 9.0, "std_frames": 1.0, "name": '"a"'}
+        record[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}]")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 0: "):
+            read_class_stats(path)
+
+    def test_integer_lengths_and_missing_name_are_read(self, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text('[{"class_id": 3, "count": 2, "mean_frames": 9, "std_frames": 0}]')
+        assert read_class_stats(path) == {3: ClassStats(3, 2, 9.0, 0.0, "")}
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -320,7 +320,7 @@ class TestRun:
         assert f"{gt_path}:6: label_id must be >= 0, got -3" in err
 
     @pytest.mark.parametrize("text", ["ignore_background=ture\n", "kappa=nan\n", "fps=inf\n",
-                                      "t=2.5\n", "kappa=1_4\n"])
+                                      "t=2.5\n", "kappa=1_4\n", "t=\u0668\n"])
     def test_bad_config_value_names_line(self, capsys, tmp_path, text):
         logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
         cfg_path = tmp_path / "bad.cfg"
@@ -647,7 +647,8 @@ class TestEnhanceDemo:
         assert code == 0
         assert "footprint = 20x20 at (row 18, col 18)" in out
 
-    @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan", "9_20"])
+    @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan", "9_20",
+                                       "\u0669\u0662\u0660"])
     def test_bad_pixel_value_names_line(self, capsys, tmp_path, value):
         geom = tmp_path / "geom.txt"
         geom.write_text(GEOMETRY.replace("full_w=920", f"full_w={value}"))
@@ -669,6 +670,15 @@ class TestEnhanceDemo:
         code, _, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom))
         assert code == 2, err
         assert f"{geom}:11: geometry key 'full_w' set twice" in err
+
+    def test_hand_size_flags_are_gone(self, capsys, tmp_path):
+        # the mask is where an all-ones map lands, whatever size the map had
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY)
+        with pytest.raises(SystemExit) as exc:
+            main(["enhance-demo", "--geometry", str(geom), "--hand-h", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --hand-h 5" in capsys.readouterr().err
 
     def test_bad_geometry_is_data_error(self, capsys, tmp_path):
         geom = tmp_path / "geom.txt"
@@ -869,6 +879,19 @@ class TestEntryPoint:
         result = run_entry_point(tmp_path, command, *inputs, flag, "1_4")
         assert result.returncode == 1, result.stderr
         assert flag in result.stderr and "'1_4'" in result.stderr
+
+    @pytest.mark.parametrize("command, flag", [("run", "--t"), ("run", "--kappa"),
+                                               ("hand-eval", "--thresholds")])
+    def test_non_ascii_digit_in_flag_exits_one(self, tmp_path, command, flag):
+        # int() and float() read the Arabic-Indic digit eight as 8, which np.loadtxt refuses
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
+        hands_path = tmp_path / "hands.csv"
+        write_hand_csv(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        inputs = {"run": ["--logits", str(logits_path)],
+                  "hand-eval": ["--pred", str(hands_path), "--gt", str(hands_path)]}[command]
+        result = run_entry_point(tmp_path, command, *inputs, flag, "\u0668")
+        assert result.returncode == 1, result.stderr
+        assert flag in result.stderr
 
     def test_console_script_maps_to_entry(self):
         tomllib = pytest.importorskip("tomllib")

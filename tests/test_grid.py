@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from actseg.grid import (FeatureMap, MixerWeights, concat_channels, load_feature_map,
-                         mix_1x1, residual_norm, resize_nearest, save_feature_map,
-                         zero_pad_place)
+from actseg.grid import (FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm,
+                         resize_nearest, zero_pad_place)
 from oracles import pad_place_ref, resize_nearest_ref
 
 
@@ -32,21 +31,6 @@ class TestFeatureMap:
         m = fm(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0, 0, 0] = 1.0
-
-    def test_fixture_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        m = rand_map(rng)
-        path = tmp_path / "map.txt"
-        save_feature_map(m, path)
-        back = load_feature_map(path)
-        assert back.shape == m.shape
-        assert np.array_equal(back.values, m.values)
-
-    def test_fixture_value_count_checked(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 1 2 2\n1 2 3\n")
-        with pytest.raises(ValueError):
-            load_feature_map(path)
 
 
 class TestResizeNearest:

@@ -18,13 +18,13 @@ def block_timeline(rng, n, classes=(0, 1, 2, BACKGROUND_ID)):
 
 class TestOffline:
     def test_constant_input(self):
-        backend = LogitsBackend.from_timeline([5] * 100)
+        backend = LogitsBackend(one_hot_logits([5] * 100))
         raw, cleaned = run_offline(PipelineConfig(), backend)
         assert np.array_equal(raw, np.full(100, 5))
         assert np.array_equal(cleaned, raw)
 
     def test_seq_len_one(self):
-        backend = LogitsBackend.from_timeline([3] * 10)
+        backend = LogitsBackend(one_hot_logits([3] * 10))
         raw, cleaned = run_offline(PipelineConfig(), backend, seq_len=1)
         assert raw.tolist() == [3] and cleaned.tolist() == [3]
 
@@ -89,14 +89,14 @@ class TestOffline:
             assert s.length >= thr or (s.start == 0 and s.class_id == BACKGROUND_ID)
 
     def test_no_cleaner_returns_copy(self):
-        backend = LogitsBackend.from_timeline([1] * 50)
+        backend = LogitsBackend(one_hot_logits([1] * 50))
         raw, cleaned = run_offline(PipelineConfig(), backend)
         assert raw is not cleaned
         cleaned[0] = 9
         assert raw[0] == 1
 
     def test_bad_seq_len(self):
-        backend = LogitsBackend.from_timeline([1] * 50)
+        backend = LogitsBackend(one_hot_logits([1] * 50))
         with pytest.raises(ValueError):
             run_offline(PipelineConfig(), backend, seq_len=0)
         with pytest.raises(ValueError):
@@ -116,21 +116,16 @@ class TestStreamSession:
         cfg = PipelineConfig(t=8, tau=8)
         lag = prediction_lag(cfg.t, cfg.tau)
         assert lag == 32
-        arrived = {}
-        session = StreamSession(cfg, backend, on_raw=lambda m, lab: arrived.setdefault(m, cur[0]))
-        cur = [0]
+        session = StreamSession(cfg, backend)
+        # frame m's raw label comes out exactly when frame m+32 arrives
         for i in range(200):
-            cur[0] = i
-            session.push(i)
-        # frame m's raw label existed exactly when frame m+32 arrived
-        for m, at in arrived.items():
-            assert at == m + lag
-        session.finish()
+            assert [m for m, _ in session.push(i)] == ([i - lag] if i >= lag else [])
+        assert [m for m, _ in session.finish()] == list(range(200 - lag, 200))
 
     def test_emission_ordered_exactly_once(self):
         rng = np.random.default_rng(2)
         gt = block_timeline(rng, 400)
-        backend = LogitsBackend.from_timeline(gt)
+        backend = LogitsBackend(one_hot_logits(gt))
         stats = {c: ClassStats(c, 5, 6.0, 2.0) for c in (0, 1, 2, BACKGROUND_ID)}
         cfg = PipelineConfig(cleaner=CleanerConfig(kappa=1.0, stats=stats))
         session = StreamSession(cfg, backend)
@@ -175,14 +170,14 @@ class TestStreamSession:
                 assert stream_all(cfg, backend).tobytes() == cleaned.tobytes()
 
     def test_out_of_order_push_rejected(self):
-        backend = LogitsBackend.from_timeline([0] * 10)
+        backend = LogitsBackend(one_hot_logits([0] * 10))
         session = StreamSession(PipelineConfig(), backend)
         session.push(0)
         with pytest.raises(ValueError, match="out-of-order"):
             session.push(2)
 
     def test_push_past_backend_rejected(self):
-        backend = LogitsBackend.from_timeline([0] * 3)
+        backend = LogitsBackend(one_hot_logits([0] * 3))
         session = StreamSession(PipelineConfig(t=1, tau=1), backend)
         for i in range(3):
             session.push(i)
@@ -190,7 +185,7 @@ class TestStreamSession:
             session.push(3)
 
     def test_finish_twice_rejected(self):
-        backend = LogitsBackend.from_timeline([0] * 10)
+        backend = LogitsBackend(one_hot_logits([0] * 10))
         session = StreamSession(PipelineConfig(), backend)
         session.push(0)
         session.finish()
@@ -200,7 +195,7 @@ class TestStreamSession:
             session.push(1)
 
     def test_empty_session_finish(self):
-        backend = LogitsBackend.from_timeline([0] * 10)
+        backend = LogitsBackend(one_hot_logits([0] * 10))
         session = StreamSession(PipelineConfig(), backend)
         assert session.finish() == []
 

@@ -12,8 +12,9 @@ order mark).
 
 A timeline label below 0 is an error at its line, for the reader and the row
 parser alike. The logits binary, the stats JSON, `--config` and geometry files
-have their own fuzz tests at the end: actseg on a mutated file exits 0 with
-the output the file means or 2 naming the file.
+and the CSV inputs of run, sweep-kappa and hand-eval have their own fuzz tests
+at the end: actseg on a mutated file exits 0 with the output the file means or
+2 naming the file.
 """
 
 import contextlib
@@ -31,7 +32,8 @@ from hypothesis import strategies as st
 
 from actseg.classify import read_logits_csv, write_logits_binary, write_logits_csv
 from actseg.cli import main
-from actseg.hands import HandObservation, HandTarget, read_hand_predictions, read_hand_targets
+from actseg.hands import (HandObservation, HandTarget, read_hand_predictions, read_hand_targets,
+                          write_hand_csv)
 from actseg.timeline import read_segments_csv, read_timeline_csv, write_timeline_csv
 from oracles import read_hands_ref, read_logits_ref, read_segments_ref, read_timeline_ref
 
@@ -405,7 +407,8 @@ def encoded(text):
 STATS_RECORDS = [{"class_id": str(c), "count": "9", "mean_frames": "3.0", "std_frames": "0.5",
                   "name": f'"class {c}"'} for c in (4, 11, 13, 18)]
 STATS_INTEGERS = ("class_id", "count")
-STATS_NUMBERS = ("class_id", "count", "mean_frames", "std_frames")
+STATS_LENGTHS = ("mean_frames", "std_frames")
+STATS_NUMBERS = STATS_INTEGERS + STATS_LENGTHS
 
 
 def stats_text(records):
@@ -419,7 +422,8 @@ def mutated_stats(draw):
     """(bytes of the mutated stats JSON, the records it means if a drop left a
     valid file, else None: it means the unmutated records or nothing)."""
     records = [dict(r) for r in STATS_RECORDS]
-    kind = draw(st.sampled_from(FILE_MUTATIONS))
+    # a length as a string ("3_0", which float() reads as 30) or as true (1.0 to float())
+    kind = draw(st.sampled_from(FILE_MUTATIONS + ["string", "bool"]))
     if kind == "truncate":
         text = encoded(stats_text(records))
         return text[:draw(st.integers(0, len(text) - 1))], None
@@ -431,12 +435,14 @@ def mutated_stats(draw):
         records.insert(j, records[j])
         return encoded(stats_text(records)), None
     fields = {"empty": list(records[j]), "non_finite": STATS_NUMBERS,
-              "fractional": STATS_INTEGERS, "non_utf8": list(records[j])}[kind]
+              "fractional": STATS_INTEGERS, "non_utf8": list(records[j]),
+              "string": STATS_LENGTHS, "bool": STATS_LENGTHS}[kind]
     field = draw(st.sampled_from(fields))
     value = records[j][field]
     records[j][field] = {"empty": '""', "non_finite": draw(st.sampled_from(
         ["NaN", "Infinity", "-Infinity", "1e999"])), "fractional": f"{value}.5",
-        "non_utf8": "\udcff" + value}[kind]
+        "non_utf8": "\udcff" + value, "string": f'"{value.replace(".", "_")}"',
+        "bool": "true"}[kind]
     return encoded(stats_text(records)), None
 
 
@@ -551,3 +557,112 @@ def test_mutated_geometry_runs_unchanged_or_names_the_file(text_fuzz, unmutated_
     path.write_bytes(blob)
     assert_unchanged_or_names(path, *geometry_run(text_fuzz, path, None),
                               unmutated_text_outputs["geometry"])
+
+
+# ------------------- the CSV inputs of run, sweep-kappa and hand-eval, through the CLI
+# Each file gets mutated()'s row mutations (a row dropped, duplicated, emptied or given
+# a bad value, a stray column, a blank line, the header added or removed, the text cut
+# off), and one time in four a byte that is not UTF-8. If the row parser accepts the
+# file, actseg must do what it does on that value written cleanly; if not, it must
+# exit 2 with an error that starts with the file's path.
+
+CSV_GT = np.repeat([8, 13, 9, 11, 15], 8)  # the 40 frames of FUZZ_LOGITS
+CSV_RAW = np.where(np.isin(np.arange(40), [3, 4, 17, 30]), 2, CSV_GT)
+CSV_PRED = [(f, (0.9, 0.5 + f / 40, 0.5), (0.3 + f / 10, 0.25, 0.75)) for f in range(6)]
+CSV_TARGETS = [(f, (1, 0.5, 0.5), (f % 2, 0.3, 0.7)) for f in range(6)]
+
+
+def timeline_table(labels):
+    return ["frame", "label_id"], [[str(i), str(v)] for i, v in enumerate(labels.tolist())], 2
+
+
+def hand_table(rows):
+    return (["frame", "p1", "x1", "y1", "p2", "x2", "y2"],
+            [[str(f)] + [repr(float(v)) for v in (*left, *right)] for f, left, right in rows], 1)
+
+
+def write_hand_value(path, rows):
+    write_hand_csv(path, [(f, dataclasses.astuple(left), dataclasses.astuple(right))
+                          for f, left, right in rows])
+
+
+def run_gt(d, path, out):
+    return cli_outputs(["run", "--logits", d / "in.logits", "--t", "4", "--tau", "3",
+                        "--gt", path, "--out-dir", d / out], d / out)
+
+
+def sweep_raw(d, path, _):
+    return cli_outputs(["sweep-kappa", "--raw", path, "--gt", d / "gt.csv"])
+
+
+def sweep_gt(d, path, _):
+    return cli_outputs(["sweep-kappa", "--raw", d / "raw.csv", "--gt", path])
+
+
+def hand_pred(d, path, _):
+    return cli_outputs(["hand-eval", "--pred", path, "--gt", d / "targets.csv"])
+
+
+def hand_gt(d, path, _):
+    return cli_outputs(["hand-eval", "--pred", d / "pred.csv", "--gt", path])
+
+
+# (run on the mutated file, its unmutated table, its row parser, the clean writer)
+CSV_INPUTS = {
+    "run --gt": (run_gt, timeline_table(CSV_GT), read_timeline_ref, write_timeline_csv),
+    "sweep-kappa --raw": (sweep_raw, timeline_table(CSV_RAW), read_timeline_ref,
+                          write_timeline_csv),
+    "sweep-kappa --gt": (sweep_gt, timeline_table(CSV_GT), read_timeline_ref,
+                         write_timeline_csv),
+    "hand-eval --pred": (hand_pred, hand_table(CSV_PRED), read_hand_predictions_ref,
+                         write_hand_value),
+    "hand-eval --gt": (hand_gt, hand_table(CSV_TARGETS), read_hand_targets_ref,
+                       write_hand_value),
+}
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz(tmp_path_factory):
+    """The directory holding each command's unmutated inputs."""
+    d = tmp_path_factory.mktemp("csv_fuzz")
+    write_logits_binary(d / "in.logits", FUZZ_LOGITS)
+    write_timeline_csv(d / "gt.csv", CSV_GT)
+    write_timeline_csv(d / "raw.csv", CSV_RAW)
+    write_hand_csv(d / "pred.csv", CSV_PRED)
+    write_hand_csv(d / "targets.csv", CSV_TARGETS)
+    return d
+
+
+def ref_value(ref, path):
+    """The row parser's value of the file, or None if it rejects the file or would
+    drop a line 1 that actseg reads as data (test_reader_agrees_with_row_parser)."""
+    try:
+        value = ref(path)
+        return None if row_parsers_drop_line_one(path) else value
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+
+
+@pytest.mark.parametrize("role", list(CSV_INPUTS))
+@given(data=st.data())
+def test_mutated_csv_input_runs_as_it_reads_or_names_the_file(csv_fuzz, role, data):
+    run, table, ref, write_value = CSV_INPUTS[role]
+    blob = data.draw(mutated(st.just(table))).encode()
+    if data.draw(st.integers(0, 3)) == 0:
+        at = data.draw(st.integers(0, len(blob)))
+        blob = blob[:at] + b"\xff" + blob[at:]
+    path = csv_fuzz / "mutated.csv"
+    path.write_bytes(blob)
+    value = ref_value(ref, path)
+    code, got = run(csv_fuzz, path, "mutated_out")
+    if value is None:
+        assert code == 2, got
+        assert got.startswith(f"actseg: error: {path}"), got
+        return
+    write_value(csv_fuzz / "clean.csv", value)
+    want_code, want = run(csv_fuzz, csv_fuzz / "clean.csv", "clean_out")
+    assert code == want_code, (got, want)
+    if code == 0:
+        assert got == want
+    else:  # the value itself does not fit the other input (a row short, a frame moved)
+        assert code == 2 and str(path) in got, got
