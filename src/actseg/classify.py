@@ -39,7 +39,6 @@ class LogitsBackend:
             raise ValueError(f"non-finite logit {arr[frame, col]} at frame {frame}, column {col}")
         self._table = _softmax_rows(arr) if softmax_average else arr
         self._table.flags.writeable = False
-        self.softmax_average = softmax_average
 
     @property
     def num_frames(self) -> int:
@@ -100,18 +99,14 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.substitution_prob <= 1.0:
             raise ValueError(f"substitution_prob must be in [0, 1], got {self.substitution_prob}")
-        if self.boundary_jitter_std < 0 or self.spike_rate < 0:
-            raise ValueError("noise magnitudes must be >= 0")
+        for name in ("boundary_jitter_std", "spike_rate"):  # NaN fails too
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.spike_len < 1:
             raise ValueError(f"spike_len must be >= 1, got {self.spike_len}")
 
 
-def _other_class(rng, current, num_classes):
-    c = int(rng.integers(0, num_classes - 1))
-    return c + 1 if c >= current else c
-
-
-def synth_timeline(gt, nm: NoiseModel, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def synth_timeline(gt, nm: NoiseModel) -> np.ndarray:
     """Corrupt a ground-truth timeline deterministically under nm.seed.
 
     Boundary jitter shifts each internal segment boundary by a rounded
@@ -141,23 +136,22 @@ def synth_timeline(gt, nm: NoiseModel, num_classes: int = NUM_CLASSES) -> np.nda
         span = max(1, n - nm.spike_len + 1)
         for _ in range(count):
             pos = int(rng.integers(0, span))
-            labels[pos:pos + nm.spike_len] = _other_class(rng, int(labels[pos]), num_classes)
+            c = int(rng.integers(0, NUM_CLASSES - 1))  # any class but the one at pos
+            labels[pos:pos + nm.spike_len] = c + (c >= labels[pos])
 
     if nm.substitution_prob > 0:
         mask = rng.random(n) < nm.substitution_prob
         hits = np.flatnonzero(mask)
-        draws = rng.integers(0, num_classes - 1, size=hits.size)
+        draws = rng.integers(0, NUM_CLASSES - 1, size=hits.size)
         draws = draws + (draws >= labels[hits])
         labels[hits] = draws
 
     return labels
 
 
-def make_synthetic_backend(gt, nm: NoiseModel, num_classes: int = NUM_CLASSES,
-                          softmax_average: bool = False) -> LogitsBackend:
+def make_synthetic_backend(gt, nm: NoiseModel) -> LogitsBackend:
     """One-hot logits backend over a noise-corrupted copy of gt."""
-    return LogitsBackend(one_hot_logits(synth_timeline(gt, nm, num_classes), num_classes),
-                         softmax_average)
+    return LogitsBackend(one_hot_logits(synth_timeline(gt, nm)))
 
 
 # ------------------------------------------------------------------ file IO

@@ -60,7 +60,6 @@ class CleanerConfig:
     kappa: float = 1.4
     stats: dict = field(default_factory=dict)
     fps: float = 15.0
-    background_id: int = BACKGROUND_ID
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
@@ -68,8 +67,8 @@ class CleanerConfig:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
-        if not 0 <= self.background_id < self.num_classes:
-            raise ValueError(f"background id {self.background_id} outside [0, {self.num_classes})")
+        if self.num_classes <= BACKGROUND_ID:
+            raise ValueError(f"background id {BACKGROUND_ID} outside [0, {self.num_classes})")
         for cid in self.stats:
             if not 0 <= cid < self.num_classes:
                 raise ValueError(f"stats class id {cid} outside [0, {self.num_classes})")
@@ -101,7 +100,7 @@ class StreamCleaner:
     def __init__(self, cfg: CleanerConfig):
         self.cfg = cfg
         self._thresholds = cfg.thresholds().tolist()
-        self._prev = cfg.background_id     # label of the last surviving run
+        self._prev = BACKGROUND_ID         # label of the last surviving run
         self._label = None                 # label of the current run
         self._start = 0                    # first frame of the current run
         self._held = False                 # the current run's frames are waiting
@@ -159,7 +158,7 @@ def _cleaned_run_labels(starts, ends, runs, cfg: CleanerConfig) -> np.ndarray:
     (background before any). Returns each run's label after cleaning."""
     keep = ends - starts >= cfg.thresholds()[runs]
     last_kept = np.maximum.accumulate(np.where(keep, np.arange(runs.size), -1))
-    return np.where(last_kept >= 0, runs[last_kept], cfg.background_id)
+    return np.where(last_kept >= 0, runs[last_kept], BACKGROUND_ID)
 
 
 def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
@@ -191,7 +190,7 @@ def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
     gts = [as_timeline(t) for t in timelines_gt]
     if not raws or len(raws) != len(gts):
         raise ValueError(f"need matching raw/gt timelines, got {len(raws)} vs {len(gts)}")
-    eval_cfg = metrics.EvalConfig(ignore_background=True, background_id=cfg_base.background_id)
+    eval_cfg = metrics.EvalConfig(ignore_background=True)
     pairs = []
     for r, g in zip(raws, gts):
         if r.size != g.size:

@@ -144,6 +144,9 @@ def _cmd_sweep_kappa(args) -> int:
 
 def _cmd_enhance_demo(args) -> int:
     g = align.load_geometry(args.geometry)
+    for flag, dim in (("--backbone-h", args.backbone_h), ("--backbone-w", args.backbone_w)):
+        if not 1 <= dim <= g.crop_size:  # at most one grid cell per crop pixel
+            raise ValueError(f"{args.geometry}: {flag} must be in [1, {g.crop_size}], got {dim}")
     a = align.alignment(g)
     rows, cols, off_y, off_x = align.footprint(g, args.backbone_h, args.backbone_w)
     ones = FeatureMap(np.ones((1, 1, 1, 1)))  # all ones at any size: the mask is the footprint

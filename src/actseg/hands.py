@@ -10,6 +10,12 @@ from .metrics import _f1_pct
 from .timeline import _data_lines, _read_table
 
 
+def _check_unit(hand, names) -> None:
+    for name in names:
+        if not 0.0 <= getattr(hand, name) <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {getattr(hand, name)}")
+
+
 @dataclass(frozen=True)
 class HandObservation:
     """Predicted presence probability and normalized position, all in [0, 1]."""
@@ -19,15 +25,12 @@ class HandObservation:
     y: float
 
     def __post_init__(self):
-        for name in ("p", "x", "y"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        _check_unit(self, ("p", "x", "y"))
 
 
 @dataclass(frozen=True)
 class HandTarget:
-    """Ground truth: presence flag in {0, 1} and normalized position (arbitrary when absent)."""
+    """Ground truth: presence flag in {0, 1} and normalized position (in [0, 1] if present)."""
 
     present: int
     x: float
@@ -36,6 +39,8 @@ class HandTarget:
     def __post_init__(self):
         if self.present not in (0, 1):
             raise ValueError(f"present must be 0 or 1, got {self.present}")
+        if self.present:
+            _check_unit(self, ("x", "y"))
 
 
 @dataclass(frozen=True)

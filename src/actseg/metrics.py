@@ -11,16 +11,12 @@ from .timeline import BACKGROUND_ID, as_timeline, encode_runs
 from .timeline import segments_from_timeline  # noqa: F401
 
 
+IOU_THRESHOLDS = (0.1, 0.25, 0.5)  # the paper's; evaluate details the largest per class
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_thresholds: tuple = (0.1, 0.25, 0.5)
     ignore_background: bool = True
-    background_id: int = BACKGROUND_ID
-
-    def __post_init__(self):
-        for thr in self.iou_thresholds:
-            if not 0 < thr <= 1:
-                raise ValueError(f"IoU threshold must be in (0, 1], got {thr}")
 
 
 DEFAULT_EVAL = EvalConfig()
@@ -38,7 +34,7 @@ def _scored_runs(runs, cfg):
     if runs[2].min() < 0:
         raise ValueError(f"class_id must be >= 0, got {runs[2].min()}")
     if cfg.ignore_background:
-        keep = runs[2] != cfg.background_id
+        keep = runs[2] != BACKGROUND_ID
         runs = tuple(a[keep] for a in runs)
     return runs
 
@@ -49,7 +45,7 @@ def _both_scored_runs(p, g, cfg):
 
 def _accuracy(p, g, cfg) -> float:
     if cfg.ignore_background:
-        mask = g != cfg.background_id
+        mask = g != BACKGROUND_ID
         if not mask.any():
             return 100.0
         p, g = p[mask], g[mask]
@@ -106,12 +102,14 @@ def _claimed(pairs, threshold):
 
     Predictions in temporal order claim the unconsumed same-class
     ground-truth run of maximal IoU (ties to the earliest); a claim below
-    the threshold is a false positive and consumes nothing. Every threshold
-    is > 0, so a candidate without overlap never matches or consumes, and a
-    candidate below the threshold is never the claimed one: if any
-    candidate reaches the threshold, the maximum does. The scan therefore
-    only visits the overlap pairs at or above the threshold.
+    the threshold is a false positive and consumes nothing. The threshold
+    is checked to lie in (0, 1], so a candidate without overlap never matches
+    or consumes, and a candidate below the threshold is never the claimed
+    one: if any candidate reaches the threshold, the maximum does. The scan
+    therefore only visits the overlap pairs at or above the threshold.
     """
+    if not 0 < threshold <= 1:  # NaN fails too
+        raise ValueError(f"IoU threshold must be in (0, 1], got {threshold}")
     pair_p, pair_g, iou = pairs
     keep = iou >= threshold
     pp, pg, pi = pair_p[keep].tolist(), pair_g[keep].tolist(), iou[keep].tolist()
@@ -195,22 +193,22 @@ def segment_level_f1(pred_labels, gt_labels, micro: bool = False) -> float:
 
 
 def evaluate(pred, gt, cfg: EvalConfig = DEFAULT_EVAL, class_names=None) -> dict:
-    """Full report: accuracy, edit score, F1 at each threshold, per-class detail.
+    """Full report: accuracy, edit score, F1 at each of IOU_THRESHOLDS, per-class detail.
 
     Each timeline's runs and the overlap pairs are built once, and the greedy
-    matching runs once per distinct threshold; the per-class detail reuses the
+    matching runs once per threshold; the per-class detail reuses the
     matching at the largest threshold.
     """
     p, g = _aligned(pred, gt)
     pr, gr = _both_scored_runs(p, g, cfg)
     pairs = _overlap_pairs(pr, gr, p.size)
-    claims = {thr: _claimed(pairs, thr) for thr in set(cfg.iou_thresholds)}
+    claims = {thr: _claimed(pairs, thr) for thr in IOU_THRESHOLDS}
     report = {
         "acc": _accuracy(p, g, cfg),
         "edit": _edit(pr[2], gr[2]),
-        "f1": {f"{thr:g}": _f1(pr, gr, claims[thr]) for thr in cfg.iou_thresholds},
+        "f1": {f"{thr:g}": _f1(pr, gr, claims[thr]) for thr in IOU_THRESHOLDS},
     }
-    detail_thr = max(cfg.iou_thresholds)
+    detail_thr = max(IOU_THRESHOLDS)
     rows = _class_rows(pr, gr, claims[detail_thr])
     if class_names:
         for row in rows:

@@ -45,6 +45,7 @@ class TestBackend:
         b = LogitsBackend(rng.normal(size=(20, 25)), softmax_average=True)
         assert np.allclose(b.table.sum(axis=1), 1.0)
         assert (b.table > 0).all()
+        assert not hasattr(b, "softmax_average")  # the table is the only record of it
 
 
 class TestClassifyClip:
@@ -175,6 +176,9 @@ class TestNoiseModel:
         b = make_synthetic_backend(gt, NoiseModel(substitution_prob=0.1, seed=8))
         assert b.num_frames == gt.size and b.num_classes == NUM_CLASSES
         assert np.array_equal(np.sort(np.unique(b.table)), [0.0, 1.0])
+        for knob in ({"num_classes": 30}, {"softmax_average": True}):
+            with pytest.raises(TypeError):
+                make_synthetic_backend(gt, NoiseModel(), **knob)
 
 
 class TestLogitsIO:

@@ -117,9 +117,12 @@ class TestCleanerConfig:
             CleanerConfig(stats=stats_of({0: (20.0, 5.0), 40: (20.0, 5.0)}))
         with pytest.raises(ValueError, match="stats class id -1 outside"):
             CleanerConfig(stats=stats_of({-1: (20.0, 5.0)}))
-        with pytest.raises(ValueError, match="background id 30 outside"):
-            CleanerConfig(background_id=30)
+        # background is class 24, so the label space holds at least 25 classes
+        with pytest.raises(ValueError, match=r"background id 24 outside \[0, 10\)"):
+            CleanerConfig(num_classes=10)
         CleanerConfig(stats=stats_of({29: (20.0, 5.0)}), num_classes=30)
+        with pytest.raises(TypeError):
+            CleanerConfig(background_id=3)
 
 
 def push_all(labels, cfg):

@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import actseg
 from actseg.cleaning import ClassStats, CleanerConfig, write_class_stats
-from actseg.cli import entry, main
+from actseg.cli import build_parser, entry, main
 from actseg.hands import write_hand_csv
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.refstats import reference_class_stats
@@ -680,6 +682,22 @@ class TestEnhanceDemo:
         assert exc.value.code == 1
         assert "unrecognized arguments: --hand-h 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--backbone-h", "--backbone-w"])
+    @pytest.mark.parametrize("value", ["0", "-3", "225"])
+    def test_grid_outside_crop_names_flag(self, capsys, tmp_path, flag, value):
+        # a backbone grid has at most one cell per crop pixel (crop_size 224)
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY)
+        code, out, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom), flag, value)
+        assert code == 2 and out == ""
+        assert err == f"actseg: error: {geom}: {flag} must be in [1, 224], got {value}\n"
+
+    def test_grid_as_fine_as_the_crop(self, capsys, tmp_path):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY)
+        report = json_out(capsys, "enhance-demo", "--geometry", str(geom), "--backbone-w", "224")
+        assert len(report["mask"]) == 56 and all(len(row) == 224 for row in report["mask"])
+
     def test_bad_geometry_is_data_error(self, capsys, tmp_path):
         geom = tmp_path / "geom.txt"
         geom.write_text("full_w=920\n")
@@ -729,6 +747,15 @@ class TestHandEval:
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{gt_path}:3: present must be 0 or 1, got 0.7" in err
+
+    def test_present_target_position_names_line(self, capsys, tmp_path):
+        # a present hand off the unit square is bad data, not a missed hand
+        pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        gt_path.write_text("frame,p1,x1,y1,p2,x2,y2\n0,1,nan,0.5,1,1e400,-7\n")
+        code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
+        assert code == 2 and out == ""
+        assert f"{gt_path}:2: x must be in [0, 1], got nan" in err
 
     def test_frame_columns_must_match(self, capsys, tmp_path):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
@@ -822,6 +849,17 @@ class TestSynth:
         assert code == 2, err
         assert f"{gt_path}:4: label_id must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("flag, value, field", [("--jitter-std", "inf", "boundary_jitter_std"),
+                                                    ("--jitter-std", "nan", "boundary_jitter_std"),
+                                                    ("--spike-rate", "nan", "spike_rate")])
+    def test_non_finite_noise_names_field(self, capsys, tmp_path, flag, value, field):
+        # inf jitter would merge every segment, and NaN would apply no noise
+        gt_path = tmp_path / "gt.csv"
+        write_timeline_csv(gt_path, np.repeat([0, 3, 7, 24], 65))
+        code, out, err = run_cli(capsys, "synth", "--gt", str(gt_path), flag, value)
+        assert code == 2 and out == ""
+        assert f"{field} must be finite and >= 0, got {value}" in err
+
     def test_seed_reproducible(self, capsys, tmp_path):
         gt_path = tmp_path / "gt.csv"
         write_timeline_csv(gt_path, list(np.repeat(np.arange(5), 40)))
@@ -899,3 +937,32 @@ class TestEntryPoint:
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["actseg"]
         module, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module), attr) is entry
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argv of every `actseg ...` command in README's sh blocks, with `\\`
+    continuations joined and shell redirections such as `> stats.json` dropped."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(re.sub(r"\s\d?(>>?|<)\s*\S+", "", line), comments=True)
+            if words[:1] == ["actseg"]:
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_documented_commands_parse(self, capsys):
+        # a flag removed or renamed in the parser cannot stay in the README
+        documented = set()
+        for argv in readme_commands():
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: actseg {shlex.join(argv)}\n"
+                            f"{capsys.readouterr().err}")
+            documented.add(args.command)
+        assert documented == {"stats", "synth", "run", "sweep-kappa", "enhance-demo", "hand-eval"}

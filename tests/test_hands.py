@@ -35,6 +35,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             HandTarget(2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.inf), (-7.0, 0.5), (0.5, 1.01)])
+    def test_present_target_position_checked(self, x, y):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            HandTarget(1, x, y)
+        assert HandTarget(0, x, y).present == 0  # an absent hand's position is free
+
     def test_lam_must_be_positive(self):
         with pytest.raises(ValueError):
             HandLossConfig(lam=0.0)

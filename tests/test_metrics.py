@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from actseg.metrics import (DEFAULT_EVAL, EvalConfig, edit_score, evaluate, f1_at_iou,
-                            frame_accuracy, per_class_f1, segment_level_f1)
+from actseg.metrics import (DEFAULT_EVAL, IOU_THRESHOLDS, EvalConfig, edit_score, evaluate,
+                            f1_at_iou, frame_accuracy, per_class_f1, segment_level_f1)
 from actseg.timeline import BACKGROUND_ID
 from oracles import edit_score_ref, f1_at_iou_ref
 
@@ -11,10 +11,12 @@ KEEP_BG = EvalConfig(ignore_background=False)
 
 
 def random_timeline(rng, n_classes=5, max_len=80):
-    """Timelines built from runs, so segment structure is non-trivial."""
+    """Timelines built from runs, so segment structure is non-trivial; the last
+    of the n_classes labels is background."""
+    alphabet = list(range(n_classes - 1)) + [BG]
     out = []
     while len(out) < max_len:
-        cid = int(rng.integers(0, n_classes))
+        cid = alphabet[int(rng.integers(0, n_classes))]
         out.extend([cid] * int(rng.integers(1, 9)))
     return np.array(out[:max_len], dtype=np.int64)
 
@@ -71,8 +73,7 @@ class TestEditScore:
             gt = random_timeline(rng)
             for cfg in (DEFAULT_EVAL, KEEP_BG):
                 got = edit_score(pred, gt, cfg)
-                want = edit_score_ref(pred.tolist(), gt.tolist(),
-                                      cfg.ignore_background, cfg.background_id)
+                want = edit_score_ref(pred.tolist(), gt.tolist(), cfg.ignore_background, BG)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_invariant_under_temporal_scaling(self):
@@ -142,9 +143,18 @@ class TestF1AtIoU:
             thr = float(rng.choice([0.1, 0.25, 0.5, 0.9]))
             for cfg in (DEFAULT_EVAL, KEEP_BG):
                 got = f1_at_iou(pred, gt, thr, cfg)
-                want = f1_at_iou_ref(pred.tolist(), gt.tolist(), thr,
-                                     cfg.ignore_background, cfg.background_id)
+                want = f1_at_iou_ref(pred.tolist(), gt.tolist(), thr, cfg.ignore_background, BG)
                 assert got == want
+
+    def test_bad_threshold_rejected(self):
+        # outside (0, 1] the overlap-pair scan would disagree with the oracle:
+        # at 0 or below a prediction may claim a segment it does not overlap
+        p, g = [0, 0, BG, BG], [BG, BG, 0, 0]
+        for thr in (0.0, -1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
+                f1_at_iou(p, g, thr)
+            with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
+                per_class_f1(p, g, thr)
 
     def test_invariant_under_temporal_scaling(self):
         rng = np.random.default_rng(25)
@@ -228,14 +238,12 @@ class TestEvaluate:
         rep = evaluate([0] * 6, [0] * 6, class_names={0: "attach wheel"})
         assert rep["per_class"][0]["name"] == "attach wheel"
 
-    def test_custom_thresholds(self):
-        cfg = EvalConfig(iou_thresholds=(0.2, 0.4))
-        rep = evaluate([0] * 6, [0] * 6, cfg)
-        assert set(rep["f1"]) == {"0.2", "0.4"}
-        assert rep["per_class_iou"] == 0.4
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(0.0,))
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(1.5,))
+    def test_thresholds_are_the_papers(self):
+        assert IOU_THRESHOLDS == (0.1, 0.25, 0.5)
+        rep = evaluate([0] * 6, [0] * 6, KEEP_BG)
+        assert list(rep["f1"]) == ["0.1", "0.25", "0.5"]
+        assert rep["per_class_iou"] == 0.5
+        # the thresholds and the background class are constants, not settings
+        for knob in ({"iou_thresholds": (0.5,)}, {"background_id": 0}):
+            with pytest.raises(TypeError):
+                EvalConfig(**knob)

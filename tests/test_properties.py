@@ -16,12 +16,12 @@ from actseg.classify import LogitsBackend, one_hot_logits, predict_clip
 from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                              compute_class_stats)
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
-from actseg.metrics import (EvalConfig, edit_score, evaluate, f1_at_iou, frame_accuracy,
-                            per_class_f1)
+from actseg.metrics import (IOU_THRESHOLDS, EvalConfig, edit_score, evaluate, f1_at_iou,
+                            frame_accuracy, per_class_f1)
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
                              training_clip, window_offsets)
-from actseg.timeline import encode_runs, timeline_from_segments
+from actseg.timeline import BACKGROUND_ID, NUM_CLASSES, encode_runs, timeline_from_segments
 from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
                      greedy_match_ref, rle_ref)
 
@@ -37,28 +37,32 @@ def timeline_of(pieces):
     return np.repeat([c for c, _ in pieces], [n for _, n in pieces]).astype(np.int64)
 
 
+# four actions and background in the 25-class label space: a run_lists label i
+# stands for LABELS[i], so background occurs wherever the labels are drawn from here
+LABELS = np.array([0, 1, 2, 3, BACKGROUND_ID])
+
+
 @st.composite
-def cleaner_configs(draw, n_classes):
-    """Stats for a random subset of the classes (the rest clean at threshold
-    1), a kappa on both sides of the sweep range and any background class."""
+def cleaner_configs(draw):
+    """Stats for a random subset of LABELS (every other class cleans at
+    threshold 1) and a kappa on both sides of the sweep range."""
     stats = {}
-    for cid in range(n_classes):
+    for cid in LABELS.tolist():
         if draw(st.booleans()):
             mean = draw(st.floats(1.0, 16.0))
             std = draw(st.floats(0.0, 6.0))
             stats[cid] = ClassStats(cid, 5, mean, std)
     kappa = draw(st.floats(0.1, 2.5))
-    background = draw(st.integers(0, n_classes - 1))
-    return CleanerConfig(kappa, stats, 15.0, background, n_classes)
+    return CleanerConfig(kappa, stats)
 
 
 # ------------------------------------------------------------ cleaning
 
 
-@given(run_lists(5), cleaner_configs(5))
+@given(run_lists(LABELS.size), cleaner_configs())
 def test_frame_fed_equals_batch_equals_reference(pieces, cfg):
-    labels = timeline_of(pieces)
-    want = clean_ref(labels.tolist(), cfg.threshold_for, cfg.background_id)
+    labels = LABELS[timeline_of(pieces)]
+    want = clean_ref(labels.tolist(), cfg.threshold_for, BACKGROUND_ID)
 
     frame_fed = StreamCleaner(cfg)
     pairs = [p for i, lab in enumerate(labels.tolist()) for p in frame_fed.push(i, lab)]
@@ -71,11 +75,10 @@ def test_frame_fed_equals_batch_equals_reference(pieces, cfg):
 
 @st.composite
 def stream_cases(draw):
-    n_classes = 4
-    pieces = draw(run_lists(n_classes, max_len=15, max_runs=12))
+    pieces = draw(run_lists(LABELS.size, max_len=15, max_runs=12))
     t = draw(st.integers(1, 6))
     tau = draw(st.integers(1, 4))
-    cleaner = draw(st.none() | cleaner_configs(n_classes))
+    cleaner = draw(st.none() | cleaner_configs())
     seed = draw(st.integers(0, 2**16))
     return pieces, t, tau, cleaner, seed
 
@@ -83,10 +86,10 @@ def stream_cases(draw):
 @given(stream_cases())
 def test_stream_equals_offline_exactly_once_within_lag_bound(case):
     pieces, t, tau, cleaner, seed = case
-    labels = timeline_of(pieces)
-    noise = np.random.default_rng(seed).normal(0.0, 0.5, (labels.size, 4))
-    backend = LogitsBackend(2.0 * one_hot_logits(labels, 4) + noise)
-    cfg = PipelineConfig(t, tau, 15.0, 4, cleaner)
+    labels = LABELS[timeline_of(pieces)]
+    noise = np.random.default_rng(seed).normal(0.0, 0.5, (labels.size, NUM_CLASSES))
+    backend = LogitsBackend(2.0 * one_hot_logits(labels) + noise)
+    cfg = PipelineConfig(t, tau, 15.0, NUM_CLASSES, cleaner)
     _, want = run_offline(cfg, backend)
 
     session = StreamSession(cfg, backend)
@@ -198,8 +201,10 @@ def scored_pairs(draw):
     # few classes and short runs, so same-class candidates compete for the
     # same ground truth and IoU ties occur; a prediction is either drawn on
     # its own or the ground truth with short spikes written over it, which
-    # splits one ground-truth segment among several predictions
+    # splits one ground-truth segment among several predictions; the last
+    # label of the alphabet is background
     n_classes = draw(st.integers(1, 4))
+    alphabet = np.array([*range(n_classes - 1), BACKGROUND_ID])
     gt = timeline_of(draw(run_lists(n_classes, max_len=8)))
     if draw(st.booleans()):
         pred = timeline_of(draw(run_lists(n_classes, max_len=8)))
@@ -211,38 +216,37 @@ def scored_pairs(draw):
             pred[pos:pos + n] = label
     n = min(pred.size, gt.size)
     threshold = draw(iou_thresholds)
-    background = draw(st.integers(0, n_classes - 1))
-    return pred[:n], gt[:n], threshold, background
+    return alphabet[pred[:n]], alphabet[gt[:n]], threshold
 
 
 @given(scored_pairs(), st.booleans())
 def test_metrics_equal_oracles(case, ignore_background):
-    pred, gt, threshold, background = case
-    cfg = EvalConfig(ignore_background=ignore_background, background_id=background)
+    pred, gt, threshold = case
+    cfg = EvalConfig(ignore_background=ignore_background)
     p, g = pred.tolist(), gt.tolist()
 
     assert f1_at_iou(pred, gt, threshold, cfg) == \
-        f1_at_iou_ref(p, g, threshold, ignore_background, background)
-    assert edit_score(pred, gt, cfg) == edit_score_ref(p, g, ignore_background, background)
+        f1_at_iou_ref(p, g, threshold, ignore_background, BACKGROUND_ID)
+    assert edit_score(pred, gt, cfg) == edit_score_ref(p, g, ignore_background, BACKGROUND_ID)
 
     rows = per_class_f1(pred, gt, threshold, cfg)
-    want = per_class_ref(p, g, threshold, ignore_background, background)
+    want = per_class_ref(p, g, threshold, ignore_background, BACKGROUND_ID)
     assert [(r["class_id"], r["tp"], r["fp"], r["fn"]) for r in rows] == want
     assert [r["f1"] for r in rows] == [f1_pct_ref(tp, fp, fn) for _, tp, fp, fn in want]
 
 
-@given(scored_pairs(), st.booleans(), st.lists(iou_thresholds, min_size=1, max_size=4))
-@example((np.array([3]), np.array([3]), 0.5, 3), True, [0.5])             # one frame, background
-@example((np.array([0, 0, 1]), np.array([2, 2, 2]), 0.5, 2), True, [0.1])  # background ground truth
-def test_evaluate_equals_public_metrics(case, ignore_background, thresholds):
+@given(scored_pairs(), st.booleans())
+@example((np.array([24]), np.array([24]), 0.5), True)           # one frame, background
+@example((np.array([0, 0, 1]), np.array([24, 24, 24]), 0.5), True)  # background ground truth
+def test_evaluate_equals_public_metrics(case, ignore_background):
     # evaluate builds runs, overlap pairs and matchings once; the public metrics
-    # each build their own, and must give the same report
-    pred, gt, _, background = case
-    cfg = EvalConfig(tuple(thresholds), ignore_background, background)
-    detail = max(thresholds)
+    # each build their own, and must give the same report, at the paper's
+    # thresholds with the per-class detail at 0.5
+    pred, gt, _ = case
+    cfg = EvalConfig(ignore_background)
     want = {"acc": frame_accuracy(pred, gt, cfg), "edit": edit_score(pred, gt, cfg),
-            "f1": {f"{thr:g}": f1_at_iou(pred, gt, thr, cfg) for thr in thresholds},
-            "per_class": per_class_f1(pred, gt, detail, cfg), "per_class_iou": detail}
+            "f1": {f"{thr:g}": f1_at_iou(pred, gt, thr, cfg) for thr in IOU_THRESHOLDS},
+            "per_class": per_class_f1(pred, gt, 0.5, cfg), "per_class_iou": 0.5}
     assert evaluate(pred, gt, cfg) == want
 
 
