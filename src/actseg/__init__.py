@@ -9,8 +9,8 @@ evaluation metrics.
 from .align import (AlignmentResult, CropGeometry, alignment, enhance, fallback_geometry,
                     footprint, load_geometry, normalized_offset, normalized_size,
                     place_hand_features)
-from .classify import (LogitsBackend, NoiseModel, classify_clip, load_logits,
-                       make_synthetic_backend, one_hot_logits, predict_clip, synth_timeline)
+from .classify import (LogitsBackend, NoiseModel, load_logits, make_synthetic_backend,
+                       one_hot_logits, synth_timeline)
 from .cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                        compute_class_stats, read_class_stats, sweep_kappa, threshold,
                        write_class_stats)

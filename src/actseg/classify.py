@@ -1,5 +1,5 @@
-"""Per-clip classifier backends: precomputed per-frame logits with
-consensus averaging, plus a synthetic noisy oracle for harness work."""
+"""Classifier backends: precomputed per-frame logits, whose window means
+pipeline takes, plus a synthetic noisy oracle for harness work."""
 
 import csv
 import os
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .sampling import ClipSpec
 from .timeline import NUM_CLASSES, _in_frame_order, _read_table, as_timeline, encode_runs
 
 _MAGIC = b"ATSL"
@@ -23,10 +21,10 @@ def _softmax_rows(x):
 
 
 class LogitsBackend:
-    """Read-only per-frame logits table; clip scores are the mean over clip frames.
+    """Read-only per-frame logits table; a window's scores are the mean over its frames.
 
-    With softmax_average=True the consensus averages per-frame softmax scores
-    instead of raw logits.
+    With softmax_average=True the table holds per-frame softmax scores
+    instead of raw logits, so the windows average those.
     """
 
     def __init__(self, logits, softmax_average: bool = False):
@@ -62,21 +60,6 @@ class LogitsBackend:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def classify_clip(backend: LogitsBackend, clip: ClipSpec) -> np.ndarray:
-    """Consensus class scores for one clip (arithmetic mean over its frames)."""
-    idx = np.asarray(clip.frames, dtype=np.int64).reshape(1, -1)
-    bad = (idx < 0) | (idx >= backend.num_frames)
-    if bad.any():
-        missing = int(idx[bad][0])
-        raise ValueError(f"clip frame {missing} outside backend range [0, {backend.num_frames})")
-    return _kernels.gather_mean(backend.table, idx)[0]
-
-
-def predict_clip(backend: LogitsBackend, clip: ClipSpec) -> int:
-    """Consensus prediction; score ties break to the lowest class id."""
-    return int(np.argmax(classify_clip(backend, clip)))
-
-
 def one_hot_logits(labels, num_classes: int = NUM_CLASSES) -> np.ndarray:
     arr = as_timeline(labels)
     if arr.min() < 0 or arr.max() >= num_classes:
@@ -92,7 +75,7 @@ class NoiseModel:
 
     substitution_prob: float = 0.0
     boundary_jitter_std: float = 0.0
-    spike_rate: float = 0.0  # expected spikes per 1000 frames
+    spike_rate: float = 0.0  # expected spikes per 1000 frames, at most one per frame
     spike_len: int = 1
     seed: int = 0
 
@@ -102,6 +85,8 @@ class NoiseModel:
         for name in ("boundary_jitter_std", "spike_rate"):  # NaN fails too
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.spike_rate > 1000:  # each spike is drawn in a Python loop
+            raise ValueError(f"spike_rate must be <= 1000, got {self.spike_rate}")
         if self.spike_len < 1:
             raise ValueError(f"spike_len must be >= 1, got {self.spike_len}")
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 from .classify import LogitsBackend
@@ -40,20 +41,35 @@ class PipelineConfig:
 _CHUNK = 1024
 
 
-def _window_labels(table, lo, hi, n, shifts, buf):
+def _window_view(table, t, tau):
+    """Read-only (T, rows-(T-1)*tau, C) view of table whose slab j, row r is table[r + j*tau].
+
+    view[:, r] is then the window whose oldest frame is r; no row is copied.
+    None when no window fits in the table, where tau*stride could overflow.
+    """
+    rows = table.shape[0] - (t - 1) * tau
+    if rows < 1:
+        return None
+    s0, s1 = table.strides
+    return as_strided(table, (t, rows, table.shape[1]), (tau * s0 if t > 1 else 0, s0, s1),
+                      writeable=False)
+
+
+def _window_labels(table, windows, lo, hi, n, shifts, buf):
     """Argmax of each row lo..hi-1's window mean over table[:n], frames clamped to [0, n).
 
-    Slab j is the slice table[lo+d : hi+d], d = shifts[j], where that lies in
-    [0, n) and a gather at the clamped frames where not. fold_mean adds it to
-    slab 0, copied into the caller's buf, oldest first, as for a row in any block.
+    The rows' windows form one (T, hi-lo, C) block, slab j holding frames
+    row + shifts[j]: a slice of the window view where every frame lies in
+    [0, n), and one gather at the clamped frames where not. fold_mean adds its
+    slabs oldest first into the caller's buf, as for a row in any block.
     """
-    slabs = [table[lo + d:hi + d] if 0 <= lo + d and hi + d <= n
-             else table[np.clip(np.arange(lo + d, hi + d), 0, n - 1)] for d in shifts]
-    acc = buf[:hi - lo]  # the sum builds up here, never in the table
-    acc[...] = slabs[0]
-    slabs[0] = acc
+    first = lo + shifts[0]
+    if first >= 0 and hi + shifts[-1] <= n:
+        block = windows[:, first:first + hi - lo]
+    else:
+        block = table[np.clip(np.add.outer(shifts, np.arange(lo, hi)), 0, n - 1)]
     # the method, not np.argmax: its Python wrapper cost a push about 1 us
-    return _kernels.fold_mean(slabs).argmax(axis=1)
+    return _kernels.fold_mean(block, buf[:hi - lo]).argmax(axis=1)
 
 
 def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
@@ -63,12 +79,13 @@ def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
     table = backend.table
+    windows = _window_view(table, cfg.t, cfg.tau)
     shifts = window_offsets(cfg.t, cfg.tau).tolist()
     buf = np.empty((min(_CHUNK, seq_len), table.shape[1]))
     raw = np.empty(seq_len, dtype=np.int64)
     for lo in range(0, seq_len, _CHUNK):
         hi = min(lo + _CHUNK, seq_len)
-        raw[lo:hi] = _window_labels(table, lo, hi, seq_len, shifts, buf)
+        raw[lo:hi] = _window_labels(table, windows, lo, hi, seq_len, shifts, buf)
     if cfg.cleaner is None:
         return raw, raw.copy()
     return raw, clean_timeline(raw, cfg.cleaner)
@@ -85,6 +102,7 @@ class StreamSession:
     def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
         self.cfg = cfg
         self.backend = backend
+        self._windows = _window_view(backend.table, cfg.t, cfg.tau)
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
         self._buf = np.empty((1, backend.num_classes))
         self._lag = prediction_lag(cfg.t, cfg.tau)
@@ -94,8 +112,8 @@ class StreamSession:
 
     def _emit(self, middle: int):
         # the window clamps at the newest pushed frame
-        label = int(_window_labels(self.backend.table, middle, middle + 1, self._pushed,
-                                   self._shifts, self._buf)[0])
+        label = int(_window_labels(self.backend.table, self._windows, middle, middle + 1,
+                                   self._pushed, self._shifts, self._buf)[0])
         if self._cleaner is None:
             return [(middle, label)]
         return self._cleaner.push(middle, label)

@@ -151,6 +151,32 @@ def kappa_scores_ref(raws, gts, kappas, threshold_of, background_id):
     return scores
 
 
+def gather_mean_ref(table, idx):
+    """out[r] = mean of table rows idx[r, 0..T-1], added oldest first: ((t[i0] + t[i1]) + ...) / T.
+
+    A plain loop over a clip's T positions, each one numpy add across every
+    row, so each row gets the IEEE adds of a scalar left fold in that order.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    acc = table[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        acc = acc + table[idx[:, j]]
+    return acc / idx.shape[1]
+
+
+def classify_clip_ref(table, frames):
+    """Class scores of one clip: the mean of its frames' rows, added oldest first."""
+    for f in frames:
+        if not 0 <= f < len(table):
+            raise ValueError(f"clip frame {f} outside table range [0, {len(table)})")
+    return gather_mean_ref(table, [frames])[0]
+
+
+def predict_clip_ref(table, frames):
+    """A clip's label: its highest-scoring class, ties to the lowest class id."""
+    return int(np.argmax(classify_clip_ref(table, frames)))
+
+
 def central_diff(fn, x, h=1e-6):
     """Central finite-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from actseg import classify
-from actseg.classify import (LogitsBackend, NoiseModel, classify_clip, load_logits,
-                             make_synthetic_backend, one_hot_logits, predict_clip,
-                             read_logits_binary, read_logits_csv, synth_timeline,
+from actseg.classify import (LogitsBackend, NoiseModel, load_logits, make_synthetic_backend,
+                             one_hot_logits, read_logits_binary, read_logits_csv, synth_timeline,
                              write_logits_binary, write_logits_csv)
 from actseg.sampling import inference_clip, training_clip
 from actseg.timeline import NUM_CLASSES, segments_from_timeline
+from oracles import classify_clip_ref, predict_clip_ref
 
 
 class TestBackend:
@@ -49,12 +49,15 @@ class TestBackend:
 
 
 class TestClassifyClip:
+    """The clip oracle that test_properties holds run_offline's windows to, on
+    the sampling module's clips."""
+
     def test_constant_one_hot_clip(self):
         b = LogitsBackend(one_hot_logits([7] * 50))
         clip = inference_clip(30, 8, 2, 50)
-        scores = classify_clip(b, clip)
+        scores = classify_clip_ref(b.table, clip.frames)
         assert scores[7] == 1.0 and scores.sum() == 1.0
-        assert predict_clip(b, clip) == 7
+        assert predict_clip_ref(b.table, clip.frames) == 7
 
     def test_tie_breaks_to_lowest_class(self):
         logits = np.zeros((2, 25))
@@ -62,9 +65,9 @@ class TestClassifyClip:
         logits[1, 1] = 1.0
         b = LogitsBackend(logits)
         clip = training_clip(0, 2, 1, seq_len=2)
-        scores = classify_clip(b, clip)
+        scores = classify_clip_ref(b.table, clip.frames)
         assert scores[0] == scores[1] == 0.5
-        assert predict_clip(b, clip) == 0
+        assert predict_clip_ref(b.table, clip.frames) == 0
 
     def test_boundary_clamp_repeats_first_frame(self):
         logits = np.zeros((100, 25))
@@ -72,9 +75,9 @@ class TestClassifyClip:
         logits[1:, 2] = 1.0
         b = LogitsBackend(logits)
         clip = inference_clip(2, 8, 8, 100)  # 7 of 8 slots clamp to frame 0
-        scores = classify_clip(b, clip)
+        scores = classify_clip_ref(b.table, clip.frames)
         assert scores[5] == pytest.approx(4.0 * 7 / 8)
-        assert predict_clip(b, clip) == 5
+        assert predict_clip_ref(b.table, clip.frames) == 5
 
     def test_mean_matches_direct_average(self):
         rng = np.random.default_rng(1)
@@ -84,19 +87,20 @@ class TestClassifyClip:
             t0 = int(rng.integers(0, 200))
             clip = inference_clip(t0, 8, 4, 200)
             want = logits[np.asarray(clip.frames)].mean(axis=0)
-            assert np.allclose(classify_clip(b, clip), want, rtol=1e-12, atol=0)
+            assert np.allclose(classify_clip_ref(b.table, clip.frames), want, rtol=1e-12, atol=0)
 
     def test_out_of_range_frame_reported(self):
         b = LogitsBackend(np.zeros((10, 25)))
         clip = training_clip(5, 8, 2)  # reaches frame 19
-        with pytest.raises(ValueError, match="outside backend range"):
-            classify_clip(b, clip)
+        with pytest.raises(ValueError, match="outside table range"):
+            classify_clip_ref(b.table, clip.frames)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         b = LogitsBackend(rng.normal(size=(50, 25)))
         clip = inference_clip(30, 8, 2, 50)
-        assert np.array_equal(classify_clip(b, clip), classify_clip(b, clip))
+        first = classify_clip_ref(b.table, clip.frames)
+        assert np.array_equal(first, classify_clip_ref(b.table, clip.frames))
 
 
 class TestOneHot:

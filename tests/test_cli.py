@@ -860,6 +860,22 @@ class TestSynth:
         assert code == 2 and out == ""
         assert f"{field} must be finite and >= 0, got {value}" in err
 
+    @pytest.mark.parametrize("value", ["1e6", "1e300"])
+    def test_spike_rate_above_one_per_frame_names_field(self, capsys, tmp_path, value):
+        # 1e6 drew about 260,000 spikes in a Python loop for 2 s; 1e300 failed
+        # inside numpy's Poisson draw with a message naming no field
+        gt_path = tmp_path / "gt.csv"
+        write_timeline_csv(gt_path, np.repeat([0, 3, 7, 24], 65))
+        code, out, err = run_cli(capsys, "synth", "--gt", str(gt_path), "--spike-rate", value)
+        assert code == 2 and out == ""
+        assert f"spike_rate must be <= 1000, got {float(value)}" in err
+
+    def test_spike_rate_of_one_per_frame_accepted(self, capsys, tmp_path):
+        gt_path = tmp_path / "gt.csv"
+        write_timeline_csv(gt_path, np.repeat([0, 3, 7, 24], 65))
+        report = json_out(capsys, "synth", "--gt", str(gt_path), "--spike-rate", "1000")
+        assert report["changed_frames"] > 0
+
     def test_seed_reproducible(self, capsys, tmp_path):
         gt_path = tmp_path / "gt.csv"
         write_timeline_csv(gt_path, list(np.repeat(np.arange(5), 40)))

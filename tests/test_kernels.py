@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from actseg import _kernels
-from oracles import levenshtein_ref
+from oracles import gather_mean_ref, levenshtein_ref
 
 
 def test_levenshtein_matches_dp_oracle():
@@ -40,14 +40,15 @@ def lcg_symbols(n, k, seed):
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
 def test_levenshtein_word_boundaries(m):
-    # the bit vectors span the shorter side: lengths at and around one
-    # 64-bit word, and one of many words
+    # the bit vectors span the longer side: m frames at and around one 64-bit
+    # word, and one of many words, against a shorter side, then a longer one
     for seed in range(3 if m < 1000 else 1):
         a = lcg_symbols(m, 5, seed)
-        b = lcg_symbols(m + 37, 5, seed + 100)
-        want = levenshtein_ref(a, b)
-        assert _kernels.levenshtein(a, b) == want
-        assert _kernels.levenshtein(b, a) == want
+        for other in (m // 2, m + 37):
+            b = lcg_symbols(other, 5, seed + 100)
+            want = levenshtein_ref(a, b)
+            assert _kernels.levenshtein(a, b) == want
+            assert _kernels.levenshtein(b, a) == want
 
 
 def test_levenshtein_symbols_on_one_side_only():
@@ -67,22 +68,28 @@ def test_levenshtein_long_sequences_match_row_recurrence():
     assert _kernels.levenshtein(b, a) == 8787
 
 
+def gather_mean(table, idx):
+    """Row means at idx through fold_mean, over the (T, n, C) block one gather builds."""
+    return _kernels.fold_mean(table[idx.T], np.empty((idx.shape[0], table.shape[1])))
+
+
 def test_gather_mean_is_row_mean():
     rng = np.random.default_rng(6)
     table = rng.normal(size=(20, 5))
     idx = rng.integers(0, 20, size=(8, 4))
-    out = _kernels.gather_mean(table, idx)
+    out = gather_mean(table, idx)
     assert np.allclose(out, table[idx].mean(axis=1), rtol=1e-12, atol=1e-15)
 
 
 def test_gather_mean_row_independent_of_batch():
-    # a streaming (1, T) call must give the bytes its row gets in an (n, T) batch
+    # a streaming one-row block must give the bytes its row gets in an n-row batch:
+    # fold_mean sums the first with np.add.accumulate, the second slab by slab
     rng = np.random.default_rng(7)
     table = rng.normal(size=(60, 25))
     idx = rng.integers(0, 60, size=(40, 8))
-    batch = _kernels.gather_mean(table, idx)
+    batch = gather_mean(table, idx)
     for r in range(idx.shape[0]):
-        assert _kernels.gather_mean(table, idx[r:r + 1]).tobytes() == batch[r].tobytes()
+        assert gather_mean(table, idx[r:r + 1]).tobytes() == batch[r].tobytes()
 
 
 @pytest.mark.parametrize("t", [1, 2, 8, 13])
@@ -93,14 +100,26 @@ def test_gather_mean_adds_each_window_oldest_first(t, n):
     rng = np.random.default_rng(100 * t + n)
     table = rng.normal(size=(50, 25)) * 10.0 ** rng.integers(-8, 9, size=(50, 1))
     idx = rng.integers(0, 50, size=(n, t))
-    want = np.empty((n, 25))
-    for r in range(n):
-        for c in range(25):
-            acc = float(table[idx[r, 0], c])
-            for j in range(1, t):
-                acc = acc + float(table[idx[r, j], c])
-            want[r, c] = acc / t
-    assert _kernels.gather_mean(table, idx).tobytes() == want.tobytes()
+    assert gather_mean(table, idx).tobytes() == gather_mean_ref(table, idx).tobytes()
+
+
+@pytest.mark.parametrize("t", [3, 8, 13])
+def test_fold_mean_branches_equal_left_fold_where_order_matters(t):
+    # 1e16 + 1 rounds back to 1e16, so a window's sum depends on the order its
+    # rows are added in: both branches must give the oldest-first fold's bytes
+    rng = np.random.default_rng(t)
+    table = rng.choice([1e16, 1.0, -1e16], size=(40, 6))
+    idx = rng.integers(0, 40, size=(64, t))
+    want = gather_mean_ref(table, idx)
+    assert np.any(gather_mean_ref(table, idx[:, ::-1]) != want)
+    block = table[idx.T]
+    out = np.empty((64, 6))
+    assert _kernels.fold_mean(block, out) is out  # slab branch
+    assert out.tobytes() == want.tobytes()
+    for r in range(64):  # one-row branch, on a strided slice as a window view gives
+        one = np.empty((1, 6))
+        assert _kernels.fold_mean(block[:, r:r + 1], one) is one
+        assert one.tobytes() == want[r:r + 1].tobytes()
 
 
 @pytest.mark.parametrize("t, c_out, c_in, h, w", [

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from actseg import _kernels
 from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
-from actseg.pipeline import _CHUNK, PipelineConfig, StreamSession, run_offline, stream_all
+from actseg.pipeline import (_CHUNK, PipelineConfig, StreamSession, _window_view, run_offline,
+                             stream_all)
 from actseg.sampling import inference_clip, prediction_lag, window_offsets
 from actseg.timeline import BACKGROUND_ID, segments_from_timeline
+from oracles import gather_mean_ref
 
 
 def block_timeline(rng, n, classes=(0, 1, 2, BACKGROUND_ID)):
@@ -51,8 +52,8 @@ class TestOffline:
         cfg = PipelineConfig(t=8, tau=8)
         raw, _ = run_offline(cfg, backend, seq_len)
         offsets = window_offsets(cfg.t, cfg.tau)
-        want = [int(_kernels.gather_mean(backend.table,
-                                         np.clip(m + offsets, 0, seq_len - 1)[None, :])[0].argmax())
+        want = [int(gather_mean_ref(backend.table,
+                                    np.clip(m + offsets, 0, seq_len - 1)[None, :])[0].argmax())
                 for m in range(seq_len)]
         assert raw.tolist() == want
 
@@ -71,9 +72,9 @@ class TestOffline:
         for seq_len in lengths:
             raw, _ = run_offline(PipelineConfig(t=t, tau=tau), backend, seq_len)
             idx = np.clip(np.arange(seq_len)[:, None] + offsets, 0, seq_len - 1)
-            want = _kernels.gather_mean(backend.table, idx).argmax(axis=1)
+            want = gather_mean_ref(backend.table, idx).argmax(axis=1)
             assert raw.tolist() == want.tolist(), seq_len
-        newest_first = _kernels.gather_mean(backend.table, idx[:, ::-1]).argmax(axis=1)
+        newest_first = gather_mean_ref(backend.table, idx[:, ::-1]).argmax(axis=1)
         assert t < 3 or np.any(newest_first != want)  # two slabs add the same either way round
 
     def test_cleaner_applied(self):
@@ -209,3 +210,31 @@ class TestStreamSession:
         raw, cleaned = run_offline(cfg, backend)
         assert np.array_equal(cleaned, clean_timeline(raw, ccfg))
         assert np.array_equal(stream_all(cfg, backend), cleaned)
+
+
+class TestWindowView:
+    @pytest.mark.parametrize("t, tau", [(1, 1), (2, 3), (8, 8), (5, 7)])
+    def test_read_only_view_of_the_table(self, t, tau):
+        rng = np.random.default_rng(t * 10 + tau)
+        backend = LogitsBackend(rng.normal(size=(90, 25)))
+        windows = _window_view(backend.table, t, tau)
+        assert windows.shape == (t, 90 - (t - 1) * tau, 25)
+        assert not windows.flags.writeable
+        assert np.shares_memory(windows, backend.table)
+        rows = windows.shape[1]
+        for j in range(t):  # slab j, row r is table row r + j*tau
+            assert windows[j].tobytes() == backend.table[j * tau:j * tau + rows].tobytes()
+
+    @pytest.mark.parametrize("t, tau", [(2, 1), (8, 8), (3, 500)])
+    def test_view_only_where_a_window_fits(self, t, tau):
+        span = (t - 1) * tau
+        table = LogitsBackend(np.ones((span + 1, 4))).table
+        assert _window_view(table, t, tau).shape == (t, 1, 4)
+        assert _window_view(table[:span], t, tau) is None
+
+    def test_single_frame_window_at_widest_stride(self):
+        # T=1 reads no frame tau away, so no tau * row-stride is formed to overflow
+        table = LogitsBackend(np.eye(4)).table
+        assert _window_view(table, 1, 2**62).shape == (1, 4, 4)
+        raw, _ = run_offline(PipelineConfig(t=1, tau=2**62), LogitsBackend(np.eye(4)))
+        assert raw.tolist() == [0, 1, 2, 3]

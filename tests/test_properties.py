@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actseg.align import CropGeometry, enhance, place_hand_features
-from actseg.classify import LogitsBackend, one_hot_logits, predict_clip
+from actseg.classify import LogitsBackend, one_hot_logits
 from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                              compute_class_stats)
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
@@ -23,7 +23,7 @@ from actseg.sampling import (inference_clip, middle_clip, middle_offset, predict
                              training_clip, window_offsets)
 from actseg.timeline import BACKGROUND_ID, NUM_CLASSES, encode_runs, timeline_from_segments
 from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
-                     greedy_match_ref, rle_ref)
+                     greedy_match_ref, predict_clip_ref, rle_ref)
 
 
 def run_lists(n_classes, max_len=12, max_runs=40):
@@ -172,7 +172,8 @@ def test_offline_windows_are_middle_clips(t, tau, seq_len, seed):
     logits = np.random.default_rng(seed).normal(size=(seq_len, 4))
     backend = LogitsBackend(logits)
     raw, _ = run_offline(PipelineConfig(t, tau, 15.0, 4, None), backend)
-    want = [predict_clip(backend, middle_clip(m, t, tau, seq_len)) for m in range(seq_len)]
+    want = [predict_clip_ref(logits, middle_clip(m, t, tau, seq_len).frames)
+            for m in range(seq_len)]
     assert raw.tolist() == want
 
 
