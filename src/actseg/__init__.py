@@ -7,13 +7,11 @@ evaluation metrics.
 """
 
 from .align import (AlignmentResult, CropGeometry, alignment, enhance, fallback_geometry,
-                    footprint, load_geometry, normalized_offset, normalized_size,
-                    place_hand_features)
+                    footprint, load_geometry, place_hand_features)
 from .classify import (LogitsBackend, NoiseModel, load_logits, make_synthetic_backend,
                        one_hot_logits, synth_timeline)
 from .cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
-                       compute_class_stats, read_class_stats, sweep_kappa, threshold,
-                       write_class_stats)
+                       compute_class_stats, read_class_stats, threshold, write_class_stats)
 from .grid import (FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm,
                    resize_nearest, zero_pad_place)
 from .hands import (HandLossConfig, HandObservation, HandTarget, decode, f1_at_threshold,

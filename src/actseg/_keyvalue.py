@@ -27,6 +27,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def unit_float(text: str) -> float:
+    """real(text) in [0, 1], as a position in a hand CSV."""
+    if not 0.0 <= (value := real(text)) <= 1.0:
+        raise ValueError(text)
+    return value
+
+
 def boolean(text: str) -> bool:
     """1/0, true/false, yes/no or on/off, in any case; anything else raises KeyError."""
     return {"1": True, "true": True, "yes": True, "on": True,

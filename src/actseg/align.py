@@ -59,12 +59,8 @@ class CropGeometry:
             raise ValueError(f"hand window y {self.hand_y} outside frame of height {self.full_h}")
 
     @property
-    def h_short(self) -> int:
-        return min(self.full_w, self.full_h)
-
-    @property
     def scale_factor(self) -> float:
-        return self.scale_short / self.h_short
+        return self.scale_short / min(self.full_w, self.full_h)  # over h_short, the shorter side
 
     @property
     def scaled_w(self) -> int:
@@ -105,23 +101,12 @@ class AlignmentResult:
     norm_y: float
 
 
-def normalized_size(g: CropGeometry):
-    """Hand window size in crop units: (w / h_short) * (scale_short / crop_size)."""
-    k = g.scale_factor / g.crop_size
-    return g.hand_w * k, g.hand_h * k
-
-
-def normalized_offset(g: CropGeometry):
-    """Hand top-left corner in crop units: scale to the downscaled image, subtract the crop origin."""
-    x_scaled = g.hand_x * g.scale_factor
-    y_scaled = g.hand_y * g.scale_factor
-    return (x_scaled - g.crop_off_x) / g.crop_size, (y_scaled - g.crop_off_y) / g.crop_size
-
-
 def alignment(g: CropGeometry) -> AlignmentResult:
-    nw, nh = normalized_size(g)
-    nx, ny = normalized_offset(g)
-    return AlignmentResult(nw, nh, nx, ny)
+    """The hand window in crop units. Size: (w / h_short) * (scale_short / crop_size).
+    Top-left corner: scaled to the downscaled image, minus the crop origin, over crop_size."""
+    s, k = g.scale_factor, g.scale_factor / g.crop_size
+    return AlignmentResult(g.hand_w * k, g.hand_h * k, (g.hand_x * s - g.crop_off_x) / g.crop_size,
+                           (g.hand_y * s - g.crop_off_y) / g.crop_size)
 
 
 def footprint(g: CropGeometry, backbone_h: int, backbone_w: int):
@@ -199,22 +184,23 @@ def _add_hand(out, fh: FeatureMap, g: CropGeometry, weight) -> None:
 def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,
                       hand_w, hand_h) -> CropGeometry:
     """Geometry for a missing hand: the central (hand_w, hand_h) window of the raw frame."""
-    hx = _round_half_up((full_w - hand_w) / 2)
-    hy = _round_half_up((full_h - hand_h) / 2)
-    return CropGeometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,
-                        hand_w, hand_h, hx, hy)
+    return CropGeometry.from_center(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,
+                                    hand_w, hand_h, 0.5, 0.5)
 
 
 # in from_center's argument order; hand_cx/hand_cy are the normalized hand center
 _GEOMETRY_KEYS = dict.fromkeys(("full_w", "full_h", "scale_short", "crop_size", "crop_off_x",
                                 "crop_off_y", "hand_w", "hand_h"), _keyvalue.integer) \
-    | dict.fromkeys(("hand_cx", "hand_cy"), _keyvalue.finite_float)
+    | dict.fromkeys(("hand_cx", "hand_cy"), _keyvalue.unit_float)
 
 
 def load_geometry(path) -> CropGeometry:
-    """Read a key=value geometry file naming every key of _GEOMETRY_KEYS once."""
+    """Read a key=value geometry file naming every key of _GEOMETRY_KEYS once; errors name it."""
     vals = _keyvalue.read(path, _GEOMETRY_KEYS, "geometry")
     missing = [k for k in _GEOMETRY_KEYS if k not in vals]
     if missing:
         raise ValueError(f"{path}: missing geometry keys: {', '.join(missing)}")
-    return CropGeometry.from_center(*(vals[k] for k in _GEOMETRY_KEYS))
+    try:
+        return CropGeometry.from_center(*(vals[k] for k in _GEOMETRY_KEYS))
+    except (ValueError, OverflowError) as exc:  # a pixel count too large for a float
+        raise ValueError(f"{path}: {exc}") from None

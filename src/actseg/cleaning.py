@@ -51,8 +51,9 @@ def compute_class_stats(runs):
 
 
 def threshold(stats: ClassStats, kappa: float) -> int:
-    """Minimum accepted run length: max(1, floor(mean - kappa*std))."""
-    return max(1, math.floor(stats.mean_frames - kappa * stats.std_frames))
+    """Minimum accepted run length: floor(mean - kappa*std) clamped to [1, int64 max]."""
+    t = stats.mean_frames - kappa * stats.std_frames  # -inf if kappa*std overflows
+    return int(min(max(t, 1.0), np.iinfo(np.int64).max))  # int() floors a value >= 1
 
 
 @dataclass(frozen=True)
@@ -212,11 +213,6 @@ def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
 def best_kappa(scores) -> float:
     """The sweep kappa of highest score in kappa_scores' result; ties pick the smaller."""
     return max(SWEEP_KAPPAS, key=lambda k: (scores[k], -k))
-
-
-def sweep_kappa(timelines_raw, timelines_gt, cfg_base: CleanerConfig) -> float:
-    """kappa in {1.0 .. 2.0} maximizing mean F1@0.5 after cleaning; ties pick the smaller."""
-    return best_kappa(kappa_scores(timelines_raw, timelines_gt, cfg_base))
 
 
 def read_class_stats(path):

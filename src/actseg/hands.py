@@ -1,7 +1,6 @@
 """Hand-localizer output decoding, the masked regression loss with its
 analytic gradient, and the distance-thresholded F1 metric."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +121,6 @@ def _read_rows(path, hand):
         (f, hand(*v[:3]), hand(*v[3:])) for f, v in zip(frames.tolist(), values.tolist())])
 
 
-def read_hand_predictions(path):
-    """CSV `frame,p1,x1,y1,p2,x2,y2` -> list of (frame, left, right) observations."""
-    return _read_rows(path, HandObservation)
-
-
-def read_hand_targets(path):
-    """Same CSV shape with p exactly 0 or 1 -> list of (frame, left, right) targets."""
-    return _read_rows(path, HandTarget)
-
-
 def read_hand_slots(pred_path, gt_path):
     """Slot-aligned (predictions, targets) from a prediction CSV and a
     ground-truth CSV whose frame columns match row for row."""
@@ -144,15 +133,6 @@ def read_hand_slots(pred_path, gt_path):
             ln_p, ln_g = ([ln for ln, _ in _data_lines(p)][i] for p in (pred_path, gt_path))
             raise ValueError(f"{pred_path}:{ln_p}: frame {f_p}, but {gt_path}:{ln_g} has frame {f_g}")
     return flatten_slots(preds), flatten_slots(gts)
-
-
-def write_hand_csv(path, rows) -> None:
-    """rows: iterable of (frame, (p1, x1, y1), (p2, x2, y2))."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["frame", "p1", "x1", "y1", "p2", "x2", "y2"])
-        for frame, left, right in rows:
-            wr.writerow([frame, *left, *right])
 
 
 def flatten_slots(pairs):

@@ -120,15 +120,14 @@ def _read_table(path, what, ncols, dtype, check):
     if head is None:
         raise ValueError(f"{path}: no {what} rows")
     ncols = ncols or head[1].count(",") + 1
-    dt = np.dtype(dtype if dtype == np.int64 else [("first", np.int64), ("rest", dtype, (ncols - 1,))])
+    dt = np.dtype([("first", np.int64), ("rest", dtype, (ncols - 1,))])  # fixes the width
 
     def load(source, skiprows=0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 reads int "5.5" as 5
-            t = np.loadtxt(source, dt, delimiter=",", comments=None, quotechar=None,
-                           ndmin=1 if dt.names else 2, skiprows=skiprows, encoding=_TEXT_ENCODING)
-        # the reshape fails on a table of another width
-        return (t["first"], t["rest"]) if dt.names else (t[:, 0], t.reshape(len(t), ncols)[:, 1:])
+            t = np.loadtxt(source, dt, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                           skiprows=skiprows, encoding=_TEXT_ENCODING)
+        return t["first"], t["rest"]
 
     def first_error(lines, lo, hi):
         """The path:line error of the first bad row of lines[lo:hi], or None. Parsing,
@@ -148,7 +147,7 @@ def _read_table(path, what, ncols, dtype, check):
         try:
             row = load([text])
         except (ValueError, DeprecationWarning):
-            bad = "malformed row" if dt.names else "non-integer field in"
+            bad = "non-integer field in" if dtype == np.int64 else "malformed row"
             return ValueError(f"{path}:{ln}: {bad} {fields!r}")
         try:
             check(*row, lo)
@@ -190,33 +189,19 @@ def read_timeline_csv(path) -> np.ndarray:
 
 
 def _write_int_csv(path, header, columns) -> None:
-    """A header row, then int64 columns of one length as rows, in the bytes csv.writer
-    writes: `%d` fields, commas and CRLF line ends.
+    """A header row, then non-negative int64 columns of one length as rows, in the bytes
+    csv.writer writes: `%d` fields, commas and CRLF line ends.
 
     The rows are built as one uint8 array. Each column's digits are computed
     right-aligned into an (n, width) byte block, beside a mask of the bytes `%d` prints
-    (no leading zeros; a '-' column, if the column has a negative value, kept only on
-    negative rows), and buf[keep] packs the rows."""
-    blocks = []
-    for col in columns:
-        neg = col < 0
-        mag = col.view(np.uint64)
-        if neg.any():
-            mag = np.where(neg, -mag, mag)  # uint64 negation wraps to |x|, int64 min too
-        else:
-            neg = None
-        top = int(mag.max(initial=0))
-        blocks.append((neg, mag.astype(np.min_scalar_type(top)), len(str(top))))
-    width = sum((neg is not None) + digits + 1 for neg, _, digits in blocks) + 1
-    buf = np.empty((columns[0].size, width), np.uint8)
+    (no leading zeros), and buf[keep] packs the rows."""
+    tops = [int(col.max(initial=0)) for col in columns]
+    buf = np.empty((columns[0].size, sum(len(str(top)) + 1 for top in tops) + 1), np.uint8)
     keep = np.ones(buf.shape, bool)
     at = 0
-    for neg, mag, digits in blocks:
-        if neg is not None:
-            buf[:, at] = ord("-")
-            keep[:, at] = neg
-            at += 1
-        m = mag
+    for col, top in zip(columns, tops):
+        digits = len(str(top))
+        m = vals = col.astype(np.min_scalar_type(top))  # unsigned
         for j in range(at + digits - 1, at - 1, -1):  # last digit first
             q = m // 10
             t = q * 10
@@ -224,7 +209,7 @@ def _write_int_csv(path, header, columns) -> None:
             np.subtract(m, t, out=buf[:, j], casting="unsafe")
             m = q
         for j in range(digits - 1):  # leading zeros are not printed
-            np.greater_equal(mag, 10 ** (digits - 1 - j), out=keep[:, at + j])
+            np.greater_equal(vals, 10 ** (digits - 1 - j), out=keep[:, at + j])
         at += digits
         buf[:, at] = ord(",")
         at += 1
@@ -235,9 +220,10 @@ def _write_int_csv(path, header, columns) -> None:
 
 
 def write_timeline_csv(path, labels) -> None:
-    """CSV `frame,label_id` with csv.writer's CRLF line ends."""
+    """CSV `frame,label_id` with csv.writer's CRLF line ends; labels must be >= 0 as on reading."""
     arr = as_timeline(labels)
-    _write_int_csv(path, ("frame", "label_id"), (np.arange(arr.size, dtype=np.int64), arr))
+    frames = np.arange(arr.size, dtype=np.int64)
+    _write_int_csv(path, ("frame", "label_id"), (frames, _timeline_rows(frames, arr[:, None], 0)))
 
 
 def read_segments_csv(path):

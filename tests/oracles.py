@@ -245,6 +245,14 @@ def write_csv_ref(path, header, columns):
             wr.writerow(row)
 
 
+HAND_HEADER = ("frame", "p1", "x1", "y1", "p2", "x2", "y2")
+
+
+def write_hands_ref(path, rows):
+    """Rows (frame, (p1, x1, y1), (p2, x2, y2)) as a hand CSV, through write_csv_ref."""
+    write_csv_ref(path, HAND_HEADER, zip(*((f, *left, *right) for f, left, right in rows)))
+
+
 # ---------------------------------------------------------------- CSV readers
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from actseg.align import (CropGeometry, alignment, enhance, fallback_geometry, footprint,
-                          load_geometry, normalized_offset, normalized_size,
-                          place_hand_features)
+                          load_geometry, place_hand_features)
 from actseg.grid import FeatureMap, MixerWeights
 from oracles import enhance_ref
 
@@ -14,6 +16,14 @@ REF = dict(full_w=920, full_h=720, scale_short=256, crop_size=224,
 
 def ref_geometry(hand_x=348, hand_y=248):
     return CropGeometry(**REF, hand_x=hand_x, hand_y=hand_y)
+
+
+def normalized_size(g):
+    return dataclasses.astuple(alignment(g))[:2]
+
+
+def normalized_offset(g):
+    return dataclasses.astuple(alignment(g))[2:]
 
 
 class TestNormalizedSize:
@@ -219,6 +229,24 @@ class TestGeometry:
     def test_fallback_square(self):
         g = fallback_geometry(720, 720, 256, 224, 0, 0, 224, 224)
         assert (g.hand_x, g.hand_y) == (248, 248)
+
+    def test_fallback_is_the_centred_from_center(self):
+        # the central window, corner round-half-up((full - hand) / 2), at 2,000 random geometries
+        rng = np.random.default_rng(17)
+        checked = 0
+        while checked < 2000:
+            full_w, full_h = (int(v) for v in rng.integers(1, 4000, 2))
+            hand_w, hand_h = int(rng.integers(1, full_w + 1)), int(rng.integers(1, full_h + 1))
+            scale_short = int(rng.integers(1, 1000))
+            crop_size = int(rng.integers(1, scale_short + 1))
+            dims = (full_w, full_h, scale_short, crop_size, 0, 0, hand_w, hand_h)
+            try:
+                central = CropGeometry(*dims, math.floor((full_w - hand_w) / 2 + 0.5),
+                                       math.floor((full_h - hand_h) / 2 + 0.5))
+            except ValueError:  # crop larger than the scaled image
+                continue
+            assert fallback_geometry(*dims) == CropGeometry.from_center(*dims, 0.5, 0.5) == central
+            checked += 1
 
     def test_from_center_matches_reference(self):
         g = CropGeometry.from_center(**REF, center_x_norm=0.5, center_y_norm=0.5)

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamCleaner,
+from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamCleaner, best_kappa,
                              clean_timeline, compute_class_stats, kappa_scores,
-                             read_class_stats, sweep_kappa, threshold, write_class_stats)
+                             read_class_stats, threshold, write_class_stats)
 from actseg.refstats import REFERENCE_CLASSES, reference_class_stats
 from actseg.timeline import BACKGROUND_ID
 from oracles import class_stats_ref, kappa_scores_ref
@@ -80,6 +80,21 @@ class TestThreshold:
 
     def test_clamps_at_one(self):
         assert threshold(ClassStats(0, 5, 2.0, 5.0), 1.0) == 1
+
+    def test_kappa_std_overflowing_to_inf_clamps_at_one(self):
+        # kappa*std is inf: floor(-inf) raised OverflowError
+        assert threshold(ClassStats(0, 5, 30.0, 10.0), 1e308) == 1
+        assert threshold(ClassStats(0, 5, 1e308, 1e308), 2.0) == 1
+
+    def test_clamps_at_int64_max(self):
+        # floor(1e300) does not fit the int64 threshold table; no run is that long
+        st = ClassStats(0, 5, 1e300, 0.0)
+        assert threshold(st, 1.4) == np.iinfo(np.int64).max
+        assert CleanerConfig(stats={0: st}).thresholds()[0] == np.iinfo(np.int64).max
+
+    def test_below_int64_max_unchanged(self):
+        # the largest double below 2**63 floors to itself
+        assert threshold(ClassStats(0, 5, 2.0 ** 63 - 1024, 0.0), 1.0) == 2 ** 63 - 1024
 
     def test_monotone_in_kappa(self):
         st = ClassStats(0, 5, 40.0, 7.0)
@@ -288,18 +303,19 @@ class TestSweep:
     def test_identity_ties_break_low(self):
         gt = [24] * 30 + [0] * 20 + [24] * 30
         cfg = CleanerConfig(stats={})
-        assert sweep_kappa([gt, gt], [gt, gt], cfg) == 1.0
+        assert best_kappa(kappa_scores([gt, gt], [gt, gt], cfg)) == 1.0
 
     def test_constant_timeline_returns_lowest(self):
         t = [3] * 50
-        assert sweep_kappa([t], [t], CleanerConfig(stats=stats_of({3: (10.0, 2.0)}))) == 1.0
+        cfg = CleanerConfig(stats=stats_of({3: (10.0, 2.0)}))
+        assert best_kappa(kappa_scores([t], [t], cfg)) == 1.0
 
     def test_crafted_fixture_selects_exact_knee(self):
         raw, gt, cfg = sweep_fixture()
         scores = kappa_scores([raw, raw], [gt, gt], cfg)
         for k in SWEEP_KAPPAS:
             assert scores[k] == (100.0 if k >= 1.5 else 0.0)
-        assert sweep_kappa([raw, raw], [gt, gt], cfg) == 1.5
+        assert best_kappa(scores) == 1.5
 
     def test_scores_equal_frame_by_frame_oracle(self):
         # two recordings of different lengths; class thresholds floor(mean - kappa*std)
@@ -331,9 +347,9 @@ class TestSweep:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            sweep_kappa([], [], CleanerConfig())
+            kappa_scores([], [], CleanerConfig())
         with pytest.raises(ValueError):
-            sweep_kappa([[0, 0]], [], CleanerConfig())
+            kappa_scores([[0, 0]], [], CleanerConfig())
 
     def test_sweep_grid(self):
         assert SWEEP_KAPPAS == (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0)

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import actseg
+from actseg.align import CropGeometry, alignment
 from actseg.cleaning import ClassStats, CleanerConfig, write_class_stats
 from actseg.cli import build_parser, entry, main
-from actseg.hands import write_hand_csv
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.refstats import reference_class_stats
 from actseg.timeline import (BACKGROUND_ID, read_timeline_csv, write_segments_csv,
                              write_timeline_csv)
 from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary
+from oracles import write_hands_ref
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,42 @@ class TestRun:
         assert np.array_equal(raw, noisy)
         disk_report = json.loads((out_dir / "report.json").read_text())
         assert disk_report["cleaned"]["f1"] == report["cleaned"]["f1"]
+
+    def test_kappa_overflowing_threshold_cleans_nothing(self, capsys, tmp_path):
+        # kappa*std is inf for every bundled class, so every threshold clamps to 1
+        labels = np.array([BACKGROUND_ID] * 60 + [0] * 50 + [BACKGROUND_ID] * 60)
+        labels[[10, 11, 80, 81, 130]] = 1
+        logits_path, _ = make_run_inputs(tmp_path, labels)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                               "--tau", "1", "--kappa", "1e308", "--out-dir", str(out_dir))
+        assert code == 0, err
+        assert (out_dir / "cleaned.csv").read_bytes() == (out_dir / "raw.csv").read_bytes()
+        assert np.array_equal(read_timeline_csv(out_dir / "cleaned.csv"), labels)
+
+    @pytest.mark.parametrize("mean, std, cleaned_class_3", [
+        (1e308, 1e308, 3),  # kappa*std overflows to inf: threshold 1, kept
+        (1e300, 0.0, 0),    # threshold clamps to int64 max: every class-3 run is too short
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep-kappa"])
+    def test_stats_overflowing_threshold_is_clamped(self, capsys, tmp_path, mean, std,
+                                                   cleaned_class_3, command):
+        labels = [0] * 20 + [3] * 30 + [0] * 20
+        logits_path, gt_path = make_run_inputs(tmp_path, labels)
+        stats_path = tmp_path / "stats.json"
+        write_class_stats({3: ClassStats(3, 4, mean, std)}, stats_path)
+        if command == "run":
+            out_dir = tmp_path / "out"
+            code, _, err = run_cli(capsys, "run", "--logits", str(logits_path), "--t", "1",
+                                   "--tau", "1", "--kappa", "2", "--stats", str(stats_path),
+                                   "--out-dir", str(out_dir))
+            assert code == 0, err
+            cleaned = read_timeline_csv(out_dir / "cleaned.csv").tolist()
+            assert cleaned == [0] * 20 + [cleaned_class_3] * 30 + [0] * 20
+        else:
+            report = json_out(capsys, "sweep-kappa", "--raw", str(gt_path), "--gt", str(gt_path),
+                              "--stats", str(stats_path))
+            assert len(report["scores"]) == 11
 
     def test_kappa_with_no_clean_is_usage_error(self, capsys, tmp_path):
         logits_path, _ = make_run_inputs(tmp_path, [0] * 10)
@@ -698,6 +735,32 @@ class TestEnhanceDemo:
         report = json_out(capsys, "enhance-demo", "--geometry", str(geom), "--backbone-w", "224")
         assert len(report["mask"]) == 56 and all(len(row) == 224 for row in report["mask"])
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("hand_cx", "1e308", ":9: bad value for hand_cx: '1e308'"),
+        ("hand_cx", "-0.1", ":9: bad value for hand_cx: '-0.1'"),
+        ("hand_cy", "1.5", ":10: bad value for hand_cy: '1.5'"),
+        ("hand_w", "2000", ": hand window x -1080 outside frame of width 920"),
+        ("crop_off_x", "500", ": crop window (500, 16, size 224) exceeds scaled image 327x256"),
+        ("full_w", "0", ": full_w must be >= 1, got 0"),
+        ("full_w", "1" + "0" * 400, ": int too large to convert to float"),
+    ], ids=["hand_cx=1e308", "hand_cx=-0.1", "hand_cy=1.5", "hand_w=2000", "crop_off_x=500",
+            "full_w=0", "full_w=1e400"])
+    def test_geometry_error_names_the_file(self, capsys, tmp_path, key, value, message):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(re.sub(f"^{key}=.*$", f"{key}={value}", GEOMETRY, flags=re.M))
+        code, out, err = run_cli(capsys, "enhance-demo", "--geometry", str(geom))
+        assert code == 2 and out == ""
+        assert err == f"actseg: error: {geom}{message}\n"
+
+    @pytest.mark.parametrize("cx, cy, corner", [("0", "1", (0, 496)), ("1.0", "0.0", (696, 0))])
+    def test_hand_center_on_the_frame_edge(self, capsys, tmp_path, cx, cy, corner):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY.replace("hand_cx=0.5", f"hand_cx={cx}")
+                        .replace("hand_cy=0.5", f"hand_cy={cy}"))
+        report = json_out(capsys, "enhance-demo", "--geometry", str(geom))
+        a = alignment(CropGeometry(920, 720, 256, 224, 50, 16, 224, 224, *corner))
+        assert (report["norm_x"], report["norm_y"]) == (a.norm_x, a.norm_y)
+
     def test_bad_geometry_is_data_error(self, capsys, tmp_path):
         geom = tmp_path / "geom.txt"
         geom.write_text("full_w=920\n")
@@ -711,12 +774,12 @@ class TestHandEval:
         pred_path = tmp_path / "pred.csv"
         gt_path = tmp_path / "gt.csv"
         # five present hands: two hit within 0.05, two more within 0.15, one at 0.3
-        write_hand_csv(gt_path, [
+        write_hands_ref(gt_path, [
             (0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
             (1, (1, 0.5, 0.5), (1, 0.5, 0.5)),
             (2, (1, 0.5, 0.5), (0, 0.0, 0.0)),
         ])
-        write_hand_csv(pred_path, [
+        write_hands_ref(pred_path, [
             (0, (0.9, 0.55, 0.5), (0.9, 0.45, 0.5)),
             (1, (0.9, 0.65, 0.5), (0.9, 0.35, 0.5)),
             (2, (0.9, 0.8, 0.5), (0.1, 0.0, 0.0)),
@@ -731,19 +794,19 @@ class TestHandEval:
     def test_row_count_mismatch(self, capsys, tmp_path):
         pred_path = tmp_path / "pred.csv"
         gt_path = tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
-        write_hand_csv(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
-                                 (1, (1, 0.5, 0.5), (1, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
+                                  (1, (1, 0.5, 0.5), (1, 0.5, 0.5))])
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2
         assert "1 prediction rows" in err
 
     def test_fractional_target_presence_names_line(self, capsys, tmp_path):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
-                                   (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
-        write_hand_csv(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
-                                 (1, (1, 0.5, 0.5), (0.7, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
+                                    (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5)),
+                                  (1, (1, 0.5, 0.5), (0.7, 0.5, 0.5))])
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{gt_path}:3: present must be 0 or 1, got 0.7" in err
@@ -751,7 +814,7 @@ class TestHandEval:
     def test_present_target_position_names_line(self, capsys, tmp_path):
         # a present hand off the unit square is bad data, not a missed hand
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
         gt_path.write_text("frame,p1,x1,y1,p2,x2,y2\n0,1,nan,0.5,1,1e400,-7\n")
         code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2 and out == ""
@@ -759,10 +822,10 @@ class TestHandEval:
 
     def test_frame_columns_must_match(self, capsys, tmp_path):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
-                                   (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
-        write_hand_csv(gt_path, [(5, (1, 0.5, 0.5), (1, 0.5, 0.5)),
-                                 (9, (1, 0.5, 0.5), (1, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5)),
+                                    (1, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(gt_path, [(5, (1, 0.5, 0.5), (1, 0.5, 0.5)),
+                                  (9, (1, 0.5, 0.5), (1, 0.5, 0.5))])
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{pred_path}:2: frame 0, but {gt_path}:2 has frame 5" in err
@@ -778,8 +841,8 @@ class TestHandEval:
 
     def test_header_only_files_are_data_error(self, capsys, tmp_path):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [])
-        write_hand_csv(gt_path, [])
+        write_hands_ref(pred_path, [])
+        write_hands_ref(gt_path, [])
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path), "--gt", str(gt_path))
         assert code == 2, err
         assert f"{pred_path}: no hand rows" in err
@@ -787,8 +850,8 @@ class TestHandEval:
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_threshold_outside_range_is_data_error(self, capsys, tmp_path, value):
         pred_path, gt_path = tmp_path / "pred.csv", tmp_path / "gt.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
-        write_hand_csv(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(gt_path, [(0, (1, 0.5, 0.5), (1, 0.5, 0.5))])
         code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path),
                                  "--gt", str(gt_path), "--thresholds", f"0.1,{value}")
         assert code == 2 and out == ""
@@ -796,7 +859,7 @@ class TestHandEval:
 
     def test_empty_thresholds_usage_error(self, capsys, tmp_path):
         pred_path = tmp_path / "p.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
         code, _, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path),
                                "--gt", str(pred_path), "--thresholds", ",")
         assert code == 1
@@ -805,7 +868,7 @@ class TestHandEval:
     def test_non_numeric_threshold_usage_error(self, capsys, tmp_path):
         # it was a data error (exit 2) naming neither the flag nor the file
         pred_path = tmp_path / "p.csv"
-        write_hand_csv(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(pred_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
         code, out, err = run_cli(capsys, "hand-eval", "--pred", str(pred_path),
                                  "--gt", str(pred_path), "--thresholds", "0.1,abc")
         assert code == 1 and out == ""
@@ -927,7 +990,7 @@ class TestEntryPoint:
         # int() and float() read 1_4 as 14: the command ran with that and exited 0
         logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
         hands_path = tmp_path / "hands.csv"
-        write_hand_csv(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
         inputs = {"run": ["--logits", str(logits_path)],
                   "hand-eval": ["--pred", str(hands_path), "--gt", str(hands_path)]}[command]
         result = run_entry_point(tmp_path, command, *inputs, flag, "1_4")
@@ -940,7 +1003,7 @@ class TestEntryPoint:
         # int() and float() read the Arabic-Indic digit eight as 8, which np.loadtxt refuses
         logits_path, _ = make_run_inputs(tmp_path, [0] * 40)
         hands_path = tmp_path / "hands.csv"
-        write_hand_csv(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
+        write_hands_ref(hands_path, [(0, (0.9, 0.5, 0.5), (0.9, 0.5, 0.5))])
         inputs = {"run": ["--logits", str(logits_path)],
                   "hand-eval": ["--pred", str(hands_path), "--gt", str(hands_path)]}[command]
         result = run_entry_point(tmp_path, command, *inputs, flag, "\u0668")
@@ -982,3 +1045,18 @@ class TestReadme:
                             f"{capsys.readouterr().err}")
             documented.add(args.command)
         assert documented == {"stats", "synth", "run", "sweep-kappa", "enhance-demo", "hand-eval"}
+
+    def test_library_quick_start_runs(self, tmp_path, monkeypatch):
+        # a public name deleted or renamed cannot stay in the quick start either
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+        assert len(blocks) == 1
+        gt = np.repeat([BACKGROUND_ID, 0, 3, BACKGROUND_ID, 6], [40, 60, 35, 20, 45])
+        noisy = gt.copy()
+        noisy[[70, 71, 120]] = 5
+        monkeypatch.chdir(tmp_path)
+        np.save("logits.npy", one_hot_logits(noisy))
+        namespace = {"gt_labels": gt}
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+        assert namespace["raw"].size == namespace["cleaned"].size == gt.size
+        assert "f1" in namespace["report"]
+        assert namespace["tail"][-1][0] == gt.size - 1  # finish ends the stream

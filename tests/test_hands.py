@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from actseg.hands import (HandLossConfig, HandObservation, HandTarget, decode,
-                          f1_at_threshold, flatten_slots, hand_loss, hand_loss_grad,
-                          read_hand_predictions, read_hand_targets, write_hand_csv)
-from oracles import central_diff
+from actseg.hands import (HandLossConfig, HandObservation, HandTarget, _read_rows, decode,
+                          f1_at_threshold, flatten_slots, hand_loss, hand_loss_grad)
+from oracles import central_diff, write_hands_ref
 
 
 def obs(p, x, y):
@@ -189,8 +188,8 @@ class TestIO:
             (0, (0.9, 0.25, 0.5), (0.1, 0.0, 0.0)),
             (1, (0.8, 0.75, 0.5), (0.7, 0.5, 0.25)),
         ]
-        write_hand_csv(path, rows)
-        preds = read_hand_predictions(path)
+        write_hands_ref(path, rows)
+        preds = _read_rows(path, HandObservation)
         assert len(preds) == 2
         assert preds[0][0] == 0
         assert preds[0][1] == obs(0.9, 0.25, 0.5)
@@ -198,26 +197,26 @@ class TestIO:
 
     def test_targets_round_trip(self, tmp_path):
         path = tmp_path / "gt.csv"
-        write_hand_csv(path, [(0, (1, 0.5, 0.5), (0, 0.0, 0.0))])
-        targets = read_hand_targets(path)
+        write_hands_ref(path, [(0, (1, 0.5, 0.5), (0, 0.0, 0.0))])
+        targets = _read_rows(path, HandTarget)
         assert targets[0][1] == tgt(1, 0.5, 0.5)
         assert targets[0][2].present == 0
 
     def test_flatten_interleaves(self, tmp_path):
         path = tmp_path / "hands.csv"
-        write_hand_csv(path, [(0, (0.9, 0.1, 0.1), (0.8, 0.2, 0.2)),
-                              (1, (0.7, 0.3, 0.3), (0.6, 0.4, 0.4))])
-        flat = flatten_slots(read_hand_predictions(path))
+        write_hands_ref(path, [(0, (0.9, 0.1, 0.1), (0.8, 0.2, 0.2)),
+                               (1, (0.7, 0.3, 0.3), (0.6, 0.4, 0.4))])
+        flat = flatten_slots(_read_rows(path, HandObservation))
         assert [o.p for o in flat] == [0.9, 0.8, 0.7, 0.6]
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,p1,x1,y1,p2,x2,y2\n0,0.5,0.5\n")
         with pytest.raises(ValueError, match="7 columns"):
-            read_hand_predictions(path)
+            _read_rows(path, HandObservation)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0.5,0.5,0.5,oops,0.5,0.5\n")
         with pytest.raises(ValueError, match=":1:"):
-            read_hand_predictions(path)
+            _read_rows(path, HandObservation)

@@ -32,12 +32,21 @@ from hypothesis import strategies as st
 
 from actseg.classify import read_logits_csv, write_logits_binary, write_logits_csv
 from actseg.cli import main
-from actseg.hands import (HandObservation, HandTarget, read_hand_predictions, read_hand_targets,
-                          write_hand_csv)
+from actseg.hands import HandObservation, HandTarget, _read_rows
 from actseg.timeline import read_segments_csv, read_timeline_csv, write_timeline_csv
-from oracles import read_hands_ref, read_logits_ref, read_segments_ref, read_timeline_ref
+from oracles import (read_hands_ref, read_logits_ref, read_segments_ref, read_timeline_ref,
+                     write_hands_ref)
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")  # as np.loadtxt gives on no data
+
+
+# hand-eval reads both its files through _read_rows; one reader per role names the test ids
+def read_hand_predictions(path):
+    return _read_rows(path, HandObservation)
+
+
+def read_hand_targets(path):
+    return _read_rows(path, HandTarget)
 
 
 def read_hand_predictions_ref(path):
@@ -582,8 +591,8 @@ def hand_table(rows):
 
 
 def write_hand_value(path, rows):
-    write_hand_csv(path, [(f, dataclasses.astuple(left), dataclasses.astuple(right))
-                          for f, left, right in rows])
+    write_hands_ref(path, [(f, dataclasses.astuple(left), dataclasses.astuple(right))
+                           for f, left, right in rows])
 
 
 def run_gt(d, path, out):
@@ -628,8 +637,8 @@ def csv_fuzz(tmp_path_factory):
     write_logits_binary(d / "in.logits", FUZZ_LOGITS)
     write_timeline_csv(d / "gt.csv", CSV_GT)
     write_timeline_csv(d / "raw.csv", CSV_RAW)
-    write_hand_csv(d / "pred.csv", CSV_PRED)
-    write_hand_csv(d / "targets.csv", CSV_TARGETS)
+    write_hands_ref(d / "pred.csv", CSV_PRED)
+    write_hands_ref(d / "targets.csv", CSV_TARGETS)
     return d
 
 
