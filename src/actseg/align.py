@@ -76,8 +76,14 @@ class CropGeometry:
         """Build geometry from a detector-style normalized hand center in [0, 1].
 
         The center is converted to a top-left corner and clamped so the hand
-        window stays fully inside the raw frame, preserving its size.
+        window stays fully inside the raw frame, preserving its size; a window
+        larger than the frame has no such corner.
         """
+        # a frame size below 1 is left to __post_init__, which names it
+        if 1 <= full_w < hand_w:
+            raise ValueError(f"hand window width {hand_w} exceeds frame width {full_w}")
+        if 1 <= full_h < hand_h:
+            raise ValueError(f"hand window height {hand_h} exceeds frame height {full_h}")
         hx = _round_half_up(center_x_norm * full_w - hand_w / 2)
         hy = _round_half_up(center_y_norm * full_h - hand_h / 2)
         hx = min(max(hx, 0), full_w - hand_w)

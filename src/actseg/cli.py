@@ -81,6 +81,10 @@ def _cmd_stats(args) -> int:
          "mean_seconds": s.mean_frames / fps}
         for cid, s in sorted(stats.items())
     ]
+    for r in records:  # json.dumps would write an overflowed mean as Infinity, which is not JSON
+        if r["mean_seconds"] == np.inf:
+            raise ValueError(f"fps {fps} (--fps or config) is too small: class {r['class_id']}'s"
+                             f" mean of {r['mean_frames']} frames overflows mean_seconds")
     _emit(args, records)
     return 0
 

@@ -1,8 +1,10 @@
 """End-to-end sliding-window segmentation: sampler -> classifier -> raw
 timeline -> cleaner -> cleaned timeline.
 
-The offline runner labels its rows in blocks and the streaming session one
-row per push, both through one window routine, _window_labels, so their
+The offline runner labels its rows in blocks through _window_labels, and the
+streaming session one row per push: a slice of the window view once a full
+window has been pushed, through _window_labels' clamped gather before that and
+in finish. Every window is summed by the one fold, _kernels.fold_mean, so their
 outputs are byte-identical by construction. A frame's raw prediction is
 computable exactly floor(T/2)*tau pushes after the frame itself, and the
 cleaner adds at most its largest class threshold on top.
@@ -102,21 +104,26 @@ class StreamSession:
     def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
         self.cfg = cfg
         self.backend = backend
-        self._windows = _window_view(backend.table, cfg.t, cfg.tau)
+        self._table = backend.table
+        self._frames = backend.num_frames
+        self._windows = _window_view(self._table, cfg.t, cfg.tau)
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
         self._buf = np.empty((1, backend.num_classes))
+        self._row = self._buf[0]  # the view path's (C,) mean
         self._lag = prediction_lag(cfg.t, cfg.tau)
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0
         self._finished = False
 
-    def _emit(self, middle: int):
-        # the window clamps at the newest pushed frame
-        label = int(_window_labels(self.backend.table, self._windows, middle, middle + 1,
-                                   self._pushed, self._shifts, self._buf)[0])
+    def _emit(self, middle: int, label: int):
         if self._cleaner is None:
             return [(middle, label)]
         return self._cleaner.push(middle, label)
+
+    def _clamped_label(self, middle: int) -> int:
+        # the window clamps at the newest pushed frame
+        return int(_window_labels(self._table, self._windows, middle, middle + 1, self._pushed,
+                                  self._shifts, self._buf)[0])
 
     def push(self, frame_index: int):
         """Feed the next frame; returns labels finalized by it."""
@@ -124,13 +131,20 @@ class StreamSession:
             raise RuntimeError("session already finished")
         if frame_index != self._pushed:
             raise ValueError(f"out-of-order push: expected frame {self._pushed}, got {frame_index}")
-        if frame_index >= self.backend.num_frames:
-            raise ValueError(f"frame {frame_index} outside backend range [0, {self.backend.num_frames})")
+        if frame_index >= self._frames:
+            raise ValueError(f"frame {frame_index} outside backend range [0, {self._frames})")
         self._pushed += 1
         middle = frame_index - self._lag
         if middle < 0:
             return []
-        return self._emit(middle)
+        first = middle + self._shifts[0]
+        if first >= 0:
+            # the window ends at the frame just pushed, so no frame clamps: it is
+            # view[:, first], summed by the same fold as _window_labels' blocks
+            label = int(_kernels.fold_mean(self._windows[:, first], self._row).argmax())
+        else:
+            label = self._clamped_label(middle)
+        return self._emit(middle, label)
 
     def finish(self):
         """Drain trailing middles (their windows clamp at the last frame) and flush the cleaner."""
@@ -140,7 +154,7 @@ class StreamSession:
         out = []
         # push emitted every middle before pushed - lag
         for middle in range(max(0, self._pushed - self._lag), self._pushed):
-            out.extend(self._emit(middle))
+            out.extend(self._emit(middle, self._clamped_label(middle)))
         if self._cleaner is not None:
             out.extend(self._cleaner.flush())
         return out

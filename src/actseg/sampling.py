@@ -93,7 +93,7 @@ def training_clip(start: int, t: int, tau: int, seq_len=None) -> ClipSpec:
     return _build(start + middle_offset(t, tau), t, tau, seq_len)
 
 
-def surround_sample_start(n_s: int, n_e: int, t: int, tau: int, rng: np.random.Generator) -> int:
+def surround_sample_start(n_s: int, n_e: int, t: int, tau: int, rng: "np.random.Generator") -> int:
     """Uniform training-clip start such that the clip middle lands in [n_s, n_e].
 
     Frames outside the labelled segment may enter the clip as context; the

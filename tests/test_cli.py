@@ -110,6 +110,15 @@ class TestStats:
         assert out == ""
         assert f"fps must be finite and > 0, got {float(value)}" in err
 
+    def test_fps_overflowing_mean_seconds_is_data_error(self, capsys, segments_csv):
+        # 1e-320 passes 0 < fps < inf, but a mean length over it overflows to inf,
+        # which json.dumps wrote as Infinity under exit 0
+        code, out, err = run_cli(capsys, "stats", "--segments", str(segments_csv),
+                                 "--fps", "1e-320")
+        assert code == 2, err
+        assert out == ""
+        assert "fps 1e-320 (--fps or config) is too small" in err
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_config_fps_is_data_error(self, capsys, tmp_path, segments_csv, value):
         cfg_path = tmp_path / "c.cfg"
@@ -739,12 +748,13 @@ class TestEnhanceDemo:
         ("hand_cx", "1e308", ":9: bad value for hand_cx: '1e308'"),
         ("hand_cx", "-0.1", ":9: bad value for hand_cx: '-0.1'"),
         ("hand_cy", "1.5", ":10: bad value for hand_cy: '1.5'"),
-        ("hand_w", "2000", ": hand window x -1080 outside frame of width 920"),
+        ("hand_w", "2000", ": hand window width 2000 exceeds frame width 920"),
+        ("hand_h", "721", ": hand window height 721 exceeds frame height 720"),
         ("crop_off_x", "500", ": crop window (500, 16, size 224) exceeds scaled image 327x256"),
         ("full_w", "0", ": full_w must be >= 1, got 0"),
         ("full_w", "1" + "0" * 400, ": int too large to convert to float"),
-    ], ids=["hand_cx=1e308", "hand_cx=-0.1", "hand_cy=1.5", "hand_w=2000", "crop_off_x=500",
-            "full_w=0", "full_w=1e400"])
+    ], ids=["hand_cx=1e308", "hand_cx=-0.1", "hand_cy=1.5", "hand_w=2000", "hand_h=721",
+            "crop_off_x=500", "full_w=0", "full_w=1e400"])
     def test_geometry_error_names_the_file(self, capsys, tmp_path, key, value, message):
         geom = tmp_path / "geom.txt"
         geom.write_text(re.sub(f"^{key}=.*$", f"{key}={value}", GEOMETRY, flags=re.M))

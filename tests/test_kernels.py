@@ -120,6 +120,9 @@ def test_fold_mean_branches_equal_left_fold_where_order_matters(t):
         one = np.empty((1, 6))
         assert _kernels.fold_mean(block[:, r:r + 1], one) is one
         assert one.tobytes() == want[r:r + 1].tobytes()
+        row = np.empty(6)  # a stream push's (T, C) block into a 1-D row
+        assert _kernels.fold_mean(block[:, r], row) is row
+        assert row.tobytes() == want[r].tobytes()
 
 
 @pytest.mark.parametrize("t, c_out, c_in, h, w", [

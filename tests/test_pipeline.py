@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actseg import _kernels
 from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
 from actseg.pipeline import (_CHUNK, PipelineConfig, StreamSession, _window_view, run_offline,
@@ -210,6 +211,63 @@ class TestStreamSession:
         raw, cleaned = run_offline(cfg, backend)
         assert np.array_equal(cleaned, clean_timeline(raw, ccfg))
         assert np.array_equal(stream_all(cfg, backend), cleaned)
+
+
+class TestStreamViewPath:
+    """From frame (T-1)*tau on, a push sums view[:, first] into its (C,) row with
+    fold_mean; the first pushes and finish gather clamped frames instead."""
+
+    @pytest.mark.parametrize("softmax", [False, True], ids=["logits", "softmax"])
+    @pytest.mark.parametrize("tau", [1, 2, 3, 8])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+    def test_every_push_and_finish_equals_batch(self, monkeypatch, t, tau, softmax):
+        blocks = []  # ndim of each block fold_mean sums: 2 on the view path, 3 gathered
+        fold_mean = _kernels.fold_mean
+        monkeypatch.setattr(_kernels, "fold_mean",
+                            lambda block, out: blocks.append(block.ndim) or fold_mean(block, out))
+        span = (t - 1) * tau
+        rng = np.random.default_rng(100 * t + tau)
+        # one frame short of a full window (no view exists), exactly one, one past it
+        for n in (span, span + 1, span + 2):
+            if n < 1:
+                continue
+            # magnitudes 1e-8..1e8 make a window's sum depend on the order of its adds
+            table = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            backend = LogitsBackend(table, softmax)
+            cfg = PipelineConfig(t=t, tau=tau)
+            raw, _ = run_offline(cfg, backend)
+            session = StreamSession(cfg, backend)
+            blocks.clear()
+            pairs = [p for i in range(n) for p in session.push(i)]
+            assert blocks.count(2) == n - span, n  # every push from frame span on
+            pairs += session.finish()
+            assert blocks.count(2) == n - span, n  # finish gathers
+            assert pairs == list(enumerate(raw.tolist())), n
+
+    def test_exact_ties_go_to_the_first_class(self):
+        # T=2, tau=1: middle m's window is frames m and min(m + 1, 4). Every window's
+        # top two classes tie; the last index wins under a reversed argmax: [3, 3, 3, 3, 2]
+        table = np.array([[0, 1, 0, 1], [0, 0, 2, 1], [0, 1, 0, 1], [0, 2, 0, 2], [1, 0, 1, 0]],
+                         dtype=np.float64)
+        cfg, backend = PipelineConfig(t=2, tau=1), LogitsBackend(table)
+        assert run_offline(cfg, backend)[0].tolist() == [2, 2, 1, 1, 0]
+        assert stream_all(cfg, backend).tolist() == [2, 2, 1, 1, 0]
+
+    def test_window_divided_and_added_oldest_first(self):
+        # T=3, tau=1: push 2 labels middle 1 from frames 0, 1, 2 on the view path.
+        # Class 0 sums to x; class 1, added oldest first, to y = nextafter(x), and
+        # x/3 == y/3, so the means tie and class 0 wins. Without the divide y > x, and
+        # added newest first class 1 passes y; either way class 1 would win.
+        x = 1.636961687321454
+        table = np.array([[x, 0.6066357757671799], [0.0, 0.7294965609839984],
+                          [0.0, 0.30082935057027615]])
+        y = np.nextafter(x, np.inf)
+        col = table[:, 1].tolist()
+        assert (col[0] + col[1]) + col[2] == y and x / 3 == y / 3
+        assert ((col[2] + col[1]) + col[0]) / 3 > x / 3
+        cfg, backend = PipelineConfig(t=3, tau=1), LogitsBackend(table)
+        assert run_offline(cfg, backend)[0].tolist() == [0, 0, 1]
+        assert stream_all(cfg, backend).tolist() == [0, 0, 1]
 
 
 class TestWindowView:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import actseg
 from actseg.sampling import (ClipSpec, center_sample_start, clip_span_seconds,
                              inference_clip, middle_clip, middle_offset, prediction_lag,
                              surround_sample_start, training_clip, window_offsets)
@@ -217,3 +223,18 @@ class TestClipSpecInvariants:
             assert all(b - a == tau for a, b in zip(c.frames, c.frames[1:]))
             assert c.middle == c.frames[0] + middle_offset(t, tau)
             assert middle_offset(t, tau) + prediction_lag(t, tau) == (t - 1) * tau
+
+
+def test_import_actseg_loads_no_numpy_random():
+    # surround_sample_start's Generator annotation is a string, because evaluating it at
+    # import loads numpy.random. numpy 1.24 loads it itself, so compare with numpy alone.
+    code = ("import sys, numpy; alone = 'numpy.random' in sys.modules; import actseg; "
+            "print(alone, 'numpy.random' in sys.modules)")
+    src = str(Path(actseg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    alone, with_actseg = result.stdout.split()
+    assert with_actseg == alone
