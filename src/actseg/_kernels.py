@@ -13,13 +13,13 @@ def nearest_index(n_in, n_out, lo=0, hi=None):
 
 
 def gather_cells(src, rows, cols):
-    """out[:, :, i, j] = src[:, :, rows[i], cols[j]] for a (t, c, h, w) array, C-contiguous.
+    """out[..., i, j] = src[..., rows[i], cols[j]] over the last two axes, C-contiguous.
 
     One take per axis: fancy indexing both axes at once yields a transposed
     memory layout, and copying or adding that into a C-ordered array costs
     several times the gather itself.
     """
-    return np.take(np.take(src, rows, axis=2), cols, axis=3)
+    return np.take(np.take(src, rows, axis=-2), cols, axis=-1)
 
 
 def resize_nearest(src, out_h, out_w):
@@ -27,15 +27,22 @@ def resize_nearest(src, out_h, out_w):
     return gather_cells(src, nearest_index(src.shape[2], out_h), nearest_index(src.shape[3], out_w))
 
 
-def mix_1x1(m, weight, bias):
-    """Per-pixel channel mixing: out[t,o,i,j] = sum_c weight[o,c]*m[t,c,i,j] + bias[o].
+def mix_1x1(m, weight, bias, out):
+    """Per-pixel channel mixing of one frame: out[o,i,j] = sum_c weight[o,c]*m[c,i,j] + bias[o].
 
-    One BLAS matrix product per frame over the (c, h*w) pixel columns.
+    m is a (c, h, w) frame, or a view of one whose rows are contiguous within
+    each channel (a row range), so its (c, h*w) pixel columns are a strided
+    view and nothing is copied. The product lands in out, a C-contiguous
+    (c_out, h, w) frame the caller owns, by one BLAS matrix product; the bias
+    is added while the frame is still in cache, and bias None adds nothing.
     """
-    t, c, h, w = m.shape
-    out = weight @ m.reshape(t, c, h * w)
-    out += bias[:, None]
-    return out.reshape(t, weight.shape[0], h, w)
+    if not out.flags.c_contiguous:
+        raise ValueError("mix_1x1 writes into a C-contiguous frame")
+    cols = out.reshape(out.shape[0], -1)
+    np.matmul(weight, m.reshape(m.shape[0], -1), out=cols)
+    if bias is not None:
+        cols += bias[:, None]
+    return out
 
 
 def bn_residual(base, enh, scale, shift, mean, var):

@@ -141,14 +141,19 @@ def enhance(f: FeatureMap, f_left: FeatureMap, f_right: FeatureMap,
     """Full enhancement pass: bn(f + W [f; place(f_left); place(f_right)] + b).
 
     With s = bn_scale / sqrt(bn_var) and W = [W_f | W_l | W_r] split by the
-    channel counts of f, f_left and f_right, this is computed as
-    s (I + W_f) f + s (b - bn_mean) + bn_shift, plus s W_l and s W_r applied
-    to each hand map over its visible footprint only: the placed hand maps
-    are zero everywhere else, so neither they nor the concat are built. The
-    result equals the composed primitives (place_hand_features,
-    concat_channels, mix_1x1, residual_norm) up to summation order, and a
-    zero mixer with identity bn returns f exactly. Output dims always equal
-    f's, for any geometry including fully out-of-crop hands.
+    channel counts of f, f_left and f_right, each frame k of the output is
+    s (I + W_f) f[k] + s (b - bn_mean) + bn_shift, plus s W_l and s W_r
+    applied to each hand map over its visible footprint only: the placed hand
+    maps are zero everywhere else, so neither they nor the concat are built.
+    A hand is mixed at its own resolution, over the source rows its visible
+    footprint reads, and the mixed cells are then gathered into the
+    footprint; the mix is per pixel, so it commutes with the gather. The pass
+    runs one frame at a time into one preallocated output, so no temporary
+    is larger than one frame. The result equals the composed primitives
+    (place_hand_features, concat_channels, mix_1x1, residual_norm) up to
+    summation order, and a zero mixer with identity bn returns f exactly.
+    Output dims always equal f's, for any geometry including fully
+    out-of-crop hands.
     """
     if f_left.t != f.t or f_right.t != f.t:
         raise ValueError(
@@ -163,28 +168,43 @@ def enhance(f: FeatureMap, f_left: FeatureMap, f_right: FeatureMap,
     s = w.bn_scale / np.sqrt(w.bn_var)
     scaled = s[:, None] * w.weight
     backbone = scaled[:, :c] + np.diag(s)  # s (I + W_f): the residual add folded in
-    out = _kernels.mix_1x1(f.values, backbone, s * (w.bias - w.bn_mean) + w.bn_shift)
-    _add_hand(out, f_left, g_left, scaled[:, c:c + c_l])
-    _add_hand(out, f_right, g_right, scaled[:, c + c_l:])
+    bias = s * (w.bias - w.bn_mean) + w.bn_shift
+    out = np.empty(f.shape)
+    hands = [add for add in (_hand_adder(f_left, g_left, f.h, f.w, scaled[:, c:c + c_l]),
+                             _hand_adder(f_right, g_right, f.h, f.w, scaled[:, c + c_l:]))
+             if add is not None]
+    for k in range(f.t):
+        frame = out[k]
+        _kernels.mix_1x1(f.values[k], backbone, bias, frame)
+        for add in hands:
+            add(k, frame)
     return FeatureMap(out)
 
 
-def _add_hand(out, fh: FeatureMap, g: CropGeometry, weight) -> None:
-    """out += weight mixed over the part of fh's placed footprint that lies on out's grid.
+def _hand_adder(fh: FeatureMap, g: CropGeometry, h: int, w: int, weight):
+    """add(k, frame): frame += weight mixed over fh[k]'s placed footprint on an (h, w) grid.
 
-    Cells come from fh by the same nearest-neighbour rule as resize_nearest
-    followed by zero_pad_place.
+    None when no footprint cell lies on the grid. Cells come from fh by the
+    same nearest-neighbour rule as resize_nearest followed by zero_pad_place.
+    Only the source rows the visible footprint reads are mixed, into one
+    buffer of that many rows of one frame, which every call reuses.
     """
-    h, w = out.shape[2], out.shape[3]
     rows, cols, off_y, off_x = footprint(g, h, w)
     y0, y1 = max(off_y, 0), min(off_y + rows, h)
     x0, x1 = max(off_x, 0), min(off_x + cols, w)
     if y0 >= y1 or x0 >= x1:
-        return
-    patch = _kernels.gather_cells(fh.values,
-                                  _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y),
-                                  _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x))
-    out[:, :, y0:y1, x0:x1] += _kernels.mix_1x1(patch, weight, np.zeros(weight.shape[0]))
+        return None
+    src_rows = _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y)
+    src_cols = _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x)
+    r0, r1 = src_rows[0], src_rows[-1] + 1
+    src = fh.values[:, :, r0:r1]
+    src_rows = src_rows - r0
+    mixed = np.empty((weight.shape[0], r1 - r0, fh.w))
+
+    def add(k, frame):
+        _kernels.mix_1x1(src[k], weight, None, mixed)
+        frame[:, y0:y1, x0:x1] += _kernels.gather_cells(mixed, src_rows, src_cols)
+    return add
 
 
 def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,

@@ -73,6 +73,9 @@ class MixerWeights:
             if v.shape != (c_out,):
                 raise ValueError(f"{name} must have shape ({c_out},), got {v.shape}")
             object.__setattr__(self, name, v)
+        for name in ("weight", "bias", "bn_scale", "bn_shift", "bn_mean", "bn_var"):
+            if not np.all(np.isfinite(getattr(self, name))):  # one NaN or inf spoils a whole channel
+                raise ValueError(f"{name} entries must be finite")
         if np.any(self.bn_var <= 0):
             raise ValueError("bn_var entries must be > 0")
 
@@ -151,7 +154,10 @@ def mix_1x1(m: FeatureMap, w: MixerWeights) -> FeatureMap:
     """1x1 convolution: per-pixel channel mixing, no spatial mixing."""
     if m.c != w.c_in:
         raise ValueError(f"map has {m.c} channels but mixer expects {w.c_in}")
-    return FeatureMap(_kernels.mix_1x1(m.values, w.weight, w.bias))
+    out = np.empty((m.t, w.c_out, m.h, m.w))
+    for k in range(m.t):
+        _kernels.mix_1x1(m.values[k], w.weight, w.bias, out[k])
+    return FeatureMap(out)
 
 
 def residual_norm(base: FeatureMap, enhancement: FeatureMap, w: MixerWeights) -> FeatureMap:

@@ -49,8 +49,8 @@ class HandLossConfig:
     lam: float = 0.1
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
 
 
 def decode(v):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,49 @@ class TestEnhanceValues:
         self._check(rng, PLACEMENTS["in_crop"], PLACEMENTS["full_cover"], c=3, c_l=2, c_r=5)
         self._check(rng, PLACEMENTS["partial_negative_offsets"], PLACEMENTS["fallback"],
                     c=4, c_l=1, c_r=1)
+
+
+class TestEnhanceFrames:
+    """enhance runs one frame at a time: frames are independent, and no temporary outgrows one."""
+
+    def _clip(self, rng, t, c=16, h=56, w=56, hw=14):
+        return (FeatureMap(rng.normal(size=(t, c, h, w))), FeatureMap(rng.normal(size=(t, c, hw, hw))),
+                FeatureMap(rng.normal(size=(t, c, hw, hw))))
+
+    @pytest.mark.parametrize("case", sorted(PLACEMENTS))
+    def test_frame_equals_one_frame_clip(self, case):
+        rng = np.random.default_rng(sorted(PLACEMENTS).index(case))
+        f, left, right = self._clip(rng, 4, c=5, h=40, w=48)
+        mixer = random_mixer(rng, 5, 15)
+        g_left, g_right = PLACEMENTS[case], PLACEMENTS["in_crop"]
+        out = enhance(f, left, right, g_left, g_right, mixer).values
+        for k in range(f.t):
+            one = enhance(*(FeatureMap(m.values[k:k + 1]) for m in (f, left, right)),
+                          g_left, g_right, mixer).values
+            assert one.tobytes() == out[k:k + 1].tobytes()
+
+    def test_zero_mixer_identity_at_scale(self):
+        f, left, right = self._clip(np.random.default_rng(9), 8)
+        out = enhance(f, left, right, PLACEMENTS["full_cover"], PLACEMENTS["in_crop"],
+                      MixerWeights.zero(16, 48))
+        assert out.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("g_left, g_right", [
+        (PLACEMENTS["full_cover"], PLACEMENTS["full_cover"]),
+        (PLACEMENTS["in_crop"], PLACEMENTS["fallback"]),  # the deployment geometry
+    ], ids=["full_cover", "deployment"])
+    def test_temporaries_stay_within_two_frames(self, g_left, g_right):
+        rng = np.random.default_rng(10)
+        f, left, right = self._clip(rng, 8)
+        mixer = random_mixer(rng, 16, 48)
+        frame = f.values[0].nbytes
+        tracemalloc.start()
+        try:
+            out = enhance(f, left, right, g_left, g_right, mixer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.values.nbytes <= 2 * frame
 
 
 class TestGeometry:

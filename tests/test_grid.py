@@ -244,3 +244,14 @@ class TestMixerWeights:
         with pytest.raises(ValueError):
             MixerWeights(np.eye(2), np.zeros(3), np.ones(2), np.zeros(2),
                          np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["weight", "bias", "bn_scale", "bn_shift", "bn_mean",
+                                       "bn_var"])
+    def test_non_finite_entry_rejected(self, field, bad):
+        fields = dict(weight=np.eye(2), bias=np.zeros(2), bn_scale=np.ones(2),
+                      bn_shift=np.zeros(2), bn_mean=np.zeros(2), bn_var=np.ones(2))
+        fields[field] = fields[field].copy()
+        fields[field].flat[1] = bad  # a NaN bn_var would pass the bn_var > 0 check
+        with pytest.raises(ValueError, match=f"^{field} entries must be finite$"):
+            MixerWeights(**fields)

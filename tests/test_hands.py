@@ -41,8 +41,9 @@ class TestTypes:
         assert HandTarget(0, x, y).present == 0  # an absent hand's position is free
 
     def test_lam_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HandLossConfig(lam=0.0)
+        for lam in (0.0, -0.1, np.nan, np.inf):  # nan or inf would make hand_loss nan or inf
+            with pytest.raises(ValueError, match="lam must be finite and > 0"):
+                HandLossConfig(lam=lam)
 
 
 class TestLoss:

@@ -137,9 +137,21 @@ def test_mix_1x1_matches_einsum(t, c_out, c_in, h, w):
     m = rng.normal(size=(t, c_in, h, w))
     weight = rng.normal(size=(c_out, c_in))
     bias = rng.normal(size=c_out)
-    out = _kernels.mix_1x1(m, weight, bias)
+    out = np.empty((t, c_out, h, w))
+    for k in range(t):  # the kernel mixes one frame into a frame the caller owns
+        _kernels.mix_1x1(m[k], weight, bias, out[k])
     ref = np.einsum("oc,tchw->tohw", weight, m) + bias.reshape(1, -1, 1, 1)
     # relative to the sum of |terms|, which bounds any summation order's rounding
     scale = np.einsum("oc,tchw->tohw", np.abs(weight), np.abs(m)) + np.abs(bias).reshape(1, -1, 1, 1)
-    assert out.shape == (t, c_out, h, w)
     assert np.all(np.abs(out - ref) <= 1e-12 * scale)
+
+
+def test_mix_1x1_row_range_and_no_bias():
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(5, 9, 7))
+    weight = rng.normal(size=(3, 5))
+    out = np.empty((3, 4, 7))
+    assert _kernels.mix_1x1(m[:, 2:6], weight, None, out) is out  # a strided row range of m
+    assert np.allclose(out, np.einsum("oc,chw->ohw", weight, m[:, 2:6]), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _kernels.mix_1x1(m, weight, None, np.empty((3, 9, 8))[:, :, :7])
