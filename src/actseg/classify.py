@@ -13,11 +13,33 @@ from .timeline import NUM_CLASSES, _in_frame_order, _read_table, as_timeline, en
 _MAGIC = b"ATSL"
 
 
-def _softmax_rows(x):
-    z = x - x.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+# float32 values per block: a binary logits file is read, and a table checked, this many
+# values at a time, so no temporary is the size of the table
+_LOGITS_BLOCK = 1 << 16
+
+
+def _check_shape(shape):
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"logits must be (n_frames, n_classes), got shape {shape}")
+
+
+def _scores(rows, frame, softmax_average, where=""):
+    """Check rows, frames frame.. of a table, finite, then softmax each in place if asked."""
+    # min and max propagate NaN, so both are finite only if every value is; this
+    # builds no temporary, and the bad value is located only on failure
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        f, c = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(f"{where}non-finite logit {rows[f, c]} at frame {frame + f},"
+                         f" column {c}")
+    if softmax_average:
+        rows -= rows.max(axis=1, keepdims=True)
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _block_rows(num_classes):
+    return max(1, _LOGITS_BLOCK // max(1, num_classes))
 
 
 class LogitsBackend:
@@ -29,13 +51,14 @@ class LogitsBackend:
 
     def __init__(self, logits, softmax_average: bool = False):
         arr = np.ascontiguousarray(np.asarray(logits, dtype=np.float64))
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"logits must be (n_frames, n_classes), got shape {arr.shape}")
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            frame, col = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite logit {arr[frame, col]} at frame {frame}, column {col}")
-        self._table = _softmax_rows(arr) if softmax_average else arr
+        _check_shape(arr.shape)
+        table = np.empty_like(arr) if softmax_average else arr
+        step = _block_rows(arr.shape[1])
+        for lo in range(0, arr.shape[0], step):
+            if softmax_average:
+                table[lo:lo + step] = arr[lo:lo + step]
+            _scores(table[lo:lo + step], lo, softmax_average)
+        self._table = table
         self._table.flags.writeable = False
 
     @property
@@ -152,34 +175,88 @@ def write_logits_binary(path, logits) -> None:
         fh.write(arr.astype("<f4").tobytes())
 
 
-# float32 values read per block, so the file's bytes are never held whole beside the table
-_LOGITS_BLOCK = 1 << 16
+class LogitsReader:
+    """A logits file's per-frame scores, read in order into float64 rows the caller owns.
+
+    A binary file's header is checked on open, and the file stays open until
+    close(); its float32 values are read _LOGITS_BLOCK at a time. For a CSV
+    file, its table, parsed whole, is passed in instead. Each block read is
+    checked finite and, with softmax_average, softmaxed per row, and every
+    error names the path and the frame counted from the start of the file.
+    """
+
+    def __init__(self, path, softmax_average: bool = False, table=None):
+        self.path, self._softmax, self._table, self._frame = path, softmax_average, table, 0
+        self._fh = None
+        if table is not None:
+            self.shape = table.shape
+            return
+        self._fh = open(path, "rb")
+        try:
+            head = self._fh.read(12)
+            if head[:4] != _MAGIC:
+                raise ValueError(f"{path}: bad magic, not a logits file")
+            if len(head) < 12:
+                raise ValueError(f"{path}: truncated header")
+            n, k = struct.unpack("<II", head[4:])
+            body = os.fstat(self._fh.fileno()).st_size - 12
+            if body % 4:
+                raise ValueError(f"{path}: body of {body} bytes is not a whole number of"
+                                 " float32 values")
+            if body // 4 != n * k:
+                raise ValueError(f"{path}: expected {n * k} values, found {body // 4}")
+        except BaseException:
+            self._fh.close()
+            raise
+        self.shape = (n, k)
+        self._block = np.empty((min(n, _block_rows(k)), k), "<f4")
+
+    def read_into(self, out):
+        """Fill out, (m, classes) float64 rows, with the next m frames' scores; returns out."""
+        step = max(1, len(out) if self._fh is None else len(self._block))
+        for lo in range(0, len(out), step):
+            rows, frame = out[lo:lo + step], self._frame
+            self._frame += len(rows)
+            if self._fh is None:
+                rows[...] = self._table[frame:self._frame]
+            else:
+                part = self._block[:len(rows)]
+                got = self._fh.readinto(part)
+                if got != part.nbytes:  # the file shrank after its size was read
+                    n, k = self.shape
+                    raise ValueError(f"{self.path}: expected {n * k} values,"
+                                     f" found {frame * k + got // 4}")
+                rows[...] = part
+            _scores(rows, frame, self._softmax, f"{self.path}: ")
+        return out
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def open_logits(path, softmax_average: bool = False) -> LogitsReader:
+    """A reader over a logits file of at least one frame and one class, by its magic."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == _MAGIC
+    reader = LogitsReader(path, softmax_average, None if binary else read_logits_csv(path))
+    try:
+        _check_shape(reader.shape)
+    except ValueError as exc:
+        reader.close()
+        raise ValueError(f"{path}: {exc}") from None
+    return reader
 
 
 def read_logits_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if head[:4] != _MAGIC:
-            raise ValueError(f"{path}: bad magic, not a logits file")
-        if len(head) < 12:
-            raise ValueError(f"{path}: truncated header")
-        n, k = struct.unpack("<II", head[4:])
-        body = os.fstat(fh.fileno()).st_size - 12
-        if body % 4:
-            raise ValueError(f"{path}: body of {body} bytes is not a whole number of"
-                             " float32 values")
-        if body // 4 != n * k:
-            raise ValueError(f"{path}: expected {n * k} values, found {body // 4}")
-        table = np.empty((n, k))
-        flat = table.reshape(-1)
-        block = np.empty(_LOGITS_BLOCK, "<f4")
-        for lo in range(0, flat.size, _LOGITS_BLOCK):
-            part = block[:flat.size - lo]
-            got = fh.readinto(part)
-            if got != part.nbytes:  # the file shrank after its size was read
-                raise ValueError(f"{path}: expected {n * k} values, found {lo + got // 4}")
-            flat[lo:lo + part.size] = part
-    return table
+    with LogitsReader(path) as reader:
+        return reader.read_into(np.empty(reader.shape))
 
 
 def write_logits_csv(path, logits) -> None:

@@ -98,14 +98,19 @@ def _cmd_run(args) -> int:
     kappa = _resolve(args, "kappa", 1.4)
     ignore_bg = not args.include_background and _resolve(args, "ignore_background", True)
 
-    backend = classify.LogitsBackend.from_file(args.logits, args.softmax_average)
-    cleaner = None
-    if not args.no_clean:
-        cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
-                                         num_classes=backend.num_classes)
-        _warn_uncovered(cleaner)
-    cfg = pipeline.PipelineConfig(t, tau, fps, backend.num_classes, cleaner)
-    raw, cleaned = pipeline.run_offline(cfg, backend)
+    with classify.open_logits(args.logits, args.softmax_average) as logits:
+        num_classes = logits.shape[1]
+        cleaner = None
+        if not args.no_clean:
+            if num_classes <= timeline.BACKGROUND_ID:
+                raise ValueError(f"{args.logits}: {num_classes} classes, but cleaning needs"
+                                 f" background class {timeline.BACKGROUND_ID}; pass --no-clean"
+                                 " to run without it")
+            cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
+                                             num_classes=num_classes)
+            _warn_uncovered(cleaner)
+        cfg = pipeline.PipelineConfig(t, tau, fps, num_classes, cleaner)
+        raw, cleaned = pipeline.run_file(cfg, logits)
 
     report = {"config": {"t": t, "tau": tau, "fps": fps, "frames": int(raw.size),
                          "kappa": None if args.no_clean else kappa,
@@ -115,7 +120,7 @@ def _cmd_run(args) -> int:
         _check_frames(args.gt, gt.size, args.logits, raw.size)
         eval_cfg = metrics.EvalConfig(ignore_background=ignore_bg)
         names = {cid: name for cid, name, _, _ in refstats.REFERENCE_CLASSES} \
-            if backend.num_classes == timeline.NUM_CLASSES else None
+            if num_classes == timeline.NUM_CLASSES else None
         report["raw"] = metrics.evaluate(raw, gt, eval_cfg, names)
         report["cleaned"] = metrics.evaluate(cleaned, gt, eval_cfg, names)
     if args.out_dir:

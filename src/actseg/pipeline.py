@@ -1,11 +1,12 @@
 """End-to-end sliding-window segmentation: sampler -> classifier -> raw
 timeline -> cleaner -> cleaned timeline.
 
-The offline runner labels its rows in blocks through _window_labels, and the
-streaming session one row per push: a slice of the window view once a full
-window has been pushed, through _window_labels' clamped gather before that and
-in finish. Every window is summed by the one fold, _kernels.fold_mean, so their
-outputs are byte-identical by construction. A frame's raw prediction is
+The offline driver labels its rows in blocks through _window_labels, from a
+whole in-memory table or from a buffer that a logits file fills a block at a
+time, and the streaming session labels one row per push: a slice of the window
+view once a full window has been pushed, through _window_labels' clamped gather
+before that and in finish. Every window is summed by the one fold,
+_kernels.fold_mean, so their outputs are byte-identical by construction. A frame's raw prediction is
 computable exactly floor(T/2)*tau pushes after the frame itself, and the
 cleaner adds at most its largest class threshold on top.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
-from .classify import LogitsBackend
+from .classify import LogitsBackend, LogitsReader
 from .cleaning import CleanerConfig, StreamCleaner, clean_timeline
 from .sampling import prediction_lag, window_offsets
 from .timeline import NUM_CLASSES
@@ -38,8 +39,9 @@ class PipelineConfig:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
-# rows per window-mean block in run_offline: its sum buffer, and each slab it gathers
-# where its windows pass an end, is a (rows, C) float64 array, 200 KB at C=25
+# rows per window-mean block in the offline driver, and frames per block that run_file
+# reads: its sum buffer, and each slab it gathers where its windows pass an end, is a
+# (rows, C) float64 array, 200 KB at C=25
 _CHUNK = 1024
 
 
@@ -74,23 +76,71 @@ def _window_labels(table, windows, lo, hi, n, shifts, buf):
     return _kernels.fold_mean(block, buf[:hi - lo]).argmax(axis=1)
 
 
+def _run(cfg, n, k, blocks):
+    """Raw and cleaned timelines of frames [0, n) of a k-class table from blocks,
+    (rows, base) pairs in order.
+
+    rows holds frames base..base+len(rows)-1: the (T-1)*tau frames that the
+    first middle not yet labelled reaches back to, then the new ones. A
+    middle is labelled once its window's newest frame is in rows or the input
+    has ended, by _window_labels at indices relative to rows, so no window
+    reaches before rows and only the recording's ends clamp it.
+    """
+    shifts = window_offsets(cfg.t, cfg.tau).tolist()
+    sums = np.empty((min(_CHUNK, n), k))
+    raw = np.empty(n, dtype=np.int64)
+    done = 0
+    for rows, base in blocks:
+        end = base + len(rows)
+        stop = n if end == n else end - shifts[-1]
+        windows = _window_view(rows, cfg.t, cfg.tau)
+        for lo in range(done, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            raw[lo:hi] = _window_labels(rows, windows, lo - base, hi - base, len(rows), shifts,
+                                        sums)
+        done = stop
+    if cfg.cleaner is None:
+        return raw, raw.copy()
+    return raw, clean_timeline(raw, cfg.cleaner)
+
+
+def _fed(read_into, n, k, halo):
+    """_run's blocks of frames [0, n), read in order by read_into into one buffer.
+
+    Each block keeps the last halo frames of the one before it and reads up to
+    _CHUNK new frames after them.
+    """
+    buf = np.empty((min(n, halo + _CHUNK), k))
+    base = end = 0
+    while end < n:
+        keep = min(halo, end - base)
+        buf[:keep] = buf[end - base - keep:end - base]
+        base = end - keep
+        new = min(len(buf) - keep, n - end)
+        read_into(buf[keep:keep + new])
+        end += new
+        yield buf[:end - base], base
+
+
 def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
-    """Raw and cleaned timelines for frames [0, seq_len), labelled in blocks of _CHUNK."""
+    """Raw and cleaned timelines for frames [0, seq_len), labelled from the backend's table."""
     if seq_len is None:
         seq_len = backend.num_frames
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
-    table = backend.table
-    windows = _window_view(table, cfg.t, cfg.tau)
-    shifts = window_offsets(cfg.t, cfg.tau).tolist()
-    buf = np.empty((min(_CHUNK, seq_len), table.shape[1]))
-    raw = np.empty(seq_len, dtype=np.int64)
-    for lo in range(0, seq_len, _CHUNK):
-        hi = min(lo + _CHUNK, seq_len)
-        raw[lo:hi] = _window_labels(table, windows, lo, hi, seq_len, shifts, buf)
-    if cfg.cleaner is None:
-        return raw, raw.copy()
-    return raw, clean_timeline(raw, cfg.cleaner)
+    blocks = [(backend.table[:seq_len], 0)]  # the whole table is one block
+    return _run(cfg, seq_len, backend.num_classes, blocks)
+
+
+def run_file(cfg: PipelineConfig, logits: LogitsReader):
+    """Raw and cleaned timelines for every frame of an open logits reader.
+
+    The reader fills _CHUNK frames at a time into a buffer that also holds
+    the (T-1)*tau frames before them, so the file's table is never held.
+    """
+    n, k = logits.shape
+    blocks = _fed(logits.read_into, n, k, (cfg.t - 1) * cfg.tau)
+    return _run(cfg, n, k, blocks)
 
 
 class StreamSession:

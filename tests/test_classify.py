@@ -35,6 +35,21 @@ class TestBackend:
         with pytest.raises(ValueError, match="frame 50, column 3"):
             LogitsBackend(logits, softmax_average)
 
+    @pytest.mark.parametrize("softmax_average", [False, True])
+    def test_non_finite_in_a_later_block_names_its_frame(self, monkeypatch, softmax_average):
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 75)  # blocks of 3 rows
+        logits = one_hot_logits([5] * 100)
+        logits[94, 11] = np.nan
+        with pytest.raises(ValueError, match="^non-finite logit nan at frame 94, column 11$"):
+            LogitsBackend(logits, softmax_average)
+
+    def test_softmax_in_blocks_equals_one_pass(self, monkeypatch):
+        logits = np.random.default_rng(12).normal(0, 3, size=(1000, 25))
+        whole = LogitsBackend(logits, softmax_average=True).table
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 7 * 25)
+        assert np.array_equal(LogitsBackend(logits, softmax_average=True).table, whole)
+        assert np.array_equal(logits, np.random.default_rng(12).normal(0, 3, size=(1000, 25)))
+
     def test_from_timeline_one_hot(self):
         b = LogitsBackend(one_hot_logits([0, 3, 24]))
         assert b.table.shape == (3, 25)
@@ -209,7 +224,8 @@ class TestLogitsIO:
 
     @pytest.mark.parametrize("shape", [(0, 25), (1, 1), (5, 0), (31, 25), (14, 3)])
     def test_binary_round_trip_in_blocks(self, tmp_path, monkeypatch, shape):
-        # a block of 7 values splits rows and leaves a short last block
+        # a block of 7 values reads as many whole rows, at least one, and leaves a
+        # short last block
         monkeypatch.setattr(classify, "_LOGITS_BLOCK", 7)
         logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 20.5
         path = tmp_path / "x.logits"
@@ -243,6 +259,29 @@ class TestLogitsIO:
             tracemalloc.stop()
         # reading the whole 4 MB body first and converting it peaked at 1.5x the table
         assert peak < table.nbytes + 4 * classify._LOGITS_BLOCK + 65536
+
+    def test_binary_non_finite_names_file_and_frame(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 50)  # blocks of 2 rows
+        logits = np.zeros((9, 25))
+        logits[7, 20] = -np.inf
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-finite logit -inf at frame 7, column 20")):
+            read_logits_binary(path)
+
+    def test_reader_fills_rows_the_caller_owns(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 10)
+        logits = np.arange(60, dtype=np.float64).reshape(12, 5)
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        out = np.full((12, 5), -1.0)
+        with classify.open_logits(path) as reader:
+            assert reader.shape == (12, 5)
+            reader.read_into(out[:5])
+            reader.read_into(out[5:])
+        assert reader._fh.closed
+        assert np.array_equal(out, logits)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

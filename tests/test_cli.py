@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import actseg
+from actseg import classify
 from actseg.align import CropGeometry, alignment
 from actseg.cleaning import ClassStats, CleanerConfig, write_class_stats
 from actseg.cli import build_parser, entry, main
@@ -19,7 +20,7 @@ from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.refstats import reference_class_stats
 from actseg.timeline import (BACKGROUND_ID, read_timeline_csv, write_segments_csv,
                              write_timeline_csv)
-from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary
+from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary, write_logits_csv
 from oracles import write_hands_ref
 
 
@@ -340,6 +341,53 @@ class TestRun:
         assert code == 2, err
         assert f"t=8 and tau={tau} " in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["logits", "csv"])
+    def test_non_finite_logit_in_a_later_block_names_its_frame(self, capsys, tmp_path, fmt):
+        # run_file reads 3,000 frames as 1,080, 1,024 and 896; frame 2700 is in the last
+        logits = one_hot_logits([5] * 3000)
+        logits[2700, 7] = np.inf
+        logits_path = tmp_path / f"late.{fmt}"
+        (write_logits_binary if fmt == "logits" else write_logits_csv)(logits_path, logits)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path),
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"actseg: error: {logits_path}: non-finite logit inf at frame 2700, column 7" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["logits", "csv"])
+    def test_too_few_classes_to_clean_names_the_file(self, capsys, tmp_path, fmt):
+        logits_path = tmp_path / f"two.{fmt}"
+        logits = one_hot_logits([0] * 30 + [1] * 30, num_classes=2)
+        (write_logits_binary if fmt == "logits" else write_logits_csv)(logits_path, logits)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert (f"actseg: error: {logits_path}: 2 classes, but cleaning needs background"
+                f" class {BACKGROUND_ID}; pass --no-clean to run without it") in err
+        code, out, err = run_cli(capsys, "run", "--logits", str(logits_path), "--no-clean",
+                                 "--t", "1", "--tau", "1")
+        assert code == 0, err
+        assert json.loads(out)["config"]["frames"] == 60
+
+    @pytest.mark.parametrize("case", ["truncated", "no_frames", "nan_late", "few_classes"])
+    def test_logits_file_closed_after_an_error(self, capsys, tmp_path, monkeypatch, case):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(classify, "open", recording_open, raising=False)
+        logits_path = tmp_path / "x.logits"
+        logits = one_hot_logits([5] * 3000)
+        logits[2700, 7] = np.nan if case == "nan_late" else 0.0
+        write_logits_binary(logits_path, {"no_frames": logits[:0],
+                                          "few_classes": logits[:, :3]}.get(case, logits))
+        if case == "truncated":
+            logits_path.write_bytes(logits_path.read_bytes()[:-4])
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert opened and all(fh.closed for fh in opened)
 
     @pytest.mark.parametrize("case, message", [
         ("odd_body", "body of 20001 bytes is not a whole number of float32 values"),

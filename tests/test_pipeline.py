@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from actseg import _kernels
-from actseg.classify import LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits
+from actseg.classify import (LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits,
+                             open_logits, write_logits_binary)
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
-from actseg.pipeline import (_CHUNK, PipelineConfig, StreamSession, _window_view, run_offline,
-                             stream_all)
+from actseg.pipeline import (_CHUNK, PipelineConfig, StreamSession, _window_view, run_file,
+                             run_offline, stream_all)
 from actseg.sampling import inference_clip, prediction_lag, window_offsets
 from actseg.timeline import BACKGROUND_ID, segments_from_timeline
 from oracles import gather_mean_ref
@@ -109,6 +112,48 @@ class TestOffline:
             PipelineConfig(t=0)
         with pytest.raises(ValueError):
             PipelineConfig(fps=0.0)
+
+
+class TestRunFile:
+    def test_equals_run_offline_with_cleaning(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 3 * _CHUNK + 17
+        logits = one_hot_logits(block_timeline(rng, n)) + rng.normal(0, 0.4, (n, 25))
+        logits = logits.astype(np.float32).astype(float)  # what the file holds
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        stats = {0: ClassStats(0, 5, 20.0, 4.0),
+                 BACKGROUND_ID: ClassStats(BACKGROUND_ID, 5, 12.0, 3.0)}
+        cfg = PipelineConfig(t=5, tau=3, cleaner=CleanerConfig(stats=stats))
+        with open_logits(path) as reader:
+            got = run_file(cfg, reader)
+        want = run_offline(cfg, LogitsBackend(logits))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_peak_holds_no_table(self, tmp_path):
+        def stage_peak(n):
+            # actseg run's logits stage: the file opened, then every window labelled
+            path = tmp_path / f"{n}.logits"
+            write_logits_binary(path, np.tile(np.eye(25), (n // 25, 1)))
+            tracemalloc.start()
+            try:
+                with open_logits(path) as reader:
+                    raw, cleaned = run_file(PipelineConfig(), reader)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, raw.nbytes + cleaned.nbytes
+
+        n = 40_000
+        peak, labels = stage_peak(n)
+        peak2, labels2 = stage_peak(2 * n)
+        # the float64 table is 8 MB here, its float32 file 4 MB. The stage holds
+        # the labels, one read block of 65,536 float32 values, and a buffer of
+        # _CHUNK rows plus the 56-row halo; the block of T=8 slabs gathered at an end
+        # and the sums add 9 arrays of _CHUNK rows
+        rows = 8 * 25  # bytes per float64 row
+        assert peak < labels + 4 * 65536 + rows * (_CHUNK + 56) + 9 * rows * _CHUNK + 65536
+        assert peak2 - peak <= labels2 - labels + 16384
 
 
 class TestStreamSession:

@@ -7,21 +7,28 @@ The examples are drawn by hypothesis under the deterministic profile that
 conftest.py registers.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actseg import classify, pipeline
 from actseg.align import CropGeometry, enhance, place_hand_features
-from actseg.classify import LogitsBackend, one_hot_logits
+from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary, write_logits_csv
 from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_timeline,
                              compute_class_stats)
+from actseg.cli import main
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
 from actseg.metrics import (IOU_THRESHOLDS, EvalConfig, edit_score, evaluate, f1_at_iou,
                             frame_accuracy, per_class_f1)
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
                              training_clip, window_offsets)
-from actseg.timeline import BACKGROUND_ID, NUM_CLASSES, encode_runs, timeline_from_segments
+from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, encode_runs, read_timeline_csv,
+                             timeline_from_segments)
 from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
                      greedy_match_ref, predict_clip_ref, rle_ref)
 
@@ -175,6 +182,35 @@ def test_offline_windows_are_middle_clips(t, tau, seq_len, seed):
     want = [predict_clip_ref(logits, middle_clip(m, t, tau, seq_len).frames)
             for m in range(seq_len)]
     assert raw.tolist() == want
+
+
+@pytest.mark.parametrize("fmt", ["atsl", "csv"])
+@pytest.mark.parametrize("softmax", [False, True])
+@settings(max_examples=50)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 80), st.integers(1, 6),
+       st.integers(1, 9), st.integers(1, 40), st.integers(0, 2**16))
+@example(t=3, tau=2, n=40, k=4, chunk=1, block=1, seed=0)  # blocks of one row
+@example(t=6, tau=5, n=80, k=3, chunk=3, block=7, seed=1)  # a 25-frame halo over 3-row blocks
+@example(t=5, tau=4, n=7, k=4, chunk=2, block=5, seed=2)  # shorter than one 17-frame window
+@example(t=4, tau=3, n=1, k=5, chunk=4, block=3, seed=3)  # one frame
+def test_file_fed_run_equals_in_memory_and_clip_oracle(fmt, softmax, t, tau, n, k, chunk, block,
+                                                       seed):
+    # float32 values, which a binary file holds exactly
+    logits = np.random.default_rng(seed).normal(size=(n, k)).astype(np.float32).astype(float)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # the window driver's block of rows and the reader's block of values
+        mp.setattr(pipeline, "_CHUNK", chunk)
+        mp.setattr(classify, "_LOGITS_BLOCK", block)
+        path = Path(tmp) / f"logits.{fmt}"
+        (write_logits_binary if fmt == "atsl" else write_logits_csv)(path, logits)
+        argv = ["--out", str(Path(tmp) / "report.json"), "run", "--logits", str(path),
+                "--t", str(t), "--tau", str(tau), "--no-clean", "--out-dir", tmp]
+        assert main(argv + ["--softmax-average"] * softmax) == 0
+        got = read_timeline_csv(Path(tmp) / "raw.csv")
+        backend = LogitsBackend(logits, softmax)
+        in_memory, _ = run_offline(PipelineConfig(t, tau, 15.0, k, None), backend)
+    want = [predict_clip_ref(backend.table, middle_clip(m, t, tau, n).frames) for m in range(n)]
+    assert got.tolist() == in_memory.tolist() == want
 
 
 # ------------------------------------------------------------ metrics
