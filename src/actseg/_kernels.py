@@ -93,25 +93,24 @@ def levenshtein(a, b):
     return dist
 
 
-def fold_mean(block, out):
-    """Mean over axis 0 of a (T, m, C) or (T, C) block: the left fold ((b0 + b1) + ...) / T.
+def fold_mean(slabs, out):
+    """Mean of T slabs, the left fold ((s0 + s1) + ...) / T, into out, a buffer the caller owns.
 
-    The mean lands in out, an (m, C) or (C,) buffer the caller owns. Every
-    window mean of the batch and streaming paths comes from here, so a row adds
-    its window in the same order whether its block is sliced or gathered, alone
-    or in a batch: that is what keeps stream and batch labels byte-identical.
-    One window, a stream push's, is summed by one np.add.accumulate call, which
-    is defined as that fold (the same IEEE adds in the same order) where the
-    slab loop makes T calls: a (T, C) slice of the window view into a (C,) row
-    on a push's view path, or a (T, 1, C) gathered block. More rows are added
-    slab by slab into out: accumulate over 1,024 rows takes 8-9 times as long.
-    np.add.reduce and sum do not document their summation order, so they are
-    not used.
+    slabs is one (T, C) window, whose mean is a (C,) row, or a sequence of T
+    (m, C) slabs, whose mean is (m, C). Every window mean of the batch and
+    streaming paths comes from here, so a row adds its window in the same order
+    whether its slab is sliced or gathered, alone or in a batch: that is what
+    keeps stream and batch labels byte-identical. A window is summed by one
+    np.add.accumulate call, which is defined as that fold (the same IEEE adds
+    in the same order) where the slab loop makes T calls; slabs are added one
+    by one into out, because accumulate over 1,024 rows takes 8-9 times as
+    long. np.add.reduce and sum do not document their summation order, so they
+    are not used.
     """
-    if block.ndim == 2 or block.shape[1] == 1:
-        return np.divide(np.add.accumulate(block, axis=0)[-1], len(block), out=out)
-    out[...] = block[0]
-    for j in range(1, len(block)):
-        out += block[j]
-    out /= len(block)
+    if isinstance(slabs, np.ndarray):
+        return np.divide(np.add.accumulate(slabs, axis=0)[-1], len(slabs), out=out)
+    out[...] = slabs[0]
+    for slab in slabs[1:]:
+        out += slab
+    out /= len(slabs)
     return out

@@ -13,8 +13,8 @@ from .timeline import NUM_CLASSES, _in_frame_order, _read_table, as_timeline, en
 _MAGIC = b"ATSL"
 
 
-# float32 values per block: a binary logits file is read, and a table checked, this many
-# values at a time, so no temporary is the size of the table
+# float32 values per block: a binary logits file is read this many values at a time into
+# the caller's float64 rows, so no temporary is the size of the table
 _LOGITS_BLOCK = 1 << 16
 
 
@@ -38,10 +38,6 @@ def _scores(rows, frame, softmax_average, where=""):
     return rows
 
 
-def _block_rows(num_classes):
-    return max(1, _LOGITS_BLOCK // max(1, num_classes))
-
-
 class LogitsBackend:
     """Read-only per-frame logits table; a window's scores are the mean over its frames.
 
@@ -50,15 +46,11 @@ class LogitsBackend:
     """
 
     def __init__(self, logits, softmax_average: bool = False):
-        arr = np.ascontiguousarray(np.asarray(logits, dtype=np.float64))
+        # a softmaxed table is a copy; a raw float64 table is the caller's, not copied
+        arr = (np.array(logits, np.float64, order="C") if softmax_average
+               else np.ascontiguousarray(logits, np.float64))
         _check_shape(arr.shape)
-        table = np.empty_like(arr) if softmax_average else arr
-        step = _block_rows(arr.shape[1])
-        for lo in range(0, arr.shape[0], step):
-            if softmax_average:
-                table[lo:lo + step] = arr[lo:lo + step]
-            _scores(table[lo:lo + step], lo, softmax_average)
-        self._table = table
+        self._table = _scores(arr, 0, softmax_average)
         self._table.flags.writeable = False
 
     @property
@@ -76,11 +68,12 @@ class LogitsBackend:
 
     @classmethod
     def from_file(cls, path, softmax_average: bool = False):
-        logits = load_logits(path)  # its errors name the path already
-        try:
-            return cls(logits, softmax_average)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        """The backend over a logits file's table, each value checked once as it is read."""
+        with open_logits(path, softmax_average) as reader:
+            backend = cls.__new__(cls)
+            backend._table = reader.read_into(np.empty(reader.shape))
+        backend._table.flags.writeable = False
+        return backend
 
 
 def one_hot_logits(labels, num_classes: int = NUM_CLASSES) -> np.ndarray:
@@ -209,7 +202,7 @@ class LogitsReader:
             self._fh.close()
             raise
         self.shape = (n, k)
-        self._block = np.empty((min(n, _block_rows(k)), k), "<f4")
+        self._block = np.empty((min(n, max(1, _LOGITS_BLOCK // max(1, k))), k), "<f4")
 
     def read_into(self, out):
         """Fill out, (m, classes) float64 rows, with the next m frames' scores; returns out."""
@@ -254,11 +247,6 @@ def open_logits(path, softmax_average: bool = False) -> LogitsReader:
     return reader
 
 
-def read_logits_binary(path) -> np.ndarray:
-    with LogitsReader(path) as reader:
-        return reader.read_into(np.empty(reader.shape))
-
-
 def write_logits_csv(path, logits) -> None:
     arr = np.asarray(logits, dtype=np.float64)
     with open(path, "w", newline="") as fh:
@@ -274,9 +262,6 @@ def read_logits_csv(path) -> np.ndarray:
 
 
 def load_logits(path) -> np.ndarray:
-    """Sniff binary vs CSV by the 4-byte magic."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == _MAGIC:
-        return read_logits_binary(path)
-    return read_logits_csv(path)
+    """A logits file's table, binary or CSV by its magic, checked finite."""
+    with open_logits(path) as reader:
+        return reader.read_into(np.empty(reader.shape))

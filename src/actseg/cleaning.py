@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .timeline import BACKGROUND_ID, NUM_CLASSES, _text_lines, as_runs, as_timeline, encode_runs
+from .timeline import (BACKGROUND_ID, FPS, NUM_CLASSES, _text_lines, as_runs, as_timeline,
+                       encode_runs)
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
 
@@ -60,7 +61,7 @@ def threshold(stats: ClassStats, kappa: float) -> int:
 class CleanerConfig:
     kappa: float = 1.4
     stats: dict = field(default_factory=dict)
-    fps: float = 15.0
+    fps: float = FPS
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):

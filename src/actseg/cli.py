@@ -33,12 +33,18 @@ _CONFIG_KEYS = {"fps": _keyvalue.finite_float, "t": _keyvalue.integer, "tau": _k
                 "kappa": _keyvalue.finite_float, "ignore_background": _keyvalue.boolean}
 
 
-def _resolve(args, key, fallback):
-    """Flag value if given, else config-file value, else the hard default."""
+# each default is written once, where the library defines it
+_DEFAULTS = {"fps": timeline.FPS, "t": pipeline.PipelineConfig.t,
+             "tau": pipeline.PipelineConfig.tau, "kappa": cleaning.CleanerConfig.kappa,
+             "ignore_background": metrics.EvalConfig.ignore_background}
+
+
+def _resolve(args, key):
+    """Flag value if given, else config-file value, else the library default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    return args.config_values.get(key, fallback)
+    return args.config_values.get(key, _DEFAULTS[key])
 
 
 def _emit(args, payload) -> None:
@@ -71,7 +77,7 @@ def _warn_uncovered(cfg):
 
 
 def _cmd_stats(args) -> int:
-    fps = _resolve(args, "fps", 15.0)
+    fps = _resolve(args, "fps")
     if not 0 < fps < np.inf:
         raise ValueError(f"fps must be finite and > 0, got {fps}")
     stats = cleaning.compute_class_stats(timeline.read_segments_csv(args.segments))
@@ -92,11 +98,11 @@ def _cmd_stats(args) -> int:
 def _cmd_run(args) -> int:
     if args.no_clean and args.kappa is not None:
         raise UsageError("--kappa conflicts with --no-clean")
-    fps = _resolve(args, "fps", 15.0)
-    t = _resolve(args, "t", 8)
-    tau = _resolve(args, "tau", 8)
-    kappa = _resolve(args, "kappa", 1.4)
-    ignore_bg = not args.include_background and _resolve(args, "ignore_background", True)
+    fps = _resolve(args, "fps")
+    t = _resolve(args, "t")
+    tau = _resolve(args, "tau")
+    kappa = _resolve(args, "kappa")
+    ignore_bg = not args.include_background and _resolve(args, "ignore_background")
 
     with classify.open_logits(args.logits, args.softmax_average) as logits:
         num_classes = logits.shape[1]
@@ -134,7 +140,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_kappa(args) -> int:
-    fps = _resolve(args, "fps", 15.0)
+    fps = _resolve(args, "fps")
     if len(args.raw) != len(args.gt):
         raise UsageError(f"{len(args.raw)} raw timelines vs {len(args.gt)} ground truths")
     raws = [timeline.read_timeline_csv(p) for p in args.raw]

@@ -1,34 +1,34 @@
 """End-to-end sliding-window segmentation: sampler -> classifier -> raw
 timeline -> cleaner -> cleaned timeline.
 
-The offline driver labels its rows in blocks through _window_labels, from a
-whole in-memory table or from a buffer that a logits file fills a block at a
-time, and the streaming session labels one row per push: a slice of the window
-view once a full window has been pushed, through _window_labels' clamped gather
-before that and in finish. Every window is summed by the one fold,
-_kernels.fold_mean, so their outputs are byte-identical by construction. A frame's raw prediction is
-computable exactly floor(T/2)*tau pushes after the frame itself, and the
-cleaner adds at most its largest class threshold on top.
+The offline driver labels its rows in blocks through _window_labels, whose T
+slabs are slices of a whole in-memory table or of a buffer that a logits file
+fills a block at a time; only a slab that passes an end gathers. The streaming
+session labels one row per push: the strided slice of its window once a full
+window has been pushed, through _window_labels before that and in finish.
+Every window is summed by the one fold, _kernels.fold_mean, so their outputs
+are byte-identical by construction. A frame's raw prediction is computable
+exactly floor(T/2)*tau pushes after the frame itself, and the cleaner adds at
+most its largest class threshold on top.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 from .classify import LogitsBackend, LogitsReader
 from .cleaning import CleanerConfig, StreamCleaner, clean_timeline
 from .sampling import prediction_lag, window_offsets
-from .timeline import NUM_CLASSES
+from .timeline import FPS, NUM_CLASSES
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     t: int = 8
     tau: int = 8
-    fps: float = 15.0
+    fps: float = FPS
     num_classes: int = NUM_CLASSES
     cleaner: CleanerConfig | None = None
 
@@ -45,35 +45,18 @@ class PipelineConfig:
 _CHUNK = 1024
 
 
-def _window_view(table, t, tau):
-    """Read-only (T, rows-(T-1)*tau, C) view of table whose slab j, row r is table[r + j*tau].
-
-    view[:, r] is then the window whose oldest frame is r; no row is copied.
-    None when no window fits in the table, where tau*stride could overflow.
-    """
-    rows = table.shape[0] - (t - 1) * tau
-    if rows < 1:
-        return None
-    s0, s1 = table.strides
-    return as_strided(table, (t, rows, table.shape[1]), (tau * s0 if t > 1 else 0, s0, s1),
-                      writeable=False)
-
-
-def _window_labels(table, windows, lo, hi, n, shifts, buf):
+def _window_labels(table, lo, hi, n, shifts, buf):
     """Argmax of each row lo..hi-1's window mean over table[:n], frames clamped to [0, n).
 
-    The rows' windows form one (T, hi-lo, C) block, slab j holding frames
-    row + shifts[j]: a slice of the window view where every frame lies in
-    [0, n), and one gather at the clamped frames where not. fold_mean adds its
-    slabs oldest first into the caller's buf, as for a row in any block.
+    Slab j holds the rows' frames row + shifts[j]: the slice
+    table[lo+shifts[j]:hi+shifts[j]] where those lie in [0, n), and a gather
+    at the clamped frames where not. fold_mean adds the slabs oldest first
+    into the caller's buf, as for a row in any block.
     """
-    first = lo + shifts[0]
-    if first >= 0 and hi + shifts[-1] <= n:
-        block = windows[:, first:first + hi - lo]
-    else:
-        block = table[np.clip(np.add.outer(shifts, np.arange(lo, hi)), 0, n - 1)]
+    slabs = [table[lo + s:hi + s] if lo + s >= 0 and hi + s <= n
+             else table[np.clip(np.arange(lo + s, hi + s), 0, n - 1)] for s in shifts]
     # the method, not np.argmax: its Python wrapper cost a push about 1 us
-    return _kernels.fold_mean(block, buf[:hi - lo]).argmax(axis=1)
+    return _kernels.fold_mean(slabs, buf[:hi - lo]).argmax(axis=1)
 
 
 def _run(cfg, n, k, blocks):
@@ -93,11 +76,9 @@ def _run(cfg, n, k, blocks):
     for rows, base in blocks:
         end = base + len(rows)
         stop = n if end == n else end - shifts[-1]
-        windows = _window_view(rows, cfg.t, cfg.tau)
         for lo in range(done, stop, _CHUNK):
             hi = min(lo + _CHUNK, stop)
-            raw[lo:hi] = _window_labels(rows, windows, lo - base, hi - base, len(rows), shifts,
-                                        sums)
+            raw[lo:hi] = _window_labels(rows, lo - base, hi - base, len(rows), shifts, sums)
         done = stop
     if cfg.cleaner is None:
         return raw, raw.copy()
@@ -156,10 +137,10 @@ class StreamSession:
         self.backend = backend
         self._table = backend.table
         self._frames = backend.num_frames
-        self._windows = _window_view(self._table, cfg.t, cfg.tau)
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
+        self._tau = cfg.tau
         self._buf = np.empty((1, backend.num_classes))
-        self._row = self._buf[0]  # the view path's (C,) mean
+        self._row = self._buf[0]  # the (C,) mean of a push's full window
         self._lag = prediction_lag(cfg.t, cfg.tau)
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0
@@ -172,8 +153,8 @@ class StreamSession:
 
     def _clamped_label(self, middle: int) -> int:
         # the window clamps at the newest pushed frame
-        return int(_window_labels(self._table, self._windows, middle, middle + 1, self._pushed,
-                                  self._shifts, self._buf)[0])
+        return int(_window_labels(self._table, middle, middle + 1, self._pushed, self._shifts,
+                                  self._buf)[0])
 
     def push(self, frame_index: int):
         """Feed the next frame; returns labels finalized by it."""
@@ -189,9 +170,10 @@ class StreamSession:
             return []
         first = middle + self._shifts[0]
         if first >= 0:
-            # the window ends at the frame just pushed, so no frame clamps: it is
-            # view[:, first], summed by the same fold as _window_labels' blocks
-            label = int(_kernels.fold_mean(self._windows[:, first], self._row).argmax())
+            # the window ends at the frame just pushed, so no frame clamps: it is the
+            # strided slice of its T frames, summed by the same fold as _window_labels'
+            window = self._table[first:frame_index + 1:self._tau]
+            label = int(_kernels.fold_mean(window, self._row).argmax())
         else:
             label = self._clamped_label(middle)
         return self._emit(middle, label)

@@ -10,6 +10,7 @@ mean - kappa*std positive across the whole kappa sweep range.
 import math
 
 from .cleaning import ClassStats
+from .timeline import FPS
 
 # (class_id, name, examples, mean length in seconds)
 REFERENCE_CLASSES = (
@@ -41,7 +42,7 @@ REFERENCE_CLASSES = (
 )
 
 
-def reference_class_stats(fps: float = 15.0):
+def reference_class_stats(fps: float = FPS):
     """Reference ClassStats in frames at the given capture rate."""
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be finite and > 0, got {fps}")

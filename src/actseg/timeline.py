@@ -8,6 +8,7 @@ import numpy as np
 
 NUM_CLASSES = 25
 BACKGROUND_ID = 24
+FPS = 15.0  # the footage's capture rate, frames per second
 
 
 @dataclass(frozen=True)

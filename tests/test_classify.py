@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from actseg import classify
-from actseg.classify import (LogitsBackend, NoiseModel, load_logits, make_synthetic_backend,
-                             one_hot_logits, read_logits_binary, read_logits_csv, synth_timeline,
-                             write_logits_binary, write_logits_csv)
+from actseg.classify import (LogitsBackend, LogitsReader, NoiseModel, load_logits,
+                             make_synthetic_backend, one_hot_logits, read_logits_csv,
+                             synth_timeline, write_logits_binary, write_logits_csv)
 from actseg.sampling import inference_clip, training_clip
 from actseg.timeline import NUM_CLASSES, segments_from_timeline
 from oracles import classify_clip_ref, predict_clip_ref
@@ -43,12 +43,28 @@ class TestBackend:
         with pytest.raises(ValueError, match="^non-finite logit nan at frame 94, column 11$"):
             LogitsBackend(logits, softmax_average)
 
-    def test_softmax_in_blocks_equals_one_pass(self, monkeypatch):
-        logits = np.random.default_rng(12).normal(0, 3, size=(1000, 25))
-        whole = LogitsBackend(logits, softmax_average=True).table
+    def test_softmax_in_blocks_equals_one_pass(self, tmp_path, monkeypatch):
+        # a file is softmaxed as it is read, 7 rows at a time, a table in one pass
+        logits = np.random.default_rng(12).normal(0, 3, size=(1000, 25)).astype(np.float32)
+        table = logits.astype(np.float64)
+        whole = LogitsBackend(table, softmax_average=True).table
+        assert np.array_equal(table, logits)  # the caller's table is not softmaxed in place
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
         monkeypatch.setattr(classify, "_LOGITS_BLOCK", 7 * 25)
-        assert np.array_equal(LogitsBackend(logits, softmax_average=True).table, whole)
-        assert np.array_equal(logits, np.random.default_rng(12).normal(0, 3, size=(1000, 25)))
+        assert LogitsBackend.from_file(path, softmax_average=True).table.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["atsl", "csv"])
+    def test_from_file_checks_each_value_once(self, tmp_path, monkeypatch, fmt):
+        logits = np.arange(300, dtype=np.float64).reshape(12, 25)
+        path = tmp_path / f"x.{fmt}"
+        (write_logits_binary if fmt == "atsl" else write_logits_csv)(path, logits)
+        checked = []
+        scores = classify._scores
+        monkeypatch.setattr(classify, "_scores",
+                            lambda rows, *args: checked.append(rows.size) or scores(rows, *args))
+        assert np.array_equal(LogitsBackend.from_file(path).table, logits)
+        assert sum(checked) == logits.size
 
     def test_from_timeline_one_hot(self):
         b = LogitsBackend(one_hot_logits([0, 3, 24]))
@@ -168,6 +184,13 @@ class TestNoiseModel:
         assert (noisy != 24).all()
         assert noisy.min() >= 0 and noisy.max() < NUM_CLASSES
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spikes_start_where_they_fit(self, seed):
+        # a spike starts in [0, n - spike_len], so one as long as the timeline covers
+        # all of it, and every spike leaves one class everywhere
+        noisy = synth_timeline([0] * 6, NoiseModel(spike_rate=1000.0, spike_len=6, seed=seed))
+        assert np.unique(noisy).size == 1
+
     def test_spikes_fragment_segments(self):
         gt = np.full(2000, 0, dtype=np.int64)
         nm = NoiseModel(spike_rate=5.0, spike_len=3, seed=5)
@@ -200,19 +223,37 @@ class TestNoiseModel:
                 make_synthetic_backend(gt, NoiseModel(), **knob)
 
 
+def read_binary(path):
+    """A binary logits file's whole table through the one reader, of any shape."""
+    with LogitsReader(path) as reader:
+        return reader.read_into(np.empty(reader.shape))
+
+
 class TestLogitsIO:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(31, 25)).astype(np.float32).astype(np.float64)
         path = tmp_path / "x.logits"
         write_logits_binary(path, logits)
-        assert np.array_equal(read_logits_binary(path), logits)
+        assert np.array_equal(load_logits(path), logits)
+
+    @pytest.mark.parametrize("write, logits, message", [
+        (write_logits_csv, [[0.0, np.nan]], "non-finite logit nan at frame 0, column 1"),
+        (write_logits_binary, [[0.0, np.inf]], "non-finite logit inf at frame 0, column 1"),
+        (write_logits_binary, np.zeros((0, 25)),
+         "logits must be (n_frames, n_classes), got shape (0, 25)"),
+    ])
+    def test_load_rejects_non_finite_and_empty_tables(self, tmp_path, write, logits, message):
+        path = tmp_path / "x.logits"
+        write(path, logits)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_logits(path)
 
     def test_binary_magic_enforced(self, tmp_path):
         path = tmp_path / "x.logits"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ValueError, match="bad magic"):
-            read_logits_binary(path)
+            read_binary(path)
 
     def test_binary_truncation_detected(self, tmp_path):
         path = tmp_path / "x.logits"
@@ -220,7 +261,7 @@ class TestLogitsIO:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="expected"):
-            read_logits_binary(path)
+            read_binary(path)
 
     @pytest.mark.parametrize("shape", [(0, 25), (1, 1), (5, 0), (31, 25), (14, 3)])
     def test_binary_round_trip_in_blocks(self, tmp_path, monkeypatch, shape):
@@ -230,7 +271,7 @@ class TestLogitsIO:
         logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 20.5
         path = tmp_path / "x.logits"
         write_logits_binary(path, logits)
-        got = read_logits_binary(path)
+        got = read_binary(path)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got, logits)
 
@@ -245,7 +286,7 @@ class TestLogitsIO:
         path = tmp_path / "x.logits"
         path.write_bytes(blob)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            read_logits_binary(path)
+            read_binary(path)
 
     def test_binary_read_holds_the_table_and_one_block(self, tmp_path):
         logits = np.ones((40_000, 25))
@@ -253,7 +294,7 @@ class TestLogitsIO:
         write_logits_binary(path, logits)
         tracemalloc.start()
         try:
-            table = read_logits_binary(path)
+            table = read_binary(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,7 +309,7 @@ class TestLogitsIO:
         write_logits_binary(path, logits)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: non-finite logit -inf at frame 7, column 20")):
-            read_logits_binary(path)
+            read_binary(path)
 
     def test_reader_fills_rows_the_caller_owns(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classify, "_LOGITS_BLOCK", 10)
@@ -312,3 +353,4 @@ class TestLogitsIO:
         assert np.array_equal(load_logits(csv_path), logits)
         b = LogitsBackend.from_file(bin_path)
         assert b.num_frames == 2
+        assert not b.table.flags.writeable

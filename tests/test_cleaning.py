@@ -9,7 +9,7 @@ from actseg.cleaning import (SWEEP_KAPPAS, ClassStats, CleanerConfig, StreamClea
                              read_class_stats, threshold, write_class_stats)
 from actseg.refstats import REFERENCE_CLASSES, reference_class_stats
 from actseg.timeline import BACKGROUND_ID
-from oracles import class_stats_ref, kappa_scores_ref
+from oracles import class_stats_ref, clean_ref, kappa_scores_ref
 
 
 def stats_of(by_id):
@@ -170,6 +170,14 @@ class TestStreamCleaner:
         cfg = CleanerConfig(kappa=1.0, stats=stats_of({0: (1.0, 0.0), 1: (5.0, 0.0)}))
         raw = [0, 0, 0, 1, 1]
         assert clean_timeline(raw, cfg).tolist() == [0, 0, 0, 0, 0]
+
+    def test_one_frame_timeline(self):
+        # one frame of class 3 is a run shorter than its reference threshold of 8
+        cfg = CleanerConfig(stats=reference_class_stats())
+        assert cfg.threshold_for(3) == 8
+        assert clean_timeline([3], cfg).tolist() == clean_ref([3], cfg.threshold_for,
+                                                              BACKGROUND_ID) == [BACKGROUND_ID]
+        assert push_all([3], cfg) == [(0, BACKGROUND_ID)]
 
     def test_cascade_merging(self):
         # B and C both die into the confirmed A run, one after the other
@@ -432,6 +440,11 @@ class TestStatsIO:
         path = tmp_path / "stats.json"
         path.write_text('[{"class_id": 3, "count": 2, "mean_frames": 9, "std_frames": 0}]')
         assert read_class_stats(path) == {3: ClassStats(3, 2, 9.0, 0.0, "")}
+
+    def test_integer_mean_with_float_std_is_read(self, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text('[{"class_id": 3, "count": 2, "mean_frames": 9, "std_frames": 1.5}]')
+        assert read_class_stats(path) == {3: ClassStats(3, 2, 9.0, 1.5, "")}
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,10 +15,11 @@ import actseg
 from actseg import classify
 from actseg.align import CropGeometry, alignment
 from actseg.cleaning import ClassStats, CleanerConfig, write_class_stats
+from actseg.metrics import EvalConfig
 from actseg.cli import build_parser, entry, main
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.refstats import reference_class_stats
-from actseg.timeline import (BACKGROUND_ID, read_timeline_csv, write_segments_csv,
+from actseg.timeline import (BACKGROUND_ID, FPS, read_timeline_csv, write_segments_csv,
                              write_timeline_csv)
 from actseg.classify import LogitsBackend, one_hot_logits, write_logits_binary, write_logits_csv
 from oracles import write_hands_ref
@@ -458,6 +459,19 @@ class TestRun:
                           "run", "--logits", str(logits_path), "--t", "4")
         assert report["config"]["t"] == 4
         assert report["config"]["tau"] == 3
+
+    def test_defaults_come_from_the_library(self, capsys, tmp_path, segments_csv):
+        # each default is written once, in the library: these pin it there and in the CLI
+        assert (PipelineConfig().t, PipelineConfig().tau, CleanerConfig().kappa,
+                EvalConfig().ignore_background) == (8, 8, 1.4, True)
+        assert PipelineConfig().fps == CleanerConfig().fps == FPS == 15.0
+        assert reference_class_stats() == reference_class_stats(15.0)
+        logits_path, _ = make_run_inputs(tmp_path, [0] * 80)
+        report = json_out(capsys, "run", "--logits", str(logits_path))
+        assert report["config"] == {"t": 8, "tau": 8, "fps": 15.0, "frames": 80,
+                                    "kappa": 1.4, "ignore_background": True}
+        records = json_out(capsys, "stats", "--segments", str(segments_csv))
+        assert records[0]["mean_seconds"] == records[0]["mean_frames"] / 15.0
 
     def test_unknown_config_key(self, capsys, tmp_path):
         logits_path, _ = make_run_inputs(tmp_path, [0] * 10)

@@ -69,8 +69,8 @@ def test_levenshtein_long_sequences_match_row_recurrence():
 
 
 def gather_mean(table, idx):
-    """Row means at idx through fold_mean, over the (T, n, C) block one gather builds."""
-    return _kernels.fold_mean(table[idx.T], np.empty((idx.shape[0], table.shape[1])))
+    """Row means at idx through fold_mean, over the T (n, C) slabs one gather builds."""
+    return _kernels.fold_mean(list(table[idx.T]), np.empty((idx.shape[0], table.shape[1])))
 
 
 def test_gather_mean_is_row_mean():
@@ -83,7 +83,7 @@ def test_gather_mean_is_row_mean():
 
 def test_gather_mean_row_independent_of_batch():
     # a streaming one-row block must give the bytes its row gets in an n-row batch:
-    # fold_mean sums the first with np.add.accumulate, the second slab by slab
+    # fold_mean adds the first's slabs as the second's, one by one
     rng = np.random.default_rng(7)
     table = rng.normal(size=(60, 25))
     idx = rng.integers(0, 60, size=(40, 8))
@@ -114,13 +114,13 @@ def test_fold_mean_branches_equal_left_fold_where_order_matters(t):
     assert np.any(gather_mean_ref(table, idx[:, ::-1]) != want)
     block = table[idx.T]
     out = np.empty((64, 6))
-    assert _kernels.fold_mean(block, out) is out  # slab branch
+    assert _kernels.fold_mean(list(block), out) is out  # slab branch
     assert out.tobytes() == want.tobytes()
-    for r in range(64):  # one-row branch, on a strided slice as a window view gives
-        one = np.empty((1, 6))
-        assert _kernels.fold_mean(block[:, r:r + 1], one) is one
+    for r in range(64):
+        one = np.empty((1, 6))  # one row's T slabs, as a stream's first pushes give
+        assert _kernels.fold_mean(list(block[:, r:r + 1]), one) is one
         assert one.tobytes() == want[r:r + 1].tobytes()
-        row = np.empty(6)  # a stream push's (T, C) block into a 1-D row
+        row = np.empty(6)  # window branch: a stream push's (T, C) window into a 1-D row
         assert _kernels.fold_mean(block[:, r], row) is row
         assert row.tobytes() == want[r].tobytes()
 

@@ -7,8 +7,7 @@ from actseg import _kernels
 from actseg.classify import (LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits,
                              open_logits, write_logits_binary)
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
-from actseg.pipeline import (_CHUNK, PipelineConfig, StreamSession, _window_view, run_file,
-                             run_offline, stream_all)
+from actseg.pipeline import _CHUNK, PipelineConfig, StreamSession, run_file, run_offline, stream_all
 from actseg.sampling import inference_clip, prediction_lag, window_offsets
 from actseg.timeline import BACKGROUND_ID, segments_from_timeline
 from oracles import gather_mean_ref
@@ -81,6 +80,17 @@ class TestOffline:
         newest_first = gather_mean_ref(backend.table, idx[:, ::-1]).argmax(axis=1)
         assert t < 3 or np.any(newest_first != want)  # two slabs add the same either way round
 
+    def test_only_slabs_past_an_end_are_gathered(self, monkeypatch):
+        # T=tau=8: the first block's slabs at offsets -24, -16, -8 and the last
+        # block's at 8..32 pass an end of the table and gather; the rest are slices
+        table = LogitsBackend(np.random.default_rng(5).normal(size=(3 * _CHUNK, 25))).table
+        gathered = []
+        fold_mean = _kernels.fold_mean
+        monkeypatch.setattr(_kernels, "fold_mean", lambda slabs, out: gathered.append(
+            sum(not np.may_share_memory(s, table) for s in slabs)) or fold_mean(slabs, out))
+        run_offline(PipelineConfig(), LogitsBackend(table))
+        assert gathered == [3, 0, 4]
+
     def test_cleaner_applied(self):
         gt = np.array([BACKGROUND_ID] * 40 + [0] * 30 + [BACKGROUND_ID] * 40)
         backend = make_synthetic_backend(gt, NoiseModel(spike_rate=40.0, spike_len=2, seed=3))
@@ -149,10 +159,10 @@ class TestRunFile:
         peak2, labels2 = stage_peak(2 * n)
         # the float64 table is 8 MB here, its float32 file 4 MB. The stage holds
         # the labels, one read block of 65,536 float32 values, and a buffer of
-        # _CHUNK rows plus the 56-row halo; the block of T=8 slabs gathered at an end
-        # and the sums add 9 arrays of _CHUNK rows
+        # _CHUNK rows plus the 56-row halo; the at most 4 slabs gathered at an end and
+        # the sums add 5 arrays of _CHUNK rows
         rows = 8 * 25  # bytes per float64 row
-        assert peak < labels + 4 * 65536 + rows * (_CHUNK + 56) + 9 * rows * _CHUNK + 65536
+        assert peak < labels + 4 * 65536 + rows * (_CHUNK + 56) + 5 * rows * _CHUNK + 65536
         assert peak2 - peak <= labels2 - labels + 16384
 
 
@@ -216,6 +226,16 @@ class TestStreamSession:
                 _, cleaned = run_offline(cfg, backend)
                 assert stream_all(cfg, backend).tobytes() == cleaned.tobytes()
 
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("t", [3, 5, 8])
+    def test_finished_early_equals_batch_of_the_frames_pushed(self, t, tau):
+        # finish clamps every window at the last frame pushed, not the backend's last
+        rng = np.random.default_rng(10 * t + tau)
+        cfg, backend = PipelineConfig(t=t, tau=tau), LogitsBackend(rng.normal(size=(300, 25)))
+        for seq_len in range(1, 300, 7):
+            want = run_offline(cfg, backend, seq_len)[0]
+            assert stream_all(cfg, backend, seq_len).tolist() == want.tolist(), seq_len
+
     def test_out_of_order_push_rejected(self):
         backend = LogitsBackend(one_hot_logits([0] * 10))
         session = StreamSession(PipelineConfig(), backend)
@@ -259,20 +279,21 @@ class TestStreamSession:
 
 
 class TestStreamViewPath:
-    """From frame (T-1)*tau on, a push sums view[:, first] into its (C,) row with
-    fold_mean; the first pushes and finish gather clamped frames instead."""
+    """From frame (T-1)*tau on, a push sums the strided slice of its window into its
+    (C,) row with fold_mean; the first pushes and finish fold T slabs instead."""
 
     @pytest.mark.parametrize("softmax", [False, True], ids=["logits", "softmax"])
     @pytest.mark.parametrize("tau", [1, 2, 3, 8])
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
     def test_every_push_and_finish_equals_batch(self, monkeypatch, t, tau, softmax):
-        blocks = []  # ndim of each block fold_mean sums: 2 on the view path, 3 gathered
+        blocks = []  # each fold's input: an array for one full window, else a slab list
         fold_mean = _kernels.fold_mean
         monkeypatch.setattr(_kernels, "fold_mean",
-                            lambda block, out: blocks.append(block.ndim) or fold_mean(block, out))
+                            lambda slabs, out: blocks.append(isinstance(slabs, np.ndarray))
+                            or fold_mean(slabs, out))
         span = (t - 1) * tau
         rng = np.random.default_rng(100 * t + tau)
-        # one frame short of a full window (no view exists), exactly one, one past it
+        # one frame short of a full window (no push folds one), exactly one, one past it
         for n in (span, span + 1, span + 2):
             if n < 1:
                 continue
@@ -284,9 +305,9 @@ class TestStreamViewPath:
             session = StreamSession(cfg, backend)
             blocks.clear()
             pairs = [p for i in range(n) for p in session.push(i)]
-            assert blocks.count(2) == n - span, n  # every push from frame span on
+            assert blocks.count(True) == n - span, n  # every push from frame span on
             pairs += session.finish()
-            assert blocks.count(2) == n - span, n  # finish gathers
+            assert blocks.count(True) == n - span, n  # finish folds slabs
             assert pairs == list(enumerate(raw.tolist())), n
 
     def test_exact_ties_go_to_the_first_class(self):
@@ -316,28 +337,8 @@ class TestStreamViewPath:
 
 
 class TestWindowView:
-    @pytest.mark.parametrize("t, tau", [(1, 1), (2, 3), (8, 8), (5, 7)])
-    def test_read_only_view_of_the_table(self, t, tau):
-        rng = np.random.default_rng(t * 10 + tau)
-        backend = LogitsBackend(rng.normal(size=(90, 25)))
-        windows = _window_view(backend.table, t, tau)
-        assert windows.shape == (t, 90 - (t - 1) * tau, 25)
-        assert not windows.flags.writeable
-        assert np.shares_memory(windows, backend.table)
-        rows = windows.shape[1]
-        for j in range(t):  # slab j, row r is table row r + j*tau
-            assert windows[j].tobytes() == backend.table[j * tau:j * tau + rows].tobytes()
-
-    @pytest.mark.parametrize("t, tau", [(2, 1), (8, 8), (3, 500)])
-    def test_view_only_where_a_window_fits(self, t, tau):
-        span = (t - 1) * tau
-        table = LogitsBackend(np.ones((span + 1, 4))).table
-        assert _window_view(table, t, tau).shape == (t, 1, 4)
-        assert _window_view(table[:span], t, tau) is None
-
     def test_single_frame_window_at_widest_stride(self):
-        # T=1 reads no frame tau away, so no tau * row-stride is formed to overflow
-        table = LogitsBackend(np.eye(4)).table
-        assert _window_view(table, 1, 2**62).shape == (1, 4, 4)
-        raw, _ = run_offline(PipelineConfig(t=1, tau=2**62), LogitsBackend(np.eye(4)))
-        assert raw.tolist() == [0, 1, 2, 3]
+        # T=1 reads no frame tau away, so no frame index near tau is formed to overflow
+        cfg, backend = PipelineConfig(t=1, tau=2**62), LogitsBackend(np.eye(4))
+        assert run_offline(cfg, backend)[0].tolist() == [0, 1, 2, 3]
+        assert stream_all(cfg, backend).tolist() == [0, 1, 2, 3]  # a slice of step 2**62
