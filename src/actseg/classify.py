@@ -71,7 +71,7 @@ class LogitsBackend:
         """The backend over a logits file's table, each value checked once as it is read."""
         with open_logits(path, softmax_average) as reader:
             backend = cls.__new__(cls)
-            backend._table = reader.read_into(np.empty(reader.shape))
+            backend._table = reader.read_all()
         backend._table.flags.writeable = False
         return backend
 
@@ -223,6 +223,9 @@ class LogitsReader:
             _scores(rows, frame, self._softmax, f"{self.path}: ")
         return out
 
+    def read_all(self):  # a fresh reader's whole table; a parsed CSV table is checked in place
+        return self.read_into(self._table if self._fh is None else np.empty(self.shape))
+
     def close(self):
         if self._fh is not None:
             self._fh.close()
@@ -264,4 +267,4 @@ def read_logits_csv(path) -> np.ndarray:
 def load_logits(path) -> np.ndarray:
     """A logits file's table, binary or CSV by its magic, checked finite."""
     with open_logits(path) as reader:
-        return reader.read_into(np.empty(reader.shape))
+        return reader.read_all()

@@ -133,8 +133,6 @@ class StreamSession:
     """
 
     def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
-        self.cfg = cfg
-        self.backend = backend
         self._table = backend.table
         self._frames = backend.num_frames
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()

@@ -36,12 +36,17 @@ class TestBackend:
             LogitsBackend(logits, softmax_average)
 
     @pytest.mark.parametrize("softmax_average", [False, True])
-    def test_non_finite_in_a_later_block_names_its_frame(self, monkeypatch, softmax_average):
-        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 75)  # blocks of 3 rows
+    def test_non_finite_in_a_later_block_names_its_frame(self, tmp_path, monkeypatch,
+                                                         softmax_average):
+        # from_file reads the file 3 rows at a time and checks each block as it lands
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 75)
         logits = one_hot_logits([5] * 100)
         logits[94, 11] = np.nan
-        with pytest.raises(ValueError, match="^non-finite logit nan at frame 94, column 11$"):
-            LogitsBackend(logits, softmax_average)
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite logit nan"
+                                             " at frame 94, column 11$"):
+            LogitsBackend.from_file(path, softmax_average)
 
     def test_softmax_in_blocks_equals_one_pass(self, tmp_path, monkeypatch):
         # a file is softmaxed as it is read, 7 rows at a time, a table in one pass

@@ -8,19 +8,18 @@ literal (so an index -1 becomes -2), flips a True or False, or deletes a
 statement that stores into an attribute or item or is a bare call. The source
 tree and the tests are copied into a fresh temporary directory, every mutant
 is written there in turn and the tests run against it with -x, so the
-checkout is never touched. A mutant is killed when the tests fail or time
-out; a survivor is printed with its site, for a test to kill or for a reason
-why it is equivalent.
+checkout is never touched. A mutant is killed when the tests fail or run
+past TIMEOUT seconds; a survivor is printed with its site, for a test to kill
+or for a reason why it is equivalent.
 
     python3 tools/mutate.py src/actseg/pipeline.py:_window_labels \\
         src/actseg/classify.py:LogitsBackend.__init__ -- tests/test_pipeline.py
 
-Targets are `file:qualified.function`; the arguments after `--` go to pytest
-(the whole suite when there are none). --list prints the sites without
-running anything.
+Targets are `file:qualified.function`, the file under src or tests, given
+from the repository root or absolute; the arguments after `--` go to pytest
+(the whole suite when there are none).
 """
 
-import argparse
 import ast
 import os
 import shutil
@@ -32,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT = 300.0  # seconds of tests per mutant
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -103,37 +103,38 @@ def _mutated(source, qualname, index):
     return ast.unparse(ast.fix_missing_locations(tree)), line, what
 
 
-def _run_tests(copy, pytest_args, timeout):
+def _relative(path):
+    """path, absolute or from the repository root, relative to the root; it must lie in
+    src or tests, so that its mutants are written into the copy and nowhere else."""
+    rel = (ROOT / path).resolve()
+    if not rel.is_relative_to(ROOT / "src") and not rel.is_relative_to(ROOT / "tests"):
+        raise SystemExit(f"{path} is not under {ROOT / 'src'} or {ROOT / 'tests'}")
+    return rel.relative_to(ROOT)
+
+
+def _run_tests(copy, pytest_args):
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *pytest_args]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
 
 
 def main(argv=None):
-    args_in = sys.argv[1:] if argv is None else argv
-    split = args_in.index("--") if "--" in args_in else len(args_in)
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", help="file:qualified.function")
-    parser.add_argument("--list", action="store_true", help="print the sites and stop")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    args = parser.parse_args(args_in[:split])
-    pytest_args = args_in[split + 1:]
+    args = sys.argv[1:] if argv is None else argv
+    split = args.index("--") if "--" in args else len(args)
+    specs, pytest_args = args[:split], args[split + 1:]
+    if not specs:
+        raise SystemExit(__doc__)
 
     targets = []
-    for spec in args.targets:
+    for spec in specs:
         path, _, qualname = spec.partition(":")
-        source = (ROOT / path).read_text()
-        count = len(list(_sites(_find(ast.parse(source), qualname))))
+        path = _relative(path)
+        count = len(list(_sites(_find(ast.parse((ROOT / path).read_text()), qualname))))
         targets += [(path, qualname, i) for i in range(count)]
-    if args.list:
-        for path, qualname, i in targets:
-            _, line, what = _mutated((ROOT / path).read_text(), qualname, i)
-            print(f"{path}:{line} {qualname} {what}")
-        return 0
 
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
@@ -144,15 +145,17 @@ def main(argv=None):
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(ROOT / name, copy / name)
-        if _run_tests(copy, pytest_args, args.timeout) != "survived":
+        if _run_tests(copy, pytest_args) != "survived":
             raise SystemExit("the tests fail on the unmutated copy")
         for path, qualname, i in targets:
             original = (ROOT / path).read_text()
             mutant, line, what = _mutated(original, qualname, i)
             (copy / path).write_text(mutant)
             start = time.monotonic()
-            outcome = _run_tests(copy, pytest_args, args.timeout)
-            (copy / path).write_text(original)
+            try:
+                outcome = _run_tests(copy, pytest_args)
+            finally:
+                (copy / path).write_text(original)
             print(f"{outcome:8} {time.monotonic() - start:6.1f}s {path}:{line} {qualname} {what}",
                   flush=True)
             if outcome == "survived":
