@@ -46,7 +46,7 @@ class LogitsBackend:
     """
 
     def __init__(self, logits, softmax_average: bool = False):
-        # a softmaxed table is a copy; a raw float64 table is the caller's, not copied
+        """A raw C-contiguous float64 logits array is kept as the table and made read-only."""
         arr = (np.array(logits, np.float64, order="C") if softmax_average
                else np.ascontiguousarray(logits, np.float64))
         _check_shape(arr.shape)

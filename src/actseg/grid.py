@@ -13,7 +13,8 @@ from . import _kernels
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Immutable real-valued grid of shape (t, c, h, w), row-major."""
+    """Immutable real-valued grid of shape (t, c, h, w), row-major. A C-contiguous
+    float64 values array is kept as the grid, not copied, and made read-only."""
 
     values: np.ndarray
 

@@ -1,15 +1,15 @@
 """End-to-end sliding-window segmentation: sampler -> classifier -> raw
 timeline -> cleaner -> cleaned timeline.
 
-The offline driver labels its rows in blocks through _window_labels, whose T
-slabs are slices of a whole in-memory table or of a buffer that a logits file
-fills a block at a time; only a slab that passes an end gathers. The streaming
-session labels one row per push: the strided slice of its window once a full
-window has been pushed, through _window_labels before that and in finish.
-Every window is summed by the one fold, _kernels.fold_mean, so their outputs
-are byte-identical by construction. A frame's raw prediction is computable
-exactly floor(T/2)*tau pushes after the frame itself, and the cleaner adds at
-most its largest class threshold on top.
+The one offline loop, run_file, labels its rows in blocks through
+_window_labels, whose T slabs are slices of a buffer that its reader fills a
+block at a time, run_offline's reader from the backend's table; only a slab
+that passes an end gathers. The streaming session labels one row per push: the
+strided slice of its window once a full window has been pushed, through
+_window_labels before that and in finish. Every window is summed by the one
+fold, _kernels.fold_mean, so their outputs are byte-identical by construction.
+A frame's raw prediction is computable exactly floor(T/2)*tau pushes after the
+frame itself, and the cleaner adds at most its largest class threshold on top.
 """
 
 import math
@@ -39,9 +39,9 @@ class PipelineConfig:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
 
-# rows per window-mean block in the offline driver, and frames per block that run_file
-# reads: its sum buffer, and each slab it gathers where its windows pass an end, is a
-# (rows, C) float64 array, 200 KB at C=25
+# rows per window-mean call and new frames per block in run_file: its sum buffer, and
+# each slab it gathers where its windows pass an end, is a (rows, C) float64 array,
+# 200 KB at C=25
 _CHUNK = 1024
 
 
@@ -59,48 +59,10 @@ def _window_labels(table, lo, hi, n, shifts, buf):
     return _kernels.fold_mean(slabs, buf[:hi - lo]).argmax(axis=1)
 
 
-def _run(cfg, n, k, blocks):
-    """Raw and cleaned timelines of frames [0, n) of a k-class table from blocks,
-    (rows, base) pairs in order.
-
-    rows holds frames base..base+len(rows)-1: the (T-1)*tau frames that the
-    first middle not yet labelled reaches back to, then the new ones. A
-    middle is labelled once its window's newest frame is in rows or the input
-    has ended, by _window_labels at indices relative to rows, so no window
-    reaches before rows and only the recording's ends clamp it.
-    """
-    shifts = window_offsets(cfg.t, cfg.tau).tolist()
-    sums = np.empty((min(_CHUNK, n), k))
-    raw = np.empty(n, dtype=np.int64)
-    done = 0
-    for rows, base in blocks:
-        end = base + len(rows)
-        stop = n if end == n else end - shifts[-1]
-        for lo in range(done, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            raw[lo:hi] = _window_labels(rows, lo - base, hi - base, len(rows), shifts, sums)
-        done = stop
-    if cfg.cleaner is None:
-        return raw, raw.copy()
-    return raw, clean_timeline(raw, cfg.cleaner)
-
-
-def _fed(read_into, n, k, halo):
-    """_run's blocks of frames [0, n), read in order by read_into into one buffer.
-
-    Each block keeps the last halo frames of the one before it and reads up to
-    _CHUNK new frames after them.
-    """
-    buf = np.empty((min(n, halo + _CHUNK), k))
-    base = end = 0
-    while end < n:
-        keep = min(halo, end - base)
-        buf[:keep] = buf[end - base - keep:end - base]
-        base = end - keep
-        new = min(len(buf) - keep, n - end)
-        read_into(buf[keep:keep + new])
-        end += new
-        yield buf[:end - base], base
+def _check_classes(cfg: PipelineConfig, num_classes: int):
+    if cfg.cleaner is not None and cfg.cleaner.num_classes != num_classes:
+        raise ValueError(f"the cleaner's label space has {cfg.cleaner.num_classes} classes,"
+                         f" the logits have {num_classes}")
 
 
 def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None = None):
@@ -109,19 +71,40 @@ def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None
         seq_len = backend.num_frames
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
-    blocks = [(backend.table[:seq_len], 0)]  # the whole table is one block
-    return _run(cfg, seq_len, backend.num_classes, blocks)
+    # the backend checked its table, and softmaxed it if asked
+    return run_file(cfg, LogitsReader(None, False, backend.table[:seq_len]))
 
 
 def run_file(cfg: PipelineConfig, logits: LogitsReader):
     """Raw and cleaned timelines for every frame of an open logits reader.
 
-    The reader fills _CHUNK frames at a time into a buffer that also holds
-    the (T-1)*tau frames before them, so the file's table is never held.
+    The reader fills _CHUNK new frames at a time after the (T-1)*tau frames that
+    the next windows reach back to, so the table is never held; a middle is
+    labelled once its window's newest frame is read or the input has ended.
     """
     n, k = logits.shape
-    blocks = _fed(logits.read_into, n, k, (cfg.t - 1) * cfg.tau)
-    return _run(cfg, n, k, blocks)
+    _check_classes(cfg, k)
+    shifts = window_offsets(cfg.t, cfg.tau).tolist()
+    halo = (cfg.t - 1) * cfg.tau
+    buf = np.empty((min(n, halo + _CHUNK), k))
+    sums = np.empty((min(_CHUNK, n), k))
+    raw = np.empty(n, dtype=np.int64)
+    base = end = done = 0  # buf holds frames base..end-1; middles before done are labelled
+    while end < n:
+        keep = min(halo, end)  # every block before the last fills buf
+        buf[:keep] = buf[len(buf) - keep:]
+        base = end - keep
+        new = min(len(buf) - keep, n - end)
+        logits.read_into(buf[keep:keep + new])
+        end += new
+        stop = n if end == n else end - shifts[-1]
+        for lo in range(done, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            raw[lo:hi] = _window_labels(buf, lo - base, hi - base, end - base, shifts, sums)
+        done = stop
+    if cfg.cleaner is None:
+        return raw, raw.copy()
+    return raw, clean_timeline(raw, cfg.cleaner)
 
 
 class StreamSession:
@@ -133,6 +116,7 @@ class StreamSession:
     """
 
     def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
+        _check_classes(cfg, backend.num_classes)
         self._table = backend.table
         self._frames = backend.num_frames
         self._shifts = window_offsets(cfg.t, cfg.tau).tolist()

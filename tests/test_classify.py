@@ -9,6 +9,7 @@ from actseg import classify
 from actseg.classify import (LogitsBackend, LogitsReader, NoiseModel, load_logits,
                              make_synthetic_backend, one_hot_logits, read_logits_csv,
                              synth_timeline, write_logits_binary, write_logits_csv)
+from actseg.grid import FeatureMap
 from actseg.sampling import inference_clip, training_clip
 from actseg.timeline import NUM_CLASSES, segments_from_timeline
 from oracles import classify_clip_ref, predict_clip_ref
@@ -82,6 +83,33 @@ class TestBackend:
         assert np.allclose(b.table.sum(axis=1), 1.0)
         assert (b.table > 0).all()
         assert not hasattr(b, "softmax_average")  # the table is the only record of it
+
+
+# LogitsBackend and FeatureMap keep an array that needs no conversion as it is and make
+# it read-only, so a checked table cannot change under them; a copy leaves it the caller's
+@pytest.mark.parametrize("held, shape", [(lambda a: LogitsBackend(a).table, (6, 4)),
+                                         (lambda a: FeatureMap(a).values, (1, 2, 3, 4))],
+                         ids=["backend", "feature_map"])
+def test_a_raw_c_contiguous_float64_array_is_shared_and_frozen(held, shape):
+    arr = np.random.default_rng(0).normal(size=shape)
+    assert held(arr) is arr and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("held, arr", [
+    (lambda a: LogitsBackend(a).table, np.ones((6, 4), np.float32)),
+    (lambda a: LogitsBackend(a).table, np.ones((4, 6)).T),
+    (lambda a: LogitsBackend(a, softmax_average=True).table, np.ones((6, 4))),
+    (lambda a: FeatureMap(a).values, np.ones((1, 2, 3, 4), np.float32)),
+    (lambda a: FeatureMap(a).values, np.ones((4, 3, 2, 1)).T),
+], ids=["backend_float32", "backend_transposed", "backend_softmaxed", "feature_map_float32",
+        "feature_map_transposed"])
+def test_a_converted_or_softmaxed_array_stays_writable(held, arr):
+    out = held(arr)
+    kept = out.copy()
+    arr.flat[0] = 5.0
+    assert not out.flags.writeable and np.array_equal(out, kept)
 
 
 class TestClassifyClip:

@@ -60,13 +60,14 @@ class TestOffline:
                 for m in range(seq_len)]
         assert raw.tolist() == want
 
-    @pytest.mark.parametrize("t, tau", [(1, 1), (2, 1), (7, 3), (8, 8), (8, 500)])
+    @pytest.mark.parametrize("t, tau", [(1, 1), (2, 1), (7, 3), (8, 8), (8, 500), (2, 2**62)])
     def test_raw_equals_clamped_gather_at_every_short_length(self, t, tau):
-        # every seq_len up to a few rows past the window span, where interior and edge
-        # rows meet, and the chunk edges; at (8, 500) every row is an edge row. Values
-        # of 0, 1 and 2**53 make a window's sum depend on the order its slabs are
-        # added in, so the labels show a fold that is not oldest first.
-        span = (t - 1) * tau
+        # every seq_len up to a few rows past the window span (capped at 4 blocks), where
+        # interior and edge rows meet, and the chunk edges; at (8, 500) and (2, 2**62)
+        # every row is an edge row. Values of 0, 1 and 2**53 make a window's sum depend
+        # on the order its slabs are added in, so the labels show a fold that is not
+        # oldest first.
+        span = min((t - 1) * tau, 4 * _CHUNK)
         lengths = [*range(1, span + 4), _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3]
         rng = np.random.default_rng(t * 1000 + tau)
         table = rng.choice([0.0, 1.0, 2.0**53], size=(max(lengths) + 5, 4), p=[0.45, 0.45, 0.1])
@@ -83,13 +84,14 @@ class TestOffline:
     def test_only_slabs_past_an_end_are_gathered(self, monkeypatch):
         # T=tau=8: the first block's slabs at offsets -24, -16, -8 and the last
         # block's at 8..32 pass an end of the table and gather; the rest are slices
+        # of the buffer. The last block labels 1,056 rows, 1,024 and then 32.
         table = LogitsBackend(np.random.default_rng(5).normal(size=(3 * _CHUNK, 25))).table
         gathered = []
         fold_mean = _kernels.fold_mean
         monkeypatch.setattr(_kernels, "fold_mean", lambda slabs, out: gathered.append(
-            sum(not np.may_share_memory(s, table) for s in slabs)) or fold_mean(slabs, out))
+            sum(s.base is None for s in slabs)) or fold_mean(slabs, out))
         run_offline(PipelineConfig(), LogitsBackend(table))
-        assert gathered == [3, 0, 4]
+        assert gathered == [3, 0, 0, 4]
 
     def test_cleaner_applied(self):
         gt = np.array([BACKGROUND_ID] * 40 + [0] * 30 + [BACKGROUND_ID] * 40)
@@ -139,6 +141,19 @@ class TestRunFile:
             got = run_file(cfg, reader)
         want = run_offline(cfg, LogitsBackend(logits))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("k", [10, 30])
+    def test_cleaner_of_another_label_space_rejected(self, tmp_path, k):
+        # a 25-class cleaner would relabel 10-class logits as background, 24, a class
+        # they lack
+        cfg = PipelineConfig(cleaner=CleanerConfig())
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, np.eye(k))
+        message = f"label space has 25 classes, the logits have {k}"
+        with open_logits(path) as reader, pytest.raises(ValueError, match=message):
+            run_file(cfg, reader)
+        with pytest.raises(ValueError, match=message):
+            run_offline(cfg, LogitsBackend(np.eye(k)))
 
     def test_peak_holds_no_table(self, tmp_path):
         def stage_peak(n):
@@ -235,6 +250,13 @@ class TestStreamSession:
         for seq_len in range(1, 300, 7):
             want = run_offline(cfg, backend, seq_len)[0]
             assert stream_all(cfg, backend, seq_len).tolist() == want.tolist(), seq_len
+
+    @pytest.mark.parametrize("k", [10, 30])
+    def test_cleaner_of_another_label_space_rejected(self, k):
+        # a 25-class cleaner would reject label 28 of 30-class logits only mid-stream,
+        # after emitting labels
+        with pytest.raises(ValueError, match=f"label space has 25 classes, the logits have {k}"):
+            StreamSession(PipelineConfig(cleaner=CleanerConfig()), LogitsBackend(np.eye(k)))
 
     def test_out_of_order_push_rejected(self):
         backend = LogitsBackend(one_hot_logits([0] * 10))
