@@ -1,5 +1,6 @@
 """Classifier backends: precomputed per-frame logits, whose window means
-pipeline takes, plus a synthetic noisy oracle for harness work."""
+pipeline takes, each file's read through LogitsReader, which checks each value
+once, where it enters; plus a synthetic noisy oracle for harness work."""
 
 import csv
 import os
@@ -18,9 +19,9 @@ _MAGIC = b"ATSL"
 _LOGITS_BLOCK = 1 << 16
 
 
-def _check_shape(shape):
+def _check_shape(shape, where=""):
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-        raise ValueError(f"logits must be (n_frames, n_classes), got shape {shape}")
+        raise ValueError(f"{where}logits must be (n_frames, n_classes), got shape {shape}")
 
 
 def _scores(rows, frame, softmax_average, where=""):
@@ -69,7 +70,7 @@ class LogitsBackend:
     @classmethod
     def from_file(cls, path, softmax_average: bool = False):
         """The backend over a logits file's table, each value checked once as it is read."""
-        with open_logits(path, softmax_average) as reader:
+        with LogitsReader(path, softmax_average) as reader:
             backend = cls.__new__(cls)
             backend._table = reader.read_all()
         backend._table.flags.writeable = False
@@ -171,59 +172,61 @@ def write_logits_binary(path, logits) -> None:
 class LogitsReader:
     """A logits file's per-frame scores, read in order into float64 rows the caller owns.
 
-    A binary file's header is checked on open, and the file stays open until
-    close(); its float32 values are read _LOGITS_BLOCK at a time. For a CSV
-    file, its table, parsed whole, is passed in instead. Each block read is
-    checked finite and, with softmax_average, softmaxed per row, and every
-    error names the path and the frame counted from the start of the file.
+    The file's first 12 bytes are read once. A binary file's header is checked on
+    open, the file stays open until close(), and its float32 values are read
+    _LOGITS_BLOCK at a time, each block checked finite and, with softmax_average,
+    softmaxed per row. Any other file is parsed as CSV, then checked and softmaxed
+    whole. No frames or no classes fail on open; every error names the path and
+    the frame. LogitsReader(table=t) reads t, checked already, with no check.
     """
 
-    def __init__(self, path, softmax_average: bool = False, table=None):
+    def __init__(self, path=None, softmax_average: bool = False, table=None):
         self.path, self._softmax, self._table, self._frame = path, softmax_average, table, 0
         self._fh = None
-        if table is not None:
-            self.shape = table.shape
-            return
-        self._fh = open(path, "rb")
-        try:
-            head = self._fh.read(12)
-            if head[:4] != _MAGIC:
-                raise ValueError(f"{path}: bad magic, not a logits file")
-            if len(head) < 12:
-                raise ValueError(f"{path}: truncated header")
-            n, k = struct.unpack("<II", head[4:])
-            body = os.fstat(self._fh.fileno()).st_size - 12
-            if body % 4:
-                raise ValueError(f"{path}: body of {body} bytes is not a whole number of"
-                                 " float32 values")
-            if body // 4 != n * k:
-                raise ValueError(f"{path}: expected {n * k} values, found {body // 4}")
-        except BaseException:
-            self._fh.close()
-            raise
-        self.shape = (n, k)
-        self._block = np.empty((min(n, max(1, _LOGITS_BLOCK // max(1, k))), k), "<f4")
+        if table is None:
+            self._fh = open(path, "rb")
+            try:
+                head = self._fh.read(12)
+                if head[:4] != _MAGIC:  # any other file is CSV, parsed and checked whole
+                    self.close()
+                    self._fh, table = None, read_logits_csv(path)
+                    _check_shape(table.shape, f"{path}: ")
+                    self._table = _scores(table, 0, softmax_average, f"{path}: ")
+                elif len(head) < 12:
+                    raise ValueError(f"{path}: truncated header")
+                else:
+                    n, k = struct.unpack("<II", head[4:])
+                    body = os.fstat(self._fh.fileno()).st_size - 12
+                    if body % 4:
+                        raise ValueError(f"{path}: body of {body} bytes is not a whole number"
+                                         " of float32 values")
+                    if body // 4 != n * k:
+                        raise ValueError(f"{path}: expected {n * k} values, found {body // 4}")
+                    _check_shape((n, k), f"{path}: ")
+                    self._block = np.empty((min(n, max(1, _LOGITS_BLOCK // k)), k), "<f4")
+            except BaseException:
+                self.close()
+                raise
+        self.shape = self._table.shape if self._fh is None else (n, k)
 
     def read_into(self, out):
         """Fill out, (m, classes) float64 rows, with the next m frames' scores; returns out."""
-        step = max(1, len(out) if self._fh is None else len(self._block))
-        for lo in range(0, len(out), step):
-            rows, frame = out[lo:lo + step], self._frame
-            self._frame += len(rows)
-            if self._fh is None:
-                rows[...] = self._table[frame:self._frame]
-            else:
-                part = self._block[:len(rows)]
-                got = self._fh.readinto(part)
-                if got != part.nbytes:  # the file shrank after its size was read
-                    n, k = self.shape
-                    raise ValueError(f"{self.path}: expected {n * k} values,"
-                                     f" found {frame * k + got // 4}")
-                rows[...] = part
-            _scores(rows, frame, self._softmax, f"{self.path}: ")
+        start, self._frame = self._frame, self._frame + len(out)
+        if self._fh is None:  # a table is checked, and softmaxed if asked, before it is read
+            out[...] = self._table[start:self._frame]
+            return out
+        for lo in range(0, len(out), len(self._block)):
+            rows, part = out[lo:lo + len(self._block)], self._block[:len(out) - lo]
+            got = self._fh.readinto(part)
+            if got != part.nbytes:  # the file shrank after its size was read
+                n, k = self.shape
+                raise ValueError(f"{self.path}: expected {n * k} values,"
+                                 f" found {(start + lo) * k + got // 4}")
+            rows[...] = part
+            _scores(rows, start + lo, self._softmax, f"{self.path}: ")
         return out
 
-    def read_all(self):  # a fresh reader's whole table; a parsed CSV table is checked in place
+    def read_all(self):  # a fresh reader's whole table; a CSV file's own parsed table
         return self.read_into(self._table if self._fh is None else np.empty(self.shape))
 
     def close(self):
@@ -235,19 +238,6 @@ class LogitsReader:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def open_logits(path, softmax_average: bool = False) -> LogitsReader:
-    """A reader over a logits file of at least one frame and one class, by its magic."""
-    with open(path, "rb") as fh:
-        binary = fh.read(4) == _MAGIC
-    reader = LogitsReader(path, softmax_average, None if binary else read_logits_csv(path))
-    try:
-        _check_shape(reader.shape)
-    except ValueError as exc:
-        reader.close()
-        raise ValueError(f"{path}: {exc}") from None
-    return reader
 
 
 def write_logits_csv(path, logits) -> None:
@@ -266,5 +256,5 @@ def read_logits_csv(path) -> np.ndarray:
 
 def load_logits(path) -> np.ndarray:
     """A logits file's table, binary or CSV by its magic, checked finite."""
-    with open_logits(path) as reader:
+    with LogitsReader(path) as reader:
         return reader.read_all()

@@ -104,7 +104,7 @@ def _cmd_run(args) -> int:
     kappa = _resolve(args, "kappa")
     ignore_bg = not args.include_background and _resolve(args, "ignore_background")
 
-    with classify.open_logits(args.logits, args.softmax_average) as logits:
+    with classify.LogitsReader(args.logits, args.softmax_average) as logits:
         num_classes = logits.shape[1]
         cleaner = None
         if not args.no_clean:

@@ -62,7 +62,10 @@ def _edit(pl, gl) -> float:
 
 def frame_accuracy(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:
     """Percent of frames labelled correctly; background ground truth is skipped when ignored."""
-    return _accuracy(*_aligned(pred, gt), cfg)
+    p, g = _aligned(pred, gt)
+    if p.size and min(p.min(), g.min()) < 0:  # as _scored_runs rejects it for the others
+        raise ValueError(f"class_id must be >= 0, got {min(p.min(), g.min())}")
+    return _accuracy(p, g, cfg)
 
 
 def edit_score(pred, gt, cfg: EvalConfig = DEFAULT_EVAL) -> float:

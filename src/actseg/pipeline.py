@@ -3,10 +3,10 @@ timeline -> cleaner -> cleaned timeline.
 
 The one offline loop, run_file, labels its rows in blocks through
 _window_labels, whose T slabs are slices of a buffer that its reader fills a
-block at a time, run_offline's reader from the backend's table; only a slab
-that passes an end gathers. The streaming session labels one row per push: the
-strided slice of its window once a full window has been pushed, through
-_window_labels before that and in finish. Every window is summed by the one
+block at a time, run_offline's from the backend's table with no second check;
+only a slab that passes an end gathers. The streaming session labels one row per
+push: the strided slice of its window once a full window has been pushed,
+through _window_labels before that and in finish. Every window is summed by the one
 fold, _kernels.fold_mean, so their outputs are byte-identical by construction.
 A frame's raw prediction is computable exactly floor(T/2)*tau pushes after the
 frame itself, and the cleaner adds at most its largest class threshold on top.
@@ -33,8 +33,7 @@ class PipelineConfig:
     cleaner: CleanerConfig | None = None
 
     def __post_init__(self):
-        if self.t < 1 or self.tau < 1:
-            raise ValueError(f"t and tau must be >= 1, got t={self.t} tau={self.tau}")
+        window_offsets(self.t, self.tau)  # rejects a t or tau, or a span, it cannot window
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
 
@@ -72,7 +71,7 @@ def run_offline(cfg: PipelineConfig, backend: LogitsBackend, seq_len: int | None
     if not 1 <= seq_len <= backend.num_frames:
         raise ValueError(f"seq_len must be in [1, {backend.num_frames}], got {seq_len}")
     # the backend checked its table, and softmaxed it if asked
-    return run_file(cfg, LogitsReader(None, False, backend.table[:seq_len]))
+    return run_file(cfg, LogitsReader(table=backend.table[:seq_len]))
 
 
 def run_file(cfg: PipelineConfig, logits: LogitsReader):

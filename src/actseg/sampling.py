@@ -39,10 +39,9 @@ def middle_offset(t: int, tau: int) -> int:
 
 
 def _validate(t, tau):
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    for name, value in (("t", t), ("tau", tau)):  # a float would index no frame
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # widest clip span (t-1)*tau: offsets then lie within +-2**62, and a frame index

@@ -31,10 +31,14 @@ class Segment:
 
 
 def as_timeline(labels) -> np.ndarray:
-    arr = np.asarray(labels, dtype=np.int64)
+    arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"timeline must be 1-d, got shape {arr.shape}")
-    return arr
+    if arr.dtype.kind not in "iu":  # the int64 cast would truncate a fraction
+        bad = np.flatnonzero(~(np.isfinite(arr) & (arr == np.trunc(arr))))
+        if bad.size:
+            raise ValueError(f"label {arr[bad[0]]} at frame {bad[0]} is not a whole number")
+    return arr.astype(np.int64, copy=False)
 
 
 def encode_runs(labels):

@@ -257,7 +257,7 @@ class TestNoiseModel:
 
 
 def read_binary(path):
-    """A binary logits file's whole table through the one reader, of any shape."""
+    """A logits file's whole table, read into a fresh array through the one reader."""
     with LogitsReader(path) as reader:
         return reader.read_into(np.empty(reader.shape))
 
@@ -275,6 +275,8 @@ class TestLogitsIO:
         (write_logits_binary, [[0.0, np.inf]], "non-finite logit inf at frame 0, column 1"),
         (write_logits_binary, np.zeros((0, 25)),
          "logits must be (n_frames, n_classes), got shape (0, 25)"),
+        (write_logits_csv, np.zeros((3, 0)),  # a frame column and nothing else
+         "logits must be (n_frames, n_classes), got shape (3, 0)"),
     ])
     def test_load_rejects_non_finite_and_empty_tables(self, tmp_path, write, logits, message):
         path = tmp_path / "x.logits"
@@ -283,9 +285,10 @@ class TestLogitsIO:
             load_logits(path)
 
     def test_binary_magic_enforced(self, tmp_path):
+        # a file without the binary magic is parsed as CSV, and fails there
         path = tmp_path / "x.logits"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(ValueError, match="bad magic"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no logit rows$"):
             read_binary(path)
 
     def test_binary_truncation_detected(self, tmp_path):
@@ -296,7 +299,7 @@ class TestLogitsIO:
         with pytest.raises(ValueError, match="expected"):
             read_binary(path)
 
-    @pytest.mark.parametrize("shape", [(0, 25), (1, 1), (5, 0), (31, 25), (14, 3)])
+    @pytest.mark.parametrize("shape", [(1, 1), (31, 25), (14, 3)])
     def test_binary_round_trip_in_blocks(self, tmp_path, monkeypatch, shape):
         # a block of 7 values reads as many whole rows, at least one, and leaves a
         # short last block
@@ -309,11 +312,15 @@ class TestLogitsIO:
         assert np.array_equal(got, logits)
 
     @pytest.mark.parametrize("blob, message", [
-        (b"ATS", "bad magic, not a logits file"),
+        (b"ATS", "no logit rows"),
         (b"ATSL\x02\x00\x00", "truncated header"),
         (b"ATSL" + struct.pack("<II", 1, 2) + b"\x00" * 9,
          "body of 9 bytes is not a whole number of float32 values"),
         (b"ATSL" + struct.pack("<II", 2, 2) + b"\x00" * 12, "expected 4 values, found 3"),
+        pytest.param(b"ATSL" + struct.pack("<II", 0, 25),
+                     "logits must be (n_frames, n_classes), got shape (0, 25)", id="0 frames"),
+        pytest.param(b"ATSL" + struct.pack("<II", 5, 0),
+                     "logits must be (n_frames, n_classes), got shape (5, 0)", id="0 classes"),
     ])
     def test_binary_errors(self, tmp_path, blob, message):
         path = tmp_path / "x.logits"
@@ -344,13 +351,41 @@ class TestLogitsIO:
                 f"{path}: non-finite logit -inf at frame 7, column 20")):
             read_binary(path)
 
+    def test_file_shrunk_after_open_names_what_it_holds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 50)  # blocks of 2 rows, 200 bytes
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, np.zeros((200, 25)))
+        out = np.empty((200, 25))
+        with LogitsReader(path) as reader:
+            reader.read_into(out[:3])
+            # past the file's read buffer, keep rows 0-99 and half of row 100: the block of
+            # rows 99-100 gets 37 of its 50 values
+            with open(path, "r+b") as fh:
+                fh.truncate(12 + 100 * 100 + 50)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 5000 values,"
+                                                 " found 2512$"):
+                reader.read_into(out[3:])
+
+    def test_a_csv_file_is_closed_once_its_magic_is_read(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        path = tmp_path / "x.csv"
+        write_logits_csv(path, np.eye(3))
+        monkeypatch.setattr(classify, "open", recording_open, raising=False)
+        with LogitsReader(path) as reader:
+            assert reader.shape == (3, 3) and len(opened) == 1 and opened[0].closed
+
     def test_reader_fills_rows_the_caller_owns(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classify, "_LOGITS_BLOCK", 10)
         logits = np.arange(60, dtype=np.float64).reshape(12, 5)
         path = tmp_path / "x.logits"
         write_logits_binary(path, logits)
         out = np.full((12, 5), -1.0)
-        with classify.open_logits(path) as reader:
+        with LogitsReader(path) as reader:
             assert reader.shape == (12, 5)
             reader.read_into(out[:5])
             reader.read_into(out[5:])

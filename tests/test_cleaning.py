@@ -120,6 +120,9 @@ class TestCleanerConfig:
             CleanerConfig(kappa=0.0)
         with pytest.raises(ValueError):
             CleanerConfig(fps=-1.0)
+        with pytest.raises(ValueError, match="^fps must be finite and > 0, got 0.0$"):
+            CleanerConfig(fps=0.0)
+        assert CleanerConfig(fps=0.5).fps == 0.5
 
     @pytest.mark.parametrize("field", ["kappa", "fps"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -135,6 +138,8 @@ class TestCleanerConfig:
         # background is class 24, so the label space holds at least 25 classes
         with pytest.raises(ValueError, match=r"background id 24 outside \[0, 10\)"):
             CleanerConfig(num_classes=10)
+        with pytest.raises(ValueError, match=r"^background id 24 outside \[0, 24\)$"):
+            CleanerConfig(num_classes=24)
         CleanerConfig(stats=stats_of({29: (20.0, 5.0)}), num_classes=30)
         with pytest.raises(TypeError):
             CleanerConfig(background_id=3)

@@ -370,6 +370,21 @@ class TestRun:
         assert code == 0, err
         assert json.loads(out)["config"]["frames"] == 60
 
+    @pytest.mark.parametrize("fmt, message", [
+        # a CSV is checked whole as it is parsed, a binary file a block at a time as it is
+        # labelled, after the class count is checked
+        ("csv", "non-finite logit nan at frame 150, column 3"),
+        ("logits", f"10 classes, but cleaning needs background class {BACKGROUND_ID}"),
+    ])
+    def test_of_two_faults_the_first_read_is_named(self, capsys, tmp_path, fmt, message):
+        logits = one_hot_logits([5] * 200, num_classes=10)
+        logits[150, 3] = np.nan
+        logits_path = tmp_path / f"two.{fmt}"
+        (write_logits_binary if fmt == "logits" else write_logits_csv)(logits_path, logits)
+        code, _, err = run_cli(capsys, "run", "--logits", str(logits_path))
+        assert code == 2, err
+        assert f"actseg: error: {logits_path}: {message}" in err
+
     @pytest.mark.parametrize("case", ["truncated", "no_frames", "nan_late", "few_classes"])
     def test_logits_file_closed_after_an_error(self, capsys, tmp_path, monkeypatch, case):
         opened = []

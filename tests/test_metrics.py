@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actseg.cleaning import CleanerConfig, kappa_scores
 from actseg.metrics import (DEFAULT_EVAL, IOU_THRESHOLDS, EvalConfig, edit_score, evaluate,
                             f1_at_iou, frame_accuracy, per_class_f1, segment_level_f1)
 from actseg.timeline import BACKGROUND_ID
@@ -41,6 +42,17 @@ class TestFrameAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             frame_accuracy([0], [0, 0])
+
+
+# frame_accuracy([-1, 0], [-1, 0]) read 100.0; every other metric rejected -1 already
+@pytest.mark.parametrize("score", [
+    evaluate, lambda pred, gt: f1_at_iou(pred, gt, 0.5), edit_score,
+    lambda pred, gt: per_class_f1(pred, gt, 0.5), frame_accuracy,
+    lambda pred, gt: kappa_scores([pred], [gt], CleanerConfig()),
+], ids=["evaluate", "f1_at_iou", "edit_score", "per_class_f1", "frame_accuracy", "kappa_scores"])
+def test_negative_ground_truth_rejected(score):
+    with pytest.raises(ValueError, match="^class_id must be >= 0, got -1$"):
+        score([0, 0, 1, 1], [0, -1, 1, 1])
 
 
 class TestEditScore:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from actseg import _kernels
-from actseg.classify import (LogitsBackend, NoiseModel, make_synthetic_backend, one_hot_logits,
-                             open_logits, write_logits_binary)
+from actseg.classify import (LogitsBackend, LogitsReader, NoiseModel, make_synthetic_backend,
+                             one_hot_logits, write_logits_binary)
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
 from actseg.pipeline import _CHUNK, PipelineConfig, StreamSession, run_file, run_offline, stream_all
 from actseg.sampling import inference_clip, prediction_lag, window_offsets
@@ -122,8 +122,18 @@ class TestOffline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(t=0)
+        # each failed only when a window was labelled, the floats with an IndexError
+        with pytest.raises(ValueError, match="^t must be an integer >= 1, got 8.0$"):
+            PipelineConfig(t=8.0)
+        with pytest.raises(ValueError, match="^tau must be an integer >= 1, got 2.5$"):
+            PipelineConfig(tau=2.5)
+        with pytest.raises(ValueError, match="t=8 and tau=4611686018427387904 "):
+            PipelineConfig(tau=2**62)
         with pytest.raises(ValueError):
             PipelineConfig(fps=0.0)
+        with pytest.raises(ValueError, match="^fps must be finite and > 0, got inf$"):
+            PipelineConfig(fps=np.inf)
+        assert PipelineConfig(fps=0.5).fps == 0.5
 
 
 class TestRunFile:
@@ -137,7 +147,7 @@ class TestRunFile:
         stats = {0: ClassStats(0, 5, 20.0, 4.0),
                  BACKGROUND_ID: ClassStats(BACKGROUND_ID, 5, 12.0, 3.0)}
         cfg = PipelineConfig(t=5, tau=3, cleaner=CleanerConfig(stats=stats))
-        with open_logits(path) as reader:
+        with LogitsReader(path) as reader:
             got = run_file(cfg, reader)
         want = run_offline(cfg, LogitsBackend(logits))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -150,7 +160,7 @@ class TestRunFile:
         path = tmp_path / "x.logits"
         write_logits_binary(path, np.eye(k))
         message = f"label space has 25 classes, the logits have {k}"
-        with open_logits(path) as reader, pytest.raises(ValueError, match=message):
+        with LogitsReader(path) as reader, pytest.raises(ValueError, match=message):
             run_file(cfg, reader)
         with pytest.raises(ValueError, match=message):
             run_offline(cfg, LogitsBackend(np.eye(k)))
@@ -162,7 +172,7 @@ class TestRunFile:
             write_logits_binary(path, np.tile(np.eye(25), (n // 25, 1)))
             tracemalloc.start()
             try:
-                with open_logits(path) as reader:
+                with LogitsReader(path) as reader:
                     raw, cleaned = run_file(PipelineConfig(), reader)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

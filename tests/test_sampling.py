@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,8 @@ class TestInferenceClip:
             inference_clip(5, 0, 8, 10)
         with pytest.raises(ValueError):
             inference_clip(5, 8, 0, 10)
+        with pytest.raises(ValueError, match=r"^t must be an integer >= 1, got 8\.0$"):
+            inference_clip(50, 8.0, 8, 100)  # it gave float frames
 
 
 class TestWindowOffsets:
@@ -74,6 +77,11 @@ class TestWindowOffsets:
             window_offsets(0, 8)
         with pytest.raises(ValueError):
             window_offsets(8, 0)
+        for t, tau, message in [(8.0, 8, "t must be an integer >= 1, got 8.0"),
+                                (8, 2.5, "tau must be an integer >= 1, got 2.5"),
+                                (8, "8", "tau must be an integer >= 1, got '8'")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                window_offsets(t, tau)
 
     @pytest.mark.parametrize("t, tau", [(8, 3 * 10**18), (8, 2**62), (2, 2**62 + 1), (2**62, 2)])
     def test_span_beyond_int64_rejected(self, t, tau):

@@ -70,6 +70,23 @@ class TestRunLength:
         with pytest.raises(ValueError):
             as_timeline([[1, 2], [3, 4]])
 
+    @pytest.mark.filterwarnings("error")  # NaN and inf are caught before a cast could warn
+    @pytest.mark.parametrize("labels, bad", [([0.9, 1.2], "0.9 at frame 0"),
+                                             (np.array([1.0, 2.5]), "2.5 at frame 1"),
+                                             ([3.0, np.nan], "nan at frame 1"),
+                                             ([-np.inf], "-inf at frame 0")])
+    def test_as_timeline_rejects_a_label_that_is_not_whole(self, labels, bad):
+        # the int64 cast truncated it: frame_accuracy([0.9, 1.2], [0, 1]) read 100.0
+        with pytest.raises(ValueError, match=f"^label {bad} is not a whole number$"):
+            as_timeline(labels)
+
+    def test_as_timeline_keeps_whole_labels(self):
+        labels = np.array([3, 0, 24])
+        assert as_timeline(labels) is labels
+        for same in ([3, 0, 24], [3.0, 0.0, 24.0], labels.astype(np.uint8)):
+            got = as_timeline(same)
+            assert got.dtype == np.int64 and got.tolist() == [3, 0, 24]
+
 
 class TestCsv:
     def test_timeline_round_trip(self, tmp_path):

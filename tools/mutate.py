@@ -8,9 +8,11 @@ literal (so an index -1 becomes -2), flips a True or False, or deletes a
 statement that stores into an attribute or item or is a bare call. The source
 tree and the tests are copied into a fresh temporary directory, every mutant
 is written there in turn and the tests run against it with -x, so the
-checkout is never touched. A mutant is killed when the tests fail or run
-past TIMEOUT seconds; a survivor is printed with its site, for a test to kill
-or for a reason why it is equivalent.
+checkout is never touched. The unmutated tests run first, within TIMEOUT
+seconds, and are timed; a mutant is killed when the tests fail or run SLOWDOWN
+times as long, so one that never ends costs a sweep a bounded wait. A survivor
+is printed with its site, for a test to kill or for a reason why it is
+equivalent.
 
     python3 tools/mutate.py src/actseg/pipeline.py:_window_labels \\
         src/actseg/classify.py:LogitsBackend.__init__ -- tests/test_pipeline.py
@@ -31,7 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-TIMEOUT = 300.0  # seconds of tests per mutant
+TIMEOUT = 300.0  # seconds of the unmutated tests
+# a mutant's tests may run this many times as long as the unmutated ones: a survivor runs
+# about as long, give or take noise, and a killed one stops early
+SLOWDOWN = 3.0
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -112,11 +117,11 @@ def _relative(path):
     return rel.relative_to(ROOT)
 
 
-def _run_tests(copy, pytest_args):
+def _run_tests(copy, pytest_args, timeout):
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *pytest_args]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -145,15 +150,19 @@ def main(argv=None):
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(ROOT / name, copy / name)
-        if _run_tests(copy, pytest_args) != "survived":
-            raise SystemExit("the tests fail on the unmutated copy")
+        start = time.monotonic()
+        if _run_tests(copy, pytest_args, TIMEOUT) != "survived":
+            raise SystemExit("the tests fail or time out on the unmutated copy")
+        limit = SLOWDOWN * (time.monotonic() - start)
+        print(f"unmutated tests took {limit / SLOWDOWN:.1f}s; each mutant gets {limit:.1f}s",
+              flush=True)
         for path, qualname, i in targets:
             original = (ROOT / path).read_text()
             mutant, line, what = _mutated(original, qualname, i)
             (copy / path).write_text(mutant)
             start = time.monotonic()
             try:
-                outcome = _run_tests(copy, pytest_args)
+                outcome = _run_tests(copy, pytest_args, limit)
             finally:
                 (copy / path).write_text(original)
             print(f"{outcome:8} {time.monotonic() - start:6.1f}s {path}:{line} {qualname} {what}",
