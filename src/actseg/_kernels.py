@@ -30,11 +30,10 @@ def resize_nearest(src, out_h, out_w):
 def mix_1x1(m, weight, bias, out):
     """Per-pixel channel mixing of one frame: out[o,i,j] = sum_c weight[o,c]*m[c,i,j] + bias[o].
 
-    m is a (c, h, w) frame, or a view of one whose rows are contiguous within
-    each channel (a row range), so its (c, h*w) pixel columns are a strided
-    view and nothing is copied. The product lands in out, a C-contiguous
-    (c_out, h, w) frame the caller owns, by one BLAS matrix product; the bias
-    is added while the frame is still in cache, and bias None adds nothing.
+    m is a (c, h, w) frame whose (c, h*w) pixel columns reshape as a view, so
+    nothing is copied. The product lands in out, a C-contiguous (c_out, h, w)
+    frame the caller owns, by one BLAS matrix product; the bias is added while
+    the frame is still in cache, and bias None adds nothing.
     """
     if not out.flags.c_contiguous:
         raise ValueError("mix_1x1 writes into a C-contiguous frame")

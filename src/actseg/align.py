@@ -145,15 +145,14 @@ def enhance(f: FeatureMap, f_left: FeatureMap, f_right: FeatureMap,
     s (I + W_f) f[k] + s (b - bn_mean) + bn_shift, plus s W_l and s W_r
     applied to each hand map over its visible footprint only: the placed hand
     maps are zero everywhere else, so neither they nor the concat are built.
-    A hand is mixed at its own resolution, over the source rows its visible
-    footprint reads, and the mixed cells are then gathered into the
-    footprint; the mix is per pixel, so it commutes with the gather. The pass
-    runs one frame at a time into one preallocated output, so no temporary
-    is larger than one frame. The result equals the composed primitives
-    (place_hand_features, concat_channels, mix_1x1, residual_norm) up to
-    summation order, and a zero mixer with identity bn returns f exactly.
-    Output dims always equal f's, for any geometry including fully
-    out-of-crop hands.
+    A hand map is mixed whole at its own resolution, and the mixed cells are
+    then gathered into the visible footprint; the mix is per pixel, so it
+    commutes with the gather. The pass runs one frame at a time into one
+    preallocated output, so no temporary is larger than one backbone or hand
+    frame. The result equals the composed primitives (place_hand_features,
+    concat_channels, mix_1x1, residual_norm) up to summation order, and a
+    zero mixer with identity bn returns f exactly. Output dims always equal
+    f's, for any geometry including fully out-of-crop hands.
     """
     if f_left.t != f.t or f_right.t != f.t:
         raise ValueError(
@@ -186,8 +185,8 @@ def _hand_adder(fh: FeatureMap, g: CropGeometry, h: int, w: int, weight):
 
     None when no footprint cell lies on the grid. Cells come from fh by the
     same nearest-neighbour rule as resize_nearest followed by zero_pad_place.
-    Only the source rows the visible footprint reads are mixed, into one
-    buffer of that many rows of one frame, which every call reuses.
+    Each call mixes the whole hand frame fh[k] into one buffer, which every
+    call reuses, and gathers the visible cells from it.
     """
     rows, cols, off_y, off_x = footprint(g, h, w)
     y0, y1 = max(off_y, 0), min(off_y + rows, h)
@@ -196,13 +195,10 @@ def _hand_adder(fh: FeatureMap, g: CropGeometry, h: int, w: int, weight):
         return None
     src_rows = _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y)
     src_cols = _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x)
-    r0, r1 = src_rows[0], src_rows[-1] + 1
-    src = fh.values[:, :, r0:r1]
-    src_rows = src_rows - r0
-    mixed = np.empty((weight.shape[0], r1 - r0, fh.w))
+    mixed = np.empty((weight.shape[0], fh.h, fh.w))
 
     def add(k, frame):
-        _kernels.mix_1x1(src[k], weight, None, mixed)
+        _kernels.mix_1x1(fh.values[k], weight, None, mixed)
         frame[:, y0:y1, x0:x1] += _kernels.gather_cells(mixed, src_rows, src_cols)
     return add
 

@@ -210,7 +210,13 @@ class LogitsReader:
         self.shape = self._table.shape if self._fh is None else (n, k)
 
     def read_into(self, out):
-        """Fill out, (m, classes) float64 rows, with the next m frames' scores; returns out."""
+        """Fill out, (m, classes) float64 rows, with the next m frames' scores; returns out.
+
+        m past the last frame is a ValueError, raised before anything is read."""
+        left = self.shape[0] - self._frame
+        if len(out) > left:
+            raise ValueError(f"{'table' if self.path is None else self.path}: asked for"
+                             f" {len(out)} rows, {left} left")
         start, self._frame = self._frame, self._frame + len(out)
         if self._fh is None:  # a table is checked, and softmaxed if asked, before it is read
             out[...] = self._table[start:self._frame]

@@ -34,10 +34,16 @@ def as_timeline(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"timeline must be 1-d, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":  # the int64 cast would truncate a fraction
+    kind = arr.dtype.kind
+    if kind not in "iu":  # the int64 cast would truncate a fraction
         bad = np.flatnonzero(~(np.isfinite(arr) & (arr == np.trunc(arr))))
         if bad.size:
             raise ValueError(f"label {arr[bad[0]]} at frame {bad[0]} is not a whole number")
+    if kind != "i":  # and would wrap a label of magnitude 2**63 or more
+        big = arr > np.uint64(2**63 - 1) if kind == "u" else np.abs(arr) >= np.float64(2**63)
+        bad = np.flatnonzero(big)
+        if bad.size:
+            raise ValueError(f"label {arr[bad[0]]} at frame {bad[0]} does not fit int64")
     return arr.astype(np.int64, copy=False)
 
 

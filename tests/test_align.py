@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from actseg import _kernels
 from actseg.align import (CropGeometry, alignment, enhance, fallback_geometry, footprint,
                           load_geometry, place_hand_features)
 from actseg.grid import FeatureMap, MixerWeights
@@ -194,9 +195,9 @@ ENHANCE_TOL = 1e-9
 class TestEnhanceValues:
     """enhance against the per-frame float64 loop in oracles.enhance_ref."""
 
-    def _check(self, rng, g_left, g_right, c=3, c_l=3, c_r=3, h=40, w=48):
+    def _check(self, rng, g_left, g_right, c=3, c_l=3, c_r=3, h=40, w=48, left_hw=(14, 14)):
         f = rng.normal(size=(2, c, h, w))
-        left = rng.normal(size=(2, c_l, 14, 14))
+        left = rng.normal(size=(2, c_l, *left_hw))
         right = rng.normal(size=(2, c_r, 9, 11))
         mixer = random_mixer(rng, c, c + c_l + c_r)
         out = enhance(FeatureMap(f), FeatureMap(left), FeatureMap(right), g_left, g_right, mixer)
@@ -210,6 +211,29 @@ class TestEnhanceValues:
         other = names[(names.index(case) + 1) % len(names)]
         rng = np.random.default_rng(names.index(case))
         self._check(rng, PLACEMENTS[case], PLACEMENTS[other])
+
+    @pytest.mark.parametrize("left_hw", [(28, 28), (31, 9)], ids=["28x28", "31x9"])
+    @pytest.mark.parametrize("case", sorted(PLACEMENTS))
+    def test_placement_cases_hand_map_larger_than_footprint(self, case, left_hw):
+        # footprints of 14x17 or less on the 40x48 grid skip source rows, also where
+        # they are partly off the grid; 31x9 skips rows and repeats columns
+        names = sorted(PLACEMENTS)
+        other = names[(names.index(case) + 1) % len(names)]
+        rng = np.random.default_rng(names.index(case))
+        self._check(rng, PLACEMENTS[case], PLACEMENTS[other], left_hw=left_hw)
+
+    @pytest.mark.parametrize("g", [
+        CropGeometry(500, 500, 500, 250, 250, 0, 250, 250, 0, 0),  # cols -48..-1: left of the grid
+        CropGeometry(500, 500, 500, 250, 0, 0, 250, 250, 0, 250),  # rows 40..79: below the grid
+    ], ids=["left", "below"])
+    def test_hand_just_off_the_grid_is_not_mixed(self, monkeypatch, g):
+        # the footprint ends where the grid starts, or starts where it ends: no cell is
+        # visible, so only the backbone frames are mixed
+        mix, shapes = _kernels.mix_1x1, []
+        monkeypatch.setattr(_kernels, "mix_1x1", lambda m, *rest: shapes.append(m.shape)
+                            or mix(m, *rest))
+        self._check(np.random.default_rng(11), g, g)
+        assert shapes == [(3, 40, 48)] * 2
 
     def test_hand_channel_counts_differ_from_backbone(self):
         rng = np.random.default_rng(8)

@@ -366,6 +366,25 @@ class TestLogitsIO:
                                                  " found 2512$"):
                 reader.read_into(out[3:])
 
+    @pytest.mark.parametrize("kind", ["binary", "csv", "table"])
+    def test_read_past_the_end_names_rows_asked_and_left(self, tmp_path, kind):
+        # a binary read said "expected 15 values, found 15", a table read numpy's
+        # "could not broadcast"
+        logits = np.arange(15, dtype=np.float64).reshape(5, 3)
+        path = tmp_path / "x.logits"
+        (write_logits_csv if kind == "csv" else write_logits_binary)(path, logits)
+        reader = LogitsReader(table=logits) if kind == "table" else LogitsReader(path)
+        name = re.escape("table" if kind == "table" else str(path))
+        out = np.empty((7, 3))
+        with reader:
+            with pytest.raises(ValueError, match=f"^{name}: asked for 7 rows, 5 left$"):
+                reader.read_into(out)
+            reader.read_into(out[:3])
+            with pytest.raises(ValueError, match=f"^{name}: asked for 3 rows, 2 left$"):
+                reader.read_into(out[3:6])
+            reader.read_into(out[3:5])  # the refused reads read nothing
+        assert np.array_equal(out[:5], logits)
+
     def test_a_csv_file_is_closed_once_its_magic_is_read(self, tmp_path, monkeypatch):
         opened = []
 

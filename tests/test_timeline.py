@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ class TestRunLength:
         # the int64 cast truncated it: frame_accuracy([0.9, 1.2], [0, 1]) read 100.0
         with pytest.raises(ValueError, match=f"^label {bad} is not a whole number$"):
             as_timeline(labels)
+
+    @pytest.mark.filterwarnings("error")  # caught before the cast could warn or wrap
+    @pytest.mark.parametrize("labels, bad", [([1e19, 0.0], "1e+19 at frame 0"),
+                                             ([0.0, -1e19], "-1e+19 at frame 1"),
+                                             ([2.0**63], "9.223372036854776e+18 at frame 0"),
+                                             (np.array([0, 2**63], np.uint64),
+                                              "9223372036854775808 at frame 1")])
+    def test_as_timeline_rejects_a_label_past_int64(self, labels, bad):
+        # the cast made it int64's minimum, and frame_accuracy named that label
+        with pytest.raises(ValueError, match=f"^label {re.escape(bad)} does not fit int64$"):
+            as_timeline(labels)
+
+    @pytest.mark.filterwarnings("error")
+    def test_as_timeline_keeps_int64_extremes(self):
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        for labels in (np.array([top, bottom]), np.array([top], np.uint64), [top, bottom]):
+            assert as_timeline(labels).tolist() == np.asarray(labels).tolist()
 
     def test_as_timeline_keeps_whole_labels(self):
         labels = np.array([3, 0, 24])

@@ -8,7 +8,9 @@ literal (so an index -1 becomes -2), flips a True or False, or deletes a
 statement that stores into an attribute or item or is a bare call. The source
 tree and the tests are copied into a fresh temporary directory, every mutant
 is written there in turn and the tests run against it with -x, so the
-checkout is never touched. The unmutated tests run first, within TIMEOUT
+checkout is never touched. The tests run with the -W flags of CI's
+latest-numpy legs (WARNINGS), so a deprecation or a file left open fails a
+mutant as it fails CI. The unmutated tests run first, within TIMEOUT
 seconds, and are timed; a mutant is killed when the tests fail or run SLOWDOWN
 times as long, so one that never ends costs a sweep a bounded wait. A survivor
 is printed with its site, for a test to kill or for a reason why it is
@@ -37,6 +39,9 @@ TIMEOUT = 300.0  # seconds of the unmutated tests
 # a mutant's tests may run this many times as long as the unmutated ones: a survivor runs
 # about as long, give or take noise, and a killed one stops early
 SLOWDOWN = 3.0
+# as .github/workflows/tests.yml passes them on its latest-numpy legs
+WARNINGS = ("-W", "error::DeprecationWarning", "-W", "error::ResourceWarning",
+            "-W", "error::pytest.PytestUnraisableExceptionWarning")
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -119,7 +124,8 @@ def _relative(path):
 
 def _run_tests(copy, pytest_args, timeout):
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *pytest_args]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *WARNINGS,
+           *pytest_args]
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
