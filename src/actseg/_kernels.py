@@ -95,19 +95,16 @@ def levenshtein(a, b):
 def fold_mean(slabs, out):
     """Mean of T slabs, the left fold ((s0 + s1) + ...) / T, into out, a buffer the caller owns.
 
-    slabs is one (T, C) window, whose mean is a (C,) row, or a sequence of T
-    (m, C) slabs, whose mean is (m, C). Every window mean of the batch and
-    streaming paths comes from here, so a row adds its window in the same order
-    whether its slab is sliced or gathered, alone or in a batch: that is what
-    keeps stream and batch labels byte-identical. A window is summed by one
-    np.add.accumulate call, which is defined as that fold (the same IEEE adds
-    in the same order) where the slab loop makes T calls; slabs are added one
+    slabs is a sequence of T (m, C) slabs; their mean is (m, C). Every window
+    mean of the offline path comes from here, so a row adds its window in the
+    same order whether its slab is sliced or gathered and whatever its block.
+    A StreamSession sums its one (T, C) window with np.add.accumulate, which is
+    defined as the same fold (the same IEEE adds in the same order): that is
+    what keeps stream and batch labels byte-identical. Here slabs are added one
     by one into out, because accumulate over 1,024 rows takes 8-9 times as
     long. np.add.reduce and sum do not document their summation order, so they
     are not used.
     """
-    if isinstance(slabs, np.ndarray):
-        return np.divide(np.add.accumulate(slabs, axis=0)[-1], len(slabs), out=out)
     out[...] = slabs[0]
     for slab in slabs[1:]:
         out += slab

@@ -9,6 +9,7 @@ steps against background-omitted F1@0.5.
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .timeline import (BACKGROUND_ID, FPS, NUM_CLASSES, _text_lines, as_runs, as_timeline,
-                       encode_runs)
+                       encode_runs, whole_label)
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
 
@@ -102,6 +103,7 @@ class StreamCleaner:
     def __init__(self, cfg: CleanerConfig):
         self.cfg = cfg
         self._thresholds = cfg.thresholds().tolist()
+        self._classes = cfg.num_classes
         self._prev = BACKGROUND_ID         # label of the last surviving run
         self._label = None                 # label of the current run
         self._start = 0                    # first frame of the current run
@@ -116,9 +118,12 @@ class StreamCleaner:
             raise RuntimeError("cleaner already flushed")
         if self._next is not None and frame_index != self._next:
             raise ValueError(f"out-of-order push: frame {frame_index}, expected {self._next}")
-        label = int(raw_label)
-        if not 0 <= label < self.cfg.num_classes:
-            raise ValueError(f"label {label} outside [0, {self.cfg.num_classes})")
+        try:
+            label = operator.index(raw_label)
+        except TypeError:  # int() would truncate 2.7 to class 2
+            label = whole_label(raw_label, frame_index)
+        if not 0 <= label < self._classes:
+            raise ValueError(f"label {label} outside [0, {self._classes})")
         self._next = frame_index + 1
 
         out = []

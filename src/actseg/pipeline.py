@@ -4,15 +4,18 @@ timeline -> cleaner -> cleaned timeline.
 The one offline loop, run_file, labels its rows in blocks through
 _window_labels, whose T slabs are slices of a buffer that its reader fills a
 block at a time, run_offline's from the backend's table with no second check;
-only a slab that passes an end gathers. The streaming session labels one row per
-push: the strided slice of its window once a full window has been pushed,
-through _window_labels before that and in finish. Every window is summed by the one
-fold, _kernels.fold_mean, so their outputs are byte-identical by construction.
+only a slab that passes an end gathers, and _kernels.fold_mean adds the slabs.
+The streaming session labels one row per push: it folds the strided slice of its
+window once a full window has been pushed, and one gather of the clamped frames
+before that and in finish, with np.add.accumulate into buffers built once. Both
+folds add a window's rows oldest first and divide by T, the same IEEE operations
+in the same order, so stream and batch labels are byte-identical by construction.
 A frame's raw prediction is computable exactly floor(T/2)*tau pushes after the
 frame itself, and the cleaner adds at most its largest class threshold on top.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,46 +121,48 @@ class StreamSession:
         _check_classes(cfg, backend.num_classes)
         self._table = backend.table
         self._frames = backend.num_frames
-        self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
+        self._offsets = window_offsets(cfg.t, cfg.tau)
+        self._span = (cfg.t - 1) * cfg.tau
         self._tau = cfg.tau
-        self._buf = np.empty((1, backend.num_classes))
-        self._row = self._buf[0]  # the (C,) mean of a push's full window
         self._lag = prediction_lag(cfg.t, cfg.tau)
+        # a window's running sums, oldest row first, and their last row: its sum
+        self._acc = np.empty((cfg.t, backend.num_classes))
+        self._sum = self._acc[-1]
+        self._row = np.empty(backend.num_classes)  # the window's mean
+        # T as a 0-d float64: np.divide converts a Python int divisor on every call
+        self._t = np.array(float(cfg.t))
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
         self._pushed = 0
         self._finished = False
-
-    def _emit(self, middle: int, label: int):
-        if self._cleaner is None:
-            return [(middle, label)]
-        return self._cleaner.push(middle, label)
-
-    def _clamped_label(self, middle: int) -> int:
-        # the window clamps at the newest pushed frame
-        return int(_window_labels(self._table, middle, middle + 1, self._pushed, self._shifts,
-                                  self._buf)[0])
 
     def push(self, frame_index: int):
         """Feed the next frame; returns labels finalized by it."""
         if self._finished:
             raise RuntimeError("session already finished")
-        if frame_index != self._pushed:
-            raise ValueError(f"out-of-order push: expected frame {self._pushed}, got {frame_index}")
-        if frame_index >= self._frames:
-            raise ValueError(f"frame {frame_index} outside backend range [0, {self._frames})")
+        try:
+            frame = operator.index(frame_index)
+        except TypeError:
+            raise ValueError(f"frame index must be an integer, got {frame_index!r}") from None
+        if frame != self._pushed:
+            raise ValueError(f"out-of-order push: expected frame {self._pushed}, got {frame}")
+        if frame >= self._frames:
+            raise ValueError(f"frame {frame} outside backend range [0, {self._frames})")
         self._pushed += 1
-        middle = frame_index - self._lag
+        middle = frame - self._lag
         if middle < 0:
             return []
-        first = middle + self._shifts[0]
+        first = frame - self._span
         if first >= 0:
-            # the window ends at the frame just pushed, so no frame clamps: it is the
-            # strided slice of its T frames, summed by the same fold as _window_labels'
-            window = self._table[first:frame_index + 1:self._tau]
-            label = int(_kernels.fold_mean(window, self._row).argmax())
+            # the window ends at the frame just pushed, so no frame clamps
+            rows = self._table[first:frame + 1:self._tau]
         else:
-            label = self._clamped_label(middle)
-        return self._emit(middle, label)
+            rows = self._table[np.clip(middle + self._offsets, 0, frame)]
+        np.add.accumulate(rows, axis=0, out=self._acc)
+        # the method, not np.argmax: its Python wrapper cost a push about 1 us
+        label = int(np.divide(self._sum, self._t, out=self._row).argmax())
+        if self._cleaner is None:
+            return [(middle, label)]
+        return self._cleaner.push(middle, label)
 
     def finish(self):
         """Drain trailing middles (their windows clamp at the last frame) and flush the cleaner."""
@@ -165,9 +170,14 @@ class StreamSession:
             raise RuntimeError("session already finished")
         self._finished = True
         out = []
+        last = self._pushed - 1
         # push emitted every middle before pushed - lag
         for middle in range(max(0, self._pushed - self._lag), self._pushed):
-            out.extend(self._emit(middle, self._clamped_label(middle)))
+            np.add.accumulate(self._table[np.clip(middle + self._offsets, 0, last)], axis=0,
+                              out=self._acc)
+            label = int(np.divide(self._sum, self._t, out=self._row).argmax())
+            out.extend([(middle, label)] if self._cleaner is None
+                       else self._cleaner.push(middle, label))
         if self._cleaner is not None:
             out.extend(self._cleaner.flush())
         return out

@@ -1,5 +1,6 @@
 """Per-frame label sequences, run-length segments, and their CSV formats."""
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -30,11 +31,32 @@ class Segment:
         return self.end - self.start
 
 
+def whole_label(value, frame: int) -> int:
+    """value as an int64 label: an integer, or a float with no fraction. Anything else
+    is a ValueError naming the frame."""
+    try:
+        label = operator.index(value)
+    except TypeError:
+        if not isinstance(value, (float, np.floating)):
+            raise ValueError(f"label {value!r} at frame {frame} is neither an integer nor a"
+                             " float") from None
+        if not float(value).is_integer():
+            raise ValueError(f"label {value} at frame {frame} is not a whole number") from None
+        label = int(value)
+    if not -2**63 <= label < 2**63:
+        raise ValueError(f"label {value} at frame {frame} does not fit int64")
+    return label
+
+
 def as_timeline(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"timeline must be 1-d, got shape {arr.shape}")
     kind = arr.dtype.kind
+    if kind not in "biuf":  # objects (Python ints past uint64, None), strings, ...
+        # a list's own items: np.asarray turns [1, "a"] into strings
+        values = arr.tolist() if isinstance(labels, np.ndarray) else labels
+        return np.array([whole_label(v, i) for i, v in enumerate(values)], dtype=np.int64)
     if kind not in "iu":  # the int64 cast would truncate a fraction
         bad = np.flatnonzero(~(np.isfinite(arr) & (arr == np.trunc(arr))))
         if bad.size:

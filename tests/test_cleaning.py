@@ -283,6 +283,26 @@ class TestStreamCleaner:
         with pytest.raises(RuntimeError):
             cleaner.push(0, 0)
 
+    @pytest.mark.parametrize("label, bad", [(2.7, "2.7 at frame 3"),
+                                            (np.float64(3.5), "3.5 at frame 3"),
+                                            (float("nan"), "nan at frame 3")])
+    def test_label_that_is_not_whole_rejected(self, label, bad):
+        # int() held 2.7 as class 2; clean_timeline rejects it the same way
+        cleaner = StreamCleaner(CleanerConfig())
+        for i in range(3):
+            cleaner.push(i, 0)
+        with pytest.raises(ValueError, match=f"^label {bad} is not a whole number$"):
+            cleaner.push(3, label)
+        with pytest.raises(ValueError, match=f"^label {bad} is not a whole number$"):
+            clean_timeline([0, 0, 0, label], CleanerConfig())
+
+    def test_whole_labels_of_any_type_accepted(self):
+        cleaner = StreamCleaner(CleanerConfig())
+        labels = [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)]
+        pairs = [p for i, lab in enumerate(labels) for p in cleaner.push(i, lab)]
+        assert pairs == [(i, 3) for i in range(len(labels))]
+        assert {type(label) for _, label in pairs} == {int}
+
     def test_label_range_validated(self):
         # both forms of the rule, at both ends of [0, num_classes): a negative
         # label would otherwise index the threshold table from its end

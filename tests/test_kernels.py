@@ -106,7 +106,9 @@ def test_gather_mean_adds_each_window_oldest_first(t, n):
 @pytest.mark.parametrize("t", [3, 8, 13])
 def test_fold_mean_branches_equal_left_fold_where_order_matters(t):
     # 1e16 + 1 rounds back to 1e16, so a window's sum depends on the order its
-    # rows are added in: both branches must give the oldest-first fold's bytes
+    # rows are added in: a batch of rows and one row's slabs must both give the
+    # oldest-first fold's bytes. A stream's own window fold is held to the same
+    # bytes in test_pipeline.py::TestStreamViewPath
     rng = np.random.default_rng(t)
     table = rng.choice([1e16, 1.0, -1e16], size=(40, 6))
     idx = rng.integers(0, 40, size=(64, t))
@@ -114,15 +116,12 @@ def test_fold_mean_branches_equal_left_fold_where_order_matters(t):
     assert np.any(gather_mean_ref(table, idx[:, ::-1]) != want)
     block = table[idx.T]
     out = np.empty((64, 6))
-    assert _kernels.fold_mean(list(block), out) is out  # slab branch
+    assert _kernels.fold_mean(list(block), out) is out
     assert out.tobytes() == want.tobytes()
     for r in range(64):
-        one = np.empty((1, 6))  # one row's T slabs, as a stream's first pushes give
+        one = np.empty((1, 6))  # one row's T slabs, as a block of one row gives
         assert _kernels.fold_mean(list(block[:, r:r + 1]), one) is one
         assert one.tobytes() == want[r:r + 1].tobytes()
-        row = np.empty(6)  # window branch: a stream push's (T, C) window into a 1-D row
-        assert _kernels.fold_mean(block[:, r], row) is row
-        assert row.tobytes() == want[r].tobytes()
 
 
 @pytest.mark.parametrize("t, c_out, c_in, h, w", [

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ class TestStreamSession:
         with pytest.raises(ValueError, match="out-of-order"):
             session.push(2)
 
+    @pytest.mark.parametrize("pushed, index", [(0, 0.0), (100, 100.0), (100, np.float64(100.0)),
+                                               (100, "100")])
+    def test_index_that_is_not_an_integer_rejected(self, pushed, index):
+        # 0.0 == 0 let push(0.0) through, and push(100.0) failed in numpy's slicing
+        session = StreamSession(PipelineConfig(), LogitsBackend(one_hot_logits([0] * 200)))
+        for i in range(pushed):
+            session.push(i)
+        with pytest.raises(ValueError, match="^frame index must be an integer, got "):
+            session.push(index)
+        session.push(np.int64(pushed))  # a numpy integer is an index
+
     def test_push_past_backend_rejected(self):
         backend = LogitsBackend(one_hot_logits([0] * 3))
         session = StreamSession(PipelineConfig(t=1, tau=1), backend)
@@ -310,19 +322,46 @@ class TestStreamSession:
         assert np.array_equal(stream_all(cfg, backend), cleaned)
 
 
+class _Reads(np.ndarray):
+    """A view of a session's table that logs, at each read, the key it reads at and
+    the session's mean row as the previous window's fold left it."""
+
+    def __getitem__(self, key):
+        self.log.append((key, self.row.copy()))
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def observed_session(cfg, backend, n):
+    """Push frames 0..n-1 through a session and finish it. Returns the key of each
+    window's read of the table, each window's mean row, and the pairs emitted."""
+    reads = backend.table.view(_Reads)
+    reads.log = []
+    session = StreamSession(cfg, SimpleNamespace(table=reads, num_frames=backend.num_frames,
+                                                 num_classes=backend.num_classes))
+    reads.row = session._row
+    pairs = [p for i in range(n) for p in session.push(i)] + session.finish()
+    keys = [key for key, _ in reads.log]
+    # a read logs the row the fold before it left, and the last fold's row is still there
+    means = [row for _, row in reads.log[1:]] + [session._row.copy()]
+    return keys, means, pairs
+
+
+def window_reads(t, tau, n):
+    """What a session of n frames reads per window, middle by middle: from frame (T-1)*tau
+    on a push's strided slice, else one gather of the frames clamped at the newest pushed."""
+    span, lag, offsets = (t - 1) * tau, prediction_lag(t, tau), window_offsets(t, tau)
+    return [slice(m + lag - span, m + lag + 1, tau) if span <= m + lag < n
+            else np.clip(m + offsets, 0, min(m + lag, n - 1)) for m in range(n)]
+
+
 class TestStreamViewPath:
-    """From frame (T-1)*tau on, a push sums the strided slice of its window into its
-    (C,) row with fold_mean; the first pushes and finish fold T slabs instead."""
+    """From frame (T-1)*tau on, a push folds the strided slice of its window; the first
+    pushes and finish fold one gather of the clamped frames instead."""
 
     @pytest.mark.parametrize("softmax", [False, True], ids=["logits", "softmax"])
     @pytest.mark.parametrize("tau", [1, 2, 3, 8])
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
-    def test_every_push_and_finish_equals_batch(self, monkeypatch, t, tau, softmax):
-        blocks = []  # each fold's input: an array for one full window, else a slab list
-        fold_mean = _kernels.fold_mean
-        monkeypatch.setattr(_kernels, "fold_mean",
-                            lambda slabs, out: blocks.append(isinstance(slabs, np.ndarray))
-                            or fold_mean(slabs, out))
+    def test_every_push_and_finish_equals_batch(self, t, tau, softmax):
         span = (t - 1) * tau
         rng = np.random.default_rng(100 * t + tau)
         # one frame short of a full window (no push folds one), exactly one, one past it
@@ -334,13 +373,34 @@ class TestStreamViewPath:
             backend = LogitsBackend(table, softmax)
             cfg = PipelineConfig(t=t, tau=tau)
             raw, _ = run_offline(cfg, backend)
-            session = StreamSession(cfg, backend)
-            blocks.clear()
-            pairs = [p for i in range(n) for p in session.push(i)]
-            assert blocks.count(True) == n - span, n  # every push from frame span on
-            pairs += session.finish()
-            assert blocks.count(True) == n - span, n  # finish folds slabs
+            keys, _, pairs = observed_session(cfg, backend, n)
+            want = window_reads(t, tau, n)
+            assert sum(isinstance(key, slice) for key in keys) == n - span, n
+            assert [key if isinstance(key, slice) else key.tolist() for key in keys] == \
+                [w if isinstance(w, slice) else w.tolist() for w in want], n
             assert pairs == list(enumerate(raw.tolist())), n
+
+    @pytest.mark.parametrize("c", [1, 6])
+    @pytest.mark.parametrize("t, tau", [(3, 1), (3, 2), (8, 2), (13, 1)])
+    def test_every_window_mean_is_the_oldest_first_fold(self, t, tau, c):
+        # 1e16 + 1 rounds back to 1e16, so a window's sum depends on the order its
+        # rows are added in: every push's and finish's mean must be the oldest-first
+        # fold's bytes, at one class too, where no label could show it. The table is
+        # drawn until a clamped window at each end sums differently newest first.
+        n, span, lag = (t - 1) * tau + 12, (t - 1) * tau, prediction_lag(t, tau)
+        idx = np.array([np.arange(n)[w] if isinstance(w, slice) else w
+                        for w in window_reads(t, tau, n)])
+        rng = np.random.default_rng(t * tau * c)
+        for _ in range(1000):
+            table = rng.choice([1e16, 1.0, -1e16], size=(n, c))
+            want = gather_mean_ref(table, idx)
+            differs = np.any(gather_mean_ref(table, idx[:, ::-1]) != want, axis=1)
+            if differs[:span - lag].any() and differs[n - lag:].any():
+                break
+        else:
+            pytest.fail("no draw adds a clamped window at each end order-sensitively")
+        _, means, _ = observed_session(PipelineConfig(t=t, tau=tau), LogitsBackend(table), n)
+        assert [row.tobytes() for row in means] == [row.tobytes() for row in want]
 
     def test_exact_ties_go_to_the_first_class(self):
         # T=2, tau=1: middle m's window is frames m and min(m + 1, 4). Every window's

@@ -92,6 +92,23 @@ class TestRunLength:
         with pytest.raises(ValueError, match=f"^label {re.escape(bad)} does not fit int64$"):
             as_timeline(labels)
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([2**64], "18446744073709551616 at frame 0 does not fit int64"),
+        ([0, -2**63 - 1], "-9223372036854775809 at frame 1 does not fit int64"),
+        (np.array([-1, 2**63], dtype=object), "9223372036854775808 at frame 1 does not fit int64"),
+        ([1, "a"], "'a' at frame 1 is neither an integer nor a float"),
+        ([None], "None at frame 0 is neither an integer nor a float"),
+        ([3, 2.5, None], "2.5 at frame 1 is not a whole number"),
+        (np.array(["1"]), "'1' at frame 0 is neither an integer nor a float")])
+    def test_as_timeline_rejects_a_label_of_an_object_array(self, labels, bad):
+        # each failed in np.isfinite with numpy's TypeError, naming no frame
+        with pytest.raises(ValueError, match=f"^label {re.escape(bad)}$"):
+            as_timeline(labels)
+
+    def test_as_timeline_keeps_whole_labels_of_an_object_array(self):
+        got = as_timeline(np.array([3, 2.0, np.int64(24), 2**63 - 1, -2**63], dtype=object))
+        assert got.dtype == np.int64 and got.tolist() == [3, 2, 24, 2**63 - 1, -2**63]
+
     @pytest.mark.filterwarnings("error")
     def test_as_timeline_keeps_int64_extremes(self):
         top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
