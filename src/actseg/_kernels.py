@@ -61,22 +61,31 @@ def levenshtein(a, b):
     in Python ints, so a column costs a few big-int operations instead of
     a loop over its cells, and the loop runs over the shorter sequence's
     columns.
+
+    The columns look up only the shorter sequence's symbols, so a match mask
+    is built per symbol of it: one bitwise_or.at sets the bits of every
+    matching position in a (symbols, ceil(m/8)) byte table, and each row
+    becomes one little-endian int. That is cheap for a small alphabet, such as
+    a class set; with thousands of distinct symbols the table dominates.
     """
-    a = np.asarray(a, dtype=np.int64).tolist()
-    b = np.asarray(b, dtype=np.int64).tolist()
-    if len(a) < len(b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.size < b.size:
         a, b = b, a
-    m = len(a)
-    if m == 0:
-        return len(b)
-    peq = {}                       # symbol -> bit i set where a[i] is that symbol
-    for i, sym in enumerate(a):
-        peq[sym] = peq.get(sym, 0) | (1 << i)
+    m = a.size
+    if b.size == 0:
+        return m
+    syms, cols = np.unique(b, return_inverse=True)
+    row = np.searchsorted(syms, a).clip(max=syms.size - 1)
+    at = np.flatnonzero(syms[row] == a)  # the positions of a whose symbol is in b
+    table = np.zeros((syms.size, (m + 7) // 8), np.uint8)
+    np.bitwise_or.at(table, (row[at], at >> 3), np.left_shift(1, at & 7).astype(np.uint8))
+    peq = [int.from_bytes(r.tobytes(), "little") for r in table]  # bit i: a[i] is the symbol
     full = (1 << m) - 1
     top = 1 << (m - 1)
     vp, vn, dist = full, 0, m      # column 0: D[i][0] = i, all vertical deltas +1
-    for sym in b:
-        eq = peq.get(sym, 0)
+    for col in cols.tolist():
+        eq = peq[col]
         xv = eq | vn
         xh = ((((eq & vp) + vp) ^ vp) | eq) & full
         hp = vn | (full ^ (xh | vp))
@@ -102,11 +111,15 @@ def fold_mean(slabs, out):
     defined as the same fold (the same IEEE adds in the same order): that is
     what keeps stream and batch labels byte-identical. Here slabs are added one
     by one into out, because accumulate over 1,024 rows takes 8-9 times as
-    long. np.add.reduce and sum do not document their summation order, so they
-    are not used.
+    long; the first add writes s0 + s1 straight into out, and only a single
+    slab is copied. np.add.reduce and sum do not document their summation
+    order, so they are not used.
     """
-    out[...] = slabs[0]
-    for slab in slabs[1:]:
+    if len(slabs) == 1:
+        out[...] = slabs[0]
+    else:
+        np.add(slabs[0], slabs[1], out=out)
+    for slab in slabs[2:]:
         out += slab
     out /= len(slabs)
     return out

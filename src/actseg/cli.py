@@ -7,6 +7,7 @@ explicit flags override it.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -222,7 +223,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The actseg argument parser, built once per process and shared by every main call:
+    parse with it, never mutate it."""
     parser = _Parser(prog="actseg",
                      description="Real-time action segmentation engine: sliding-window "
                                  "inference, label cleaning, segmental evaluation.")

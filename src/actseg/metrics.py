@@ -110,12 +110,27 @@ def _claimed(pairs, threshold):
     or consumes, and a candidate below the threshold is never the claimed
     one: if any candidate reaches the threshold, the maximum does. The scan
     therefore only visits the overlap pairs at or above the threshold.
+
+    A ground-truth run that two or more predictions reach is shared, and a
+    prediction reaching one is contested. No other prediction can take an
+    uncontested prediction's candidates, so it claims its first best-IoU pair
+    whatever the order; those claims are settled at once, and the greedy scan
+    runs over the contested predictions alone. Every prediction reaching a
+    shared run is among them, so order and ties still decide each contested
+    claim. The claimed runs come in no particular order: callers count them.
     """
     if not 0 < threshold <= 1:  # NaN fails too
         raise ValueError(f"IoU threshold must be in (0, 1], got {threshold}")
     pair_p, pair_g, iou = pairs
     keep = iou >= threshold
-    pp, pg, pi = pair_p[keep].tolist(), pair_g[keep].tolist(), iou[keep].tolist()
+    pp, pg, pi = pair_p[keep], pair_g[keep], iou[keep]
+    if not pp.size:
+        return pg
+    contested = np.zeros(pp[-1] + 1, bool)
+    contested[pp[np.bincount(pg)[pg] > 1]] = True
+    alone = ~contested[pp]
+    settled = _first_best(pp[alone], pg[alone], pi[alone])
+    pp, pg, pi = pp[~alone].tolist(), pg[~alone].tolist(), pi[~alone].tolist()
     used = set()
     k, n = 0, len(pp)
     while k < n:
@@ -126,7 +141,17 @@ def _claimed(pairs, threshold):
             k += 1
         if best_g >= 0:
             used.add(best_g)
-    return np.fromiter(used, dtype=np.int64, count=len(used))
+    return np.concatenate((settled, np.fromiter(used, dtype=np.int64, count=len(used))))
+
+
+def _first_best(pair_p, pair_g, iou):
+    """Each prediction's first ground-truth run of maximal IoU, over pairs grouped by prediction."""
+    if not pair_p.size:
+        return pair_g
+    new = np.r_[True, pair_p[1:] != pair_p[:-1]]
+    best = np.maximum.reduceat(iou, np.flatnonzero(new))[np.cumsum(new) - 1]
+    hit = np.flatnonzero(iou == best)
+    return pair_g[hit[np.r_[True, pair_p[hit[1:]] != pair_p[hit[:-1]]]]]
 
 
 def _f1_pct(tp, fp, fn) -> float:

@@ -53,8 +53,11 @@ def as_timeline(labels) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"timeline must be 1-d, got shape {arr.shape}")
     kind = arr.dtype.kind
-    if kind not in "biuf":  # objects (Python ints past uint64, None), strings, ...
-        # a list's own items: np.asarray turns [1, "a"] into strings
+    # objects (Python ints past uint64, None), strings, ..., and a list whose float64 form
+    # may have rounded an integer past 2**53 are checked item by item, on the list's own
+    # items: np.asarray turns [1, "a"] into strings and [2**53 + 1, 2.0] into [2**53, 2.0]
+    if kind not in "biuf" or (kind == "f" and not isinstance(labels, np.ndarray)
+                              and np.abs(arr).max(initial=0) >= 2**53):
         values = arr.tolist() if isinstance(labels, np.ndarray) else labels
         return np.array([whole_label(v, i) for i, v in enumerate(values)], dtype=np.int64)
     if kind not in "iu":  # the int64 cast would truncate a fraction
@@ -246,7 +249,10 @@ def _write_int_csv(path, header, columns) -> None:
         at += digits
         buf[:, at] = ord(",")
         at += 1
-    buf[:, -2:] = (ord("\r"), ord("\n"))  # over the last column's comma
+    # over the last column's comma, by two scalar fills: broadcasting one (CR, LF) pair
+    # over the rows takes about six times as long
+    buf[:, -2] = ord("\r")
+    buf[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"{','.join(header)}\r\n".encode())
         fh.write(buf[keep])

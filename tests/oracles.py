@@ -59,12 +59,12 @@ def iou_ref(s1, e1, s2, e2):
     return inter / union
 
 
-def greedy_match_ref(pred_runs, gt_runs, threshold):
-    """(tp, fp, fn) under the matching rule: each prediction, in temporal
-    order, scans every unconsumed ground-truth run of its class and claims
-    the best-IoU one (earliest on ties) if it clears the threshold."""
+def greedy_claims_ref(pred_runs, gt_runs, threshold):
+    """Indices of the ground-truth runs claimed under the matching rule: each
+    prediction, in temporal order, scans every unconsumed ground-truth run of
+    its class and claims the best-IoU one (earliest on ties) if it clears the
+    threshold."""
     used = [False] * len(gt_runs)
-    tp = fp = 0
     for pc, ps, pe in pred_runs:
         best_iou, best_idx = -1.0, None
         for gi, (gc, gs, ge) in enumerate(gt_runs):
@@ -74,12 +74,15 @@ def greedy_match_ref(pred_runs, gt_runs, threshold):
             if iou > best_iou:
                 best_iou, best_idx = iou, gi
         if best_idx is not None and best_iou >= threshold:
-            tp += 1
             used[best_idx] = True
-        else:
-            fp += 1
-    fn = used.count(False)
-    return tp, fp, fn
+    return [gi for gi, u in enumerate(used) if u]
+
+
+def greedy_match_ref(pred_runs, gt_runs, threshold):
+    """(tp, fp, fn) under the matching rule of greedy_claims_ref: a prediction
+    that claims nothing is a false positive."""
+    tp = len(greedy_claims_ref(pred_runs, gt_runs, threshold))
+    return tp, len(pred_runs) - tp, len(gt_runs) - tp
 
 
 def f1_pct_ref(tp, fp, fn):

@@ -1037,6 +1037,27 @@ class TestSynth:
         assert a_path.read_text() == b_path.read_text()
 
 
+class TestSharedParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, tmp_path):
+        # every main call parses with the one parser: a repeated flag, a usage error
+        # and a global flag of one call must leave the next call's arguments alone
+        gt, raw = tmp_path / "gt.csv", tmp_path / "raw.csv"
+        write_timeline_csv(gt, np.repeat([0, 3, 7], 400))
+        write_timeline_csv(raw, np.repeat([0, 3, 7, 3], 300))
+        once = ["sweep-kappa", "--raw", str(raw), "--gt", str(gt)]
+        first = json_out(capsys, *once)
+        second = json_out(capsys, *once, "--raw", str(gt), "--gt", str(gt))
+        with pytest.raises(SystemExit) as usage:
+            main(["sweep-kappa", "--raw", str(raw)])
+        assert usage.value.code == 1
+        code, out, _ = run_cli(capsys, "--pretty", *once)
+        assert code == 0 and out.startswith("{\n  ")
+        assert json_out(capsys, *once) == first != second
+
+
 def run_entry_point(cwd, *argv):
     """Run ``python -m actseg`` in a child interpreter on the source this process imported."""
     src = str(Path(actseg.__file__).resolve().parent.parent)

@@ -52,11 +52,17 @@ def test_levenshtein_word_boundaries(m):
 
 
 def test_levenshtein_symbols_on_one_side_only():
-    # symbols of b absent from a, and of a absent from b
-    a = [0, 1, 2, 0, 1, 2, 0]
-    b = [7, 1, 8, 9, 2, 7]
-    assert _kernels.levenshtein(a, b) == levenshtein_ref(a, b)
-    assert _kernels.levenshtein(b, a) == levenshtein_ref(a, b)
+    # symbols of b absent from a, and of a absent from b; masks are built only for
+    # the shorter side's symbols, over a longer side of more than one 64-bit word:
+    # none shared, some shared, and many symbols with few shared
+    cases = [([0, 1, 2, 0, 1, 2, 0], [7, 1, 8, 9, 2, 7]),
+             (lcg_symbols(130, 5, 6), [7, 8, 9] * 10),
+             (lcg_symbols(130, 5, 7), [s + 3 for s in lcg_symbols(50, 5, 8)]),
+             (lcg_symbols(130, 300, 9), lcg_symbols(90, 600, 10))]
+    for a, b in cases:
+        want = levenshtein_ref(a, b)
+        assert _kernels.levenshtein(a, b) == want
+        assert _kernels.levenshtein(b, a) == want
     assert _kernels.levenshtein([5] * 65, [6] * 3) == 65
 
 

@@ -22,15 +22,16 @@ from actseg.cleaning import (ClassStats, CleanerConfig, StreamCleaner, clean_tim
                              compute_class_stats)
 from actseg.cli import main
 from actseg.grid import FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm
-from actseg.metrics import (IOU_THRESHOLDS, EvalConfig, edit_score, evaluate, f1_at_iou,
-                            frame_accuracy, per_class_f1)
+from actseg.metrics import (IOU_THRESHOLDS, EvalConfig, _both_scored_runs, _claimed,
+                            _overlap_pairs, edit_score, evaluate, f1_at_iou, frame_accuracy,
+                            per_class_f1)
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
                              training_clip, window_offsets)
 from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, encode_runs, read_timeline_csv,
                              timeline_from_segments)
 from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
-                     greedy_match_ref, predict_clip_ref, rle_ref)
+                     greedy_claims_ref, greedy_match_ref, predict_clip_ref, rle_ref)
 
 
 def run_lists(n_classes, max_len=12, max_runs=40):
@@ -256,11 +257,74 @@ def scored_pairs(draw):
     return alphabet[pred[:n]], alphabet[gt[:n]], threshold
 
 
+def _cat(*pieces):
+    """A timeline of (label, length) pieces."""
+    return np.array([c for c, n in pieces for _ in range(n)], dtype=np.int64)
+
+
+BG = BACKGROUND_ID
+# (pred, gt) pairs pinned for the matching, each scored at 0.1, 0.25 and 0.5 with
+# background ignored. Two disjoint runs of one class cannot both reach IoU 0.5
+# against one run, so IoU exactly 0.5 comes from halves of another class, and
+# ties between candidates fall below it.
+CLAIM_CASES = [
+    # a ground-truth run split into two predicted halves, one of its class: IoU 0.5
+    (_cat((0, 4), (1, 4)), _cat((0, 8))),
+    # the reverse: a predicted run over two ground-truth halves
+    (_cat((0, 8)), _cat((0, 4), (1, 4))),
+    # two predicted halves tie at IoU 4/9 for one ground-truth run: the earlier claims it
+    (_cat((0, 4), (BG, 1), (0, 4)), _cat((0, 9))),
+    # one prediction ties at IoU 4/9 with two ground-truth halves: it claims the earlier
+    (_cat((0, 9)), _cat((0, 4), (BG, 1), (0, 4))),
+    # uncontested and contested predictions interleaved: class 0 and 2 runs alone on
+    # their ground truth, two class 1 runs sharing each class 1 ground-truth run
+    (_cat((0, 6), (1, 3), (BG, 1), (1, 2), (2, 5), (3, 1), (1, 2), (BG, 1), (1, 3), (0, 6)),
+     _cat((0, 6), (1, 6), (2, 6), (1, 6), (0, 6))),
+    # a prediction reaching a shared run and a run of its own; at 0.25 and above the
+    # shared run drops out and both predictions are alone
+    (_cat((0, 7), (BG, 1), (0, 7)), _cat((0, 4), (BG, 1), (0, 4), (BG, 2), (0, 4))),
+    # no same-class overlap at all, and an overlap of IoU 0.1 kept only at 0.1
+    (_cat((0, 10)), _cat((1, 10))),
+    (_cat((0, 1), (1, 9)), _cat((0, 10))),
+]
+# pinned for the edit distance: the run labels of a side longer than one 64-bit
+# word against a side whose symbols the longer one lacks (all, or some), and
+# sides that are empty once background is dropped
+EDIT_CASES = [
+    (_cat(*[(k % 2, 1) for k in range(130)]), _cat(*[(2 + k % 2, 5) for k in range(26)])),
+    (_cat(*[(k % 3, 1) for k in range(130)]), _cat(*[(3 * (k % 2), 5) for k in range(26)])),
+    (_cat(*[(k % 2, 1) for k in range(70)]), _cat((BG, 70))),
+    (_cat((BG, 70)), _cat(*[(k % 2, 1) for k in range(70)])),
+    (_cat((BG, 5)), _cat((BG, 5))),
+]
+
+
+def triples(runs):
+    """Runs (starts, ends, labels) as the oracles' (label, start, end) triples."""
+    starts, ends, labels = (a.tolist() for a in runs)
+    return list(zip(labels, starts, ends))
+
+
+def with_pinned_cases(test):
+    for pred, gt in CLAIM_CASES:
+        for threshold in (0.1, 0.25, 0.5):
+            test = example((pred, gt, threshold), True)(test)
+    for pred, gt in EDIT_CASES:
+        test = example((pred, gt, 0.5), True)(test)
+    return test
+
+
+@with_pinned_cases
 @given(scored_pairs(), st.booleans())
 def test_metrics_equal_oracles(case, ignore_background):
     pred, gt, threshold = case
     cfg = EvalConfig(ignore_background=ignore_background)
     p, g = pred.tolist(), gt.tolist()
+
+    # the claimed ground-truth runs themselves, not only their count
+    pr, gr = _both_scored_runs(pred, gt, cfg)
+    claimed = _claimed(_overlap_pairs(pr, gr, pred.size), threshold)
+    assert sorted(claimed.tolist()) == greedy_claims_ref(triples(pr), triples(gr), threshold)
 
     assert f1_at_iou(pred, gt, threshold, cfg) == \
         f1_at_iou_ref(p, g, threshold, ignore_background, BACKGROUND_ID)

@@ -86,7 +86,12 @@ class TestRunLength:
                                              ([0.0, -1e19], "-1e+19 at frame 1"),
                                              ([2.0**63], "9.223372036854776e+18 at frame 0"),
                                              (np.array([0, 2**63], np.uint64),
-                                              "9223372036854775808 at frame 1")])
+                                              "9223372036854775808 at frame 1"),
+                                             # arrays keep the vector check, where lists of
+                                             # large floats are checked item by item
+                                             (np.array([0.0, 2.0**63]),
+                                              "9.223372036854776e+18 at frame 1"),
+                                             (np.array([-1e19]), "-1e+19 at frame 0")])
     def test_as_timeline_rejects_a_label_past_int64(self, labels, bad):
         # the cast made it int64's minimum, and frame_accuracy named that label
         with pytest.raises(ValueError, match=f"^label {re.escape(bad)} does not fit int64$"):
@@ -108,6 +113,19 @@ class TestRunLength:
     def test_as_timeline_keeps_whole_labels_of_an_object_array(self):
         got = as_timeline(np.array([3, 2.0, np.int64(24), 2**63 - 1, -2**63], dtype=object))
         assert got.dtype == np.int64 and got.tolist() == [3, 2, 24, 2**63 - 1, -2**63]
+
+    @pytest.mark.parametrize("labels, want", [
+        ([2**53 + 1, 2.0], [2**53 + 1, 2]),
+        ((1.0, -2**53 - 1), [1, -2**53 - 1]),
+        ([2**63 - 1, 0.0, 2.0**62], [2**63 - 1, 0, 2**62])])
+    def test_as_timeline_keeps_a_large_integer_of_a_list_with_floats(self, labels, want):
+        # np.asarray rounded it to float64 before any check: [2**53 + 1, 2.0] gave [2**53, 2]
+        got = as_timeline(labels)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_as_timeline_names_the_first_bad_item_of_a_large_list(self):
+        with pytest.raises(ValueError, match=r"^label 0\.5 at frame 1 is not a whole number$"):
+            as_timeline([2**60, 0.5, 2.0**64])
 
     @pytest.mark.filterwarnings("error")
     def test_as_timeline_keeps_int64_extremes(self):
