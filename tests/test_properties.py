@@ -257,11 +257,6 @@ def scored_pairs(draw):
     return alphabet[pred[:n]], alphabet[gt[:n]], threshold
 
 
-def _cat(*pieces):
-    """A timeline of (label, length) pieces."""
-    return np.array([c for c, n in pieces for _ in range(n)], dtype=np.int64)
-
-
 BG = BACKGROUND_ID
 # (pred, gt) pairs pinned for the matching, each scored at 0.1, 0.25 and 0.5 with
 # background ignored. Two disjoint runs of one class cannot both reach IoU 0.5
@@ -269,33 +264,37 @@ BG = BACKGROUND_ID
 # ties between candidates fall below it.
 CLAIM_CASES = [
     # a ground-truth run split into two predicted halves, one of its class: IoU 0.5
-    (_cat((0, 4), (1, 4)), _cat((0, 8))),
+    (timeline_of([(0, 4), (1, 4)]), timeline_of([(0, 8)])),
     # the reverse: a predicted run over two ground-truth halves
-    (_cat((0, 8)), _cat((0, 4), (1, 4))),
+    (timeline_of([(0, 8)]), timeline_of([(0, 4), (1, 4)])),
     # two predicted halves tie at IoU 4/9 for one ground-truth run: the earlier claims it
-    (_cat((0, 4), (BG, 1), (0, 4)), _cat((0, 9))),
+    (timeline_of([(0, 4), (BG, 1), (0, 4)]), timeline_of([(0, 9)])),
     # one prediction ties at IoU 4/9 with two ground-truth halves: it claims the earlier
-    (_cat((0, 9)), _cat((0, 4), (BG, 1), (0, 4))),
+    (timeline_of([(0, 9)]), timeline_of([(0, 4), (BG, 1), (0, 4)])),
     # uncontested and contested predictions interleaved: class 0 and 2 runs alone on
     # their ground truth, two class 1 runs sharing each class 1 ground-truth run
-    (_cat((0, 6), (1, 3), (BG, 1), (1, 2), (2, 5), (3, 1), (1, 2), (BG, 1), (1, 3), (0, 6)),
-     _cat((0, 6), (1, 6), (2, 6), (1, 6), (0, 6))),
+    (timeline_of([(0, 6), (1, 3), (BG, 1), (1, 2), (2, 5), (3, 1), (1, 2), (BG, 1), (1, 3),
+                  (0, 6)]),
+     timeline_of([(0, 6), (1, 6), (2, 6), (1, 6), (0, 6)])),
     # a prediction reaching a shared run and a run of its own; at 0.25 and above the
     # shared run drops out and both predictions are alone
-    (_cat((0, 7), (BG, 1), (0, 7)), _cat((0, 4), (BG, 1), (0, 4), (BG, 2), (0, 4))),
+    (timeline_of([(0, 7), (BG, 1), (0, 7)]),
+     timeline_of([(0, 4), (BG, 1), (0, 4), (BG, 2), (0, 4)])),
     # no same-class overlap at all, and an overlap of IoU 0.1 kept only at 0.1
-    (_cat((0, 10)), _cat((1, 10))),
-    (_cat((0, 1), (1, 9)), _cat((0, 10))),
+    (timeline_of([(0, 10)]), timeline_of([(1, 10)])),
+    (timeline_of([(0, 1), (1, 9)]), timeline_of([(0, 10)])),
 ]
 # pinned for the edit distance: the run labels of a side longer than one 64-bit
 # word against a side whose symbols the longer one lacks (all, or some), and
 # sides that are empty once background is dropped
 EDIT_CASES = [
-    (_cat(*[(k % 2, 1) for k in range(130)]), _cat(*[(2 + k % 2, 5) for k in range(26)])),
-    (_cat(*[(k % 3, 1) for k in range(130)]), _cat(*[(3 * (k % 2), 5) for k in range(26)])),
-    (_cat(*[(k % 2, 1) for k in range(70)]), _cat((BG, 70))),
-    (_cat((BG, 70)), _cat(*[(k % 2, 1) for k in range(70)])),
-    (_cat((BG, 5)), _cat((BG, 5))),
+    (timeline_of([(k % 2, 1) for k in range(130)]),
+     timeline_of([(2 + k % 2, 5) for k in range(26)])),
+    (timeline_of([(k % 3, 1) for k in range(130)]),
+     timeline_of([(3 * (k % 2), 5) for k in range(26)])),
+    (timeline_of([(k % 2, 1) for k in range(70)]), timeline_of([(BG, 70)])),
+    (timeline_of([(BG, 70)]), timeline_of([(k % 2, 1) for k in range(70)])),
+    (timeline_of([(BG, 5)]), timeline_of([(BG, 5)])),
 ]
 
 
