@@ -63,10 +63,10 @@ def levenshtein(a, b):
     columns.
 
     The columns look up only the shorter sequence's symbols, so a match mask
-    is built per symbol of it: one bitwise_or.at sets the bits of every
-    matching position in a (symbols, ceil(m/8)) byte table, and each row
-    becomes one little-endian int. That is cheap for a small alphabet, such as
-    a class set; with thousands of distinct symbols the table dominates.
+    is built per symbol of it: np.packbits of a == symbol, read as one
+    little-endian int. That costs symbols x m byte comparisons, cheap for a
+    small alphabet such as a class set; past a few hundred distinct symbols
+    the masks dominate.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -76,11 +76,9 @@ def levenshtein(a, b):
     if b.size == 0:
         return m
     syms, cols = np.unique(b, return_inverse=True)
-    row = np.searchsorted(syms, a).clip(max=syms.size - 1)
-    at = np.flatnonzero(syms[row] == a)  # the positions of a whose symbol is in b
-    table = np.zeros((syms.size, (m + 7) // 8), np.uint8)
-    np.bitwise_or.at(table, (row[at], at >> 3), np.left_shift(1, at & 7).astype(np.uint8))
-    peq = [int.from_bytes(r.tobytes(), "little") for r in table]  # bit i: a[i] is the symbol
+    # bit i: a[i] is the symbol; packbits pads the last byte with zeros
+    peq = [int.from_bytes(np.packbits(a == s, bitorder="little").tobytes(), "little")
+           for s in syms.tolist()]
     full = (1 << m) - 1
     top = 1 << (m - 1)
     vp, vn, dist = full, 0, m      # column 0: D[i][0] = i, all vertical deltas +1
@@ -105,9 +103,9 @@ def fold_mean(slabs, out):
     """Mean of T slabs, the left fold ((s0 + s1) + ...) / T, into out, a buffer the caller owns.
 
     slabs is a sequence of T (m, C) slabs; their mean is (m, C). Every window
-    mean of the offline path comes from here, so a row adds its window in the
-    same order whether its slab is sliced or gathered and whatever its block.
-    A StreamSession sums its one (T, C) window with np.add.accumulate, which is
+    mean of run_file and of StreamSession.finish comes from here, so a row adds
+    its window in one order whether its slab is sliced or gathered, in any block.
+    A StreamSession push sums its (T, C) window with np.add.accumulate, which is
     defined as the same fold (the same IEEE adds in the same order): that is
     what keeps stream and batch labels byte-identical. Here slabs are added one
     by one into out, because accumulate over 1,024 rows takes 8-9 times as

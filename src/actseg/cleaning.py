@@ -182,9 +182,8 @@ def clean_timeline(labels, cfg: CleanerConfig) -> np.ndarray:
 
 def _merged(starts, ends, labels):
     """Runs after joining neighbours of one label: (starts, ends, labels) again."""
-    head = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
-    tail = np.concatenate((head[1:] - 1, [labels.size - 1]))
-    return starts[head], ends[tail], labels[head]
+    head, tail, merged = encode_runs(labels)
+    return starts[head], ends[tail - 1], merged
 
 
 def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
@@ -193,17 +192,12 @@ def kappa_scores(timelines_raw, timelines_gt, cfg_base: CleanerConfig):
     Each raw and ground-truth timeline is run-length encoded once; per kappa
     the cleaned runs come from the raw runs directly, never as frames.
     """
-    raws = [as_timeline(t) for t in timelines_raw]
-    gts = [as_timeline(t) for t in timelines_gt]
+    raws, gts = list(timelines_raw), list(timelines_gt)
     if not raws or len(raws) != len(gts):
         raise ValueError(f"need matching raw/gt timelines, got {len(raws)} vs {len(gts)}")
     eval_cfg = metrics.EvalConfig(ignore_background=True)
-    pairs = []
-    for r, g in zip(raws, gts):
-        if r.size != g.size:
-            raise ValueError(f"length mismatch: {r.size} vs {g.size}")
-        pairs.append((_label_runs(r, cfg_base),
-                      metrics._scored_runs(encode_runs(g), eval_cfg), r.size))
+    pairs = [(_label_runs(r, cfg_base), metrics._scored_runs(encode_runs(g), eval_cfg), r.size)
+             for r, g in map(metrics._aligned, raws, gts)]
     scores = {}
     for kappa in SWEEP_KAPPAS:
         cfg = dataclasses.replace(cfg_base, kappa=kappa)

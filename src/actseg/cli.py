@@ -61,17 +61,16 @@ def _check_frames(path, frames, other_path, other_frames) -> None:
         raise ValueError(f"{path} has {frames} frames, but {other_path} has {other_frames}")
 
 
-def _load_stats(args, fps):
-    if args.stats:
-        return cleaning.read_class_stats(args.stats)
-    return refstats.reference_class_stats(fps)
-
-
-def _warn_uncovered(cfg):
-    uncovered = sorted(set(range(cfg.num_classes)) - set(cfg.stats))
+def _cleaner(args, kappa, fps, num_classes):
+    """The cleaner of --stats (the reference stats if omitted); warns of classes without stats."""
+    stats = (cleaning.read_class_stats(args.stats) if args.stats
+             else refstats.reference_class_stats(fps))
+    cfg = cleaning.CleanerConfig(kappa, stats, fps, num_classes=num_classes)
+    uncovered = sorted(set(range(num_classes)) - set(stats))
     if uncovered:
         print(f"actseg: warning: no length stats for classes {', '.join(map(str, uncovered))};"
               " their runs are never cleaned", file=sys.stderr)
+    return cfg
 
 
 # ---------------------------------------------------------------- commands
@@ -113,9 +112,7 @@ def _cmd_run(args) -> int:
                 raise ValueError(f"{args.logits}: {num_classes} classes, but cleaning needs"
                                  f" background class {timeline.BACKGROUND_ID}; pass --no-clean"
                                  " to run without it")
-            cleaner = cleaning.CleanerConfig(kappa, _load_stats(args, fps), fps,
-                                             num_classes=num_classes)
-            _warn_uncovered(cleaner)
+            cleaner = _cleaner(args, kappa, fps, num_classes)
         cfg = pipeline.PipelineConfig(t, tau, fps, num_classes, cleaner)
         raw, cleaned = pipeline.run_file(cfg, logits)
 
@@ -150,9 +147,7 @@ def _cmd_sweep_kappa(args) -> int:
         _check_frames(raw_path, raw.size, gt_path, gt.size)
     # the label space spans every label read, as actseg run's spans the logits' classes
     num_classes = max(timeline.NUM_CLASSES, *(int(t.max()) + 1 for t in raws + gts))
-    base = cleaning.CleanerConfig(1.0, _load_stats(args, fps), fps, num_classes=num_classes)
-    _warn_uncovered(base)
-    scores = cleaning.kappa_scores(raws, gts, base)
+    scores = cleaning.kappa_scores(raws, gts, _cleaner(args, 1.0, fps, num_classes))
     best = cleaning.best_kappa(scores)
     _emit(args, {"best_kappa": best, "scores": {f"{k:.1f}": v for k, v in scores.items()}})
     return 0
@@ -179,9 +174,7 @@ def _cmd_enhance_demo(args) -> int:
         print(f"footprint = {rows}x{cols} at (row {off_y}, col {off_x})")
         for line in payload["mask"]:
             print(line)
-        if args.out:
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    else:
+    if args.out or not args.pretty:  # --pretty prints the walkthrough, and --out keeps the JSON
         _emit(args, payload)
     return 0
 

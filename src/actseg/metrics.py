@@ -148,10 +148,9 @@ def _first_best(pair_p, pair_g, iou):
     """Each prediction's first ground-truth run of maximal IoU, over pairs grouped by prediction."""
     if not pair_p.size:
         return pair_g
-    new = np.r_[True, pair_p[1:] != pair_p[:-1]]
-    best = np.maximum.reduceat(iou, np.flatnonzero(new))[np.cumsum(new) - 1]
-    hit = np.flatnonzero(iou == best)
-    return pair_g[hit[np.r_[True, pair_p[hit[1:]] != pair_p[hit[:-1]]]]]
+    starts, ends, _ = encode_runs(pair_p)  # each prediction's block of pairs
+    hit = np.flatnonzero(iou == np.repeat(np.maximum.reduceat(iou, starts), ends - starts))
+    return pair_g[hit[encode_runs(pair_p[hit])[0]]]
 
 
 def _f1_pct(tp, fp, fn) -> float:

@@ -5,11 +5,11 @@ The one offline loop, run_file, labels its rows in blocks through
 _window_labels, whose T slabs are slices of a buffer that its reader fills a
 block at a time, run_offline's from the backend's table with no second check;
 only a slab that passes an end gathers, and _kernels.fold_mean adds the slabs.
-The streaming session labels one row per push: it folds the strided slice of its
-window once a full window has been pushed, and one gather of the clamped frames
-before that and in finish, with np.add.accumulate into buffers built once. Both
-folds add a window's rows oldest first and divide by T, the same IEEE operations
-in the same order, so stream and batch labels are byte-identical by construction.
+A stream push folds the strided slice of its window once a full window has been
+pushed, and one gather of the clamped frames before that, with np.add.accumulate
+into buffers built once; finish labels the trailing middles with one _window_labels
+call. Both folds add a window's rows oldest first and divide by T, the same IEEE
+operations in the same order, so stream and batch labels are byte-identical.
 A frame's raw prediction is computable exactly floor(T/2)*tau pushes after the
 frame itself, and the cleaner adds at most its largest class threshold on top.
 """
@@ -165,21 +165,18 @@ class StreamSession:
         return self._cleaner.push(middle, label)
 
     def finish(self):
-        """Drain trailing middles (their windows clamp at the last frame) and flush the cleaner."""
+        """Drain the trailing middles as run_file labels its last block, by one _window_labels
+        call with the windows clamped at the last frame pushed; then flush the cleaner."""
         if self._finished:
             raise RuntimeError("session already finished")
         self._finished = True
-        out = []
-        last = self._pushed - 1
-        # push emitted every middle before pushed - lag
-        for middle in range(max(0, self._pushed - self._lag), self._pushed):
-            np.add.accumulate(self._table[np.clip(middle + self._offsets, 0, last)], axis=0,
-                              out=self._acc)
-            label = int(np.divide(self._sum, self._t, out=self._row).argmax())
-            out.extend([(middle, label)] if self._cleaner is None
-                       else self._cleaner.push(middle, label))
+        n = self._pushed
+        lo = max(0, n - self._lag)  # push emitted every middle before lo
+        labels = _window_labels(self._table, lo, n, n, self._offsets.tolist(),
+                                np.empty((n - lo, self._row.size)))
+        out = list(enumerate(labels.tolist(), lo))
         if self._cleaner is not None:
-            out.extend(self._cleaner.flush())
+            out = [p for pair in out for p in self._cleaner.push(*pair)] + self._cleaner.flush()
         return out
 
 

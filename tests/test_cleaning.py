@@ -374,6 +374,21 @@ class TestSweep:
         assert scores == want
         assert len(set(scores.values())) > 3
 
+    def test_pinned_runs_equal_frame_by_frame_oracle(self):
+        # thresholds of 14-16 frames: after a surviving run of class 0, one-frame runs
+        # all clean to 0, so every cleaned run has one label and they merge into one;
+        # 40-frame runs alternating between two classes all survive, so none merges
+        cfg = CleanerConfig(stats={c: ClassStats(c, 5, 18.0, 2.0) for c in (0, 1, 2, 3)})
+        one_label = np.r_[[0] * 30, np.tile([1, 2, 3, 0], 40)]
+        alternating = np.repeat(np.tile([0, 1], 10), 40)
+        raws = [one_label, alternating, np.r_[alternating, one_label]]
+        gts = [np.r_[[0] * 30, [1] * 160], alternating, np.r_[alternating, [0] * 190]]
+        want = kappa_scores_ref([r.tolist() for r in raws], [g.tolist() for g in gts],
+                                SWEEP_KAPPAS,
+                                lambda k, c: dataclasses.replace(cfg, kappa=k).threshold_for(c),
+                                BACKGROUND_ID)
+        assert kappa_scores(raws, gts, cfg) == want
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
             kappa_scores([[0, 0, 0]], [[0, 0]], CleanerConfig())

@@ -772,6 +772,30 @@ class TestEnhanceDemo:
         assert code == 0
         assert "footprint = 20x20 at (row 18, col 18)" in out
 
+    def test_pretty_walkthrough_shows_the_report(self, capsys, tmp_path):
+        # the walkthrough prints the JSON report's values, and --out still writes the
+        # report itself, indented
+        geom, path = tmp_path / "geom.txt", tmp_path / "demo.json"
+        geom.write_text(GEOMETRY)
+        report = json_out(capsys, "enhance-demo", "--geometry", str(geom))
+        code, out, err = run_cli(capsys, "--pretty", "--out", str(path), "enhance-demo",
+                                 "--geometry", str(geom))
+        assert (code, err) == (0, "")
+        fp = report["footprint"]
+        assert out.splitlines() == [
+            *(f"{key} = {report[key]:.6f}" for key in ("norm_w", "norm_h", "norm_x", "norm_y")),
+            f"footprint = {fp['rows']}x{fp['cols']} at (row {fp['off_y']}, col {fp['off_x']})",
+            *report["mask"]]
+        assert path.read_text() == json.dumps(report, indent=2) + "\n"
+
+    def test_one_cell_grid(self, capsys, tmp_path):
+        geom = tmp_path / "geom.txt"
+        geom.write_text(GEOMETRY)
+        report = json_out(capsys, "enhance-demo", "--geometry", str(geom), "--backbone-h", "1",
+                          "--backbone-w", "1")
+        assert report["footprint"]["rows"] == report["footprint"]["cols"] == 1
+        assert report["mask"] == ["1"]
+
     @pytest.mark.parametrize("value", ["abc", "1e400", "1920.9", "nan", "9_20",
                                        "\u0669\u0662\u0660"])
     def test_bad_pixel_value_names_line(self, capsys, tmp_path, value):

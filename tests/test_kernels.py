@@ -38,10 +38,11 @@ def lcg_symbols(n, k, seed):
     return out
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1000])
 def test_levenshtein_word_boundaries(m):
-    # the bit vectors span the longer side: m frames at and around one 64-bit
-    # word, and one of many words, against a shorter side, then a longer one
+    # the bit vectors span the longer side: m frames at and around one byte (a mask
+    # is packed to whole bytes) and one 64-bit word, and one of many words, against
+    # a shorter side, then a longer one
     for seed in range(3 if m < 1000 else 1):
         a = lcg_symbols(m, 5, seed)
         for other in (m // 2, m + 37):
@@ -59,6 +60,10 @@ def test_levenshtein_symbols_on_one_side_only():
              (lcg_symbols(130, 5, 6), [7, 8, 9] * 10),
              (lcg_symbols(130, 5, 7), [s + 3 for s in lcg_symbols(50, 5, 8)]),
              (lcg_symbols(130, 300, 9), lcg_symbols(90, 600, 10))]
+    # negative labels, with a shorter-side symbol (-9) the longer side lacks, over a
+    # longer side just under, at and just over two whole bytes
+    cases += [([s - 3 for s in lcg_symbols(m, 5, m)], [-9] + [s - 3 for s in lcg_symbols(7, 5, 1)])
+              for m in (15, 16, 17)]
     for a, b in cases:
         want = levenshtein_ref(a, b)
         assert _kernels.levenshtein(a, b) == want

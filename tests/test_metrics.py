@@ -229,9 +229,19 @@ class TestSegmentLevelF1:
         # spurious class 9 costs class-1 recall (fn) but adds no class-9 row
         assert segment_level_f1([9, 1], [1, 1]) == pytest.approx(200 / 3)
 
+    def test_macro_counts_false_positives(self):
+        # class 0: tp 1, fp 1, fn 0 -> 2/3; class 1: tp 2, fp 0, fn 1 -> 4/5
+        assert segment_level_f1([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx((200 / 3 + 80) / 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             segment_level_f1([], [])
+
+    @pytest.mark.parametrize("pred, gt", [([0, 1], [0]), ([[0, 1]], [[0, 1]])],
+                             ids=["lengths_differ", "two_d"])
+    def test_misaligned_or_not_one_d_rejected(self, pred, gt):
+        with pytest.raises(ValueError, match="^aligned 1-d label lists required"):
+            segment_level_f1(pred, gt)
 
 
 class TestEvaluate:

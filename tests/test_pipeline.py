@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from actseg import _kernels
+from actseg import _kernels, pipeline
 from actseg.classify import (LogitsBackend, LogitsReader, NoiseModel, make_synthetic_backend,
                              one_hot_logits, write_logits_binary)
 from actseg.cleaning import ClassStats, CleanerConfig, clean_timeline
@@ -253,12 +253,14 @@ class TestStreamSession:
                 assert stream_all(cfg, backend).tobytes() == cleaned.tobytes()
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
-    @pytest.mark.parametrize("t", [3, 5, 8])
+    @pytest.mark.parametrize("t", [1, 3, 5, 8])
     def test_finished_early_equals_batch_of_the_frames_pushed(self, t, tau):
-        # finish clamps every window at the last frame pushed, not the backend's last
+        # finish clamps every window at the last frame pushed, not the backend's last;
+        # pinned: finished before any push, and before a push has labelled a frame
         rng = np.random.default_rng(10 * t + tau)
         cfg, backend = PipelineConfig(t=t, tau=tau), LogitsBackend(rng.normal(size=(300, 25)))
-        for seq_len in range(1, 300, 7):
+        assert stream_all(cfg, backend, 0).size == 0
+        for seq_len in [*range(1, 300, 7), *range(1, prediction_lag(t, tau))]:
             want = run_offline(cfg, backend, seq_len)[0]
             assert stream_all(cfg, backend, seq_len).tolist() == want.tolist(), seq_len
 
@@ -332,37 +334,61 @@ class _Reads(np.ndarray):
 
 
 def observed_session(cfg, backend, n):
-    """Push frames 0..n-1 through a session and finish it. Returns the key of each
-    window's read of the table, each window's mean row, and the pairs emitted."""
+    """Push frames 0..n-1 through a session and finish it. Returns the key of each of
+    its reads of the table, the mean row of each window it labels, oldest middle
+    first, and the pairs emitted."""
     reads = backend.table.view(_Reads)
     reads.log = []
     session = StreamSession(cfg, SimpleNamespace(table=reads, num_frames=backend.num_frames,
                                                  num_classes=backend.num_classes))
     reads.row = session._row
-    pairs = [p for i in range(n) for p in session.push(i)] + session.finish()
-    keys = [key for key, _ in reads.log]
-    # a read logs the row the fold before it left, and the last fold's row is still there
-    means = [row for _, row in reads.log[1:]] + [session._row.copy()]
-    return keys, means, pairs
+    pairs = [p for i in range(n) for p in session.push(i)]
+    # a push's read logs the row the fold before it left, and the last fold's row is
+    # still there; no push folds before frame lag
+    means = [row for _, row in reads.log[1:]] + ([session._row.copy()] if reads.log else [])
+    window_labels = pipeline._window_labels
+
+    def spy(table, lo, hi, n, shifts, buf):
+        labels = window_labels(table, lo, hi, n, shifts, buf)
+        means.extend(buf.copy())  # finish's window means, oldest middle first, and no more
+        return labels
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_window_labels", spy)
+        pairs += session.finish()
+    return [key for key, _ in reads.log], means, pairs
 
 
-def window_reads(t, tau, n):
-    """What a session of n frames reads per window, middle by middle: from frame (T-1)*tau
-    on a push's strided slice, else one gather of the frames clamped at the newest pushed."""
-    span, lag, offsets = (t - 1) * tau, prediction_lag(t, tau), window_offsets(t, tau)
-    return [slice(m + lag - span, m + lag + 1, tau) if span <= m + lag < n
-            else np.clip(m + offsets, 0, min(m + lag, n - 1)) for m in range(n)]
+def window_frames(t, tau, n):
+    """Each middle's window in a session of n frames, clamped at the newest frame pushed."""
+    lag, offsets = prediction_lag(t, tau), window_offsets(t, tau)
+    return np.array([np.clip(m + offsets, 0, min(m + lag, n - 1)) for m in range(n)])
+
+
+def session_reads(t, tau, n):
+    """What a session of n frames reads, in order. A push labelling middle m reads from
+    frame (T-1)*tau on the strided slice of its window, and before that one gather of
+    its clamped frames. finish reads _window_labels' T slabs over the trailing middles:
+    a slice where a slab lies in [0, n), else a gather of its frames clamped to it."""
+    span, lag = (t - 1) * tau, prediction_lag(t, tau)
+    lo, frames = max(0, n - lag), window_frames(t, tau, n)
+    pushes = [slice(m + lag - span, m + lag + 1, tau) if m + lag >= span else frames[m]
+              for m in range(lo)]
+    return pushes + [slice(lo + s, n + s) if lo + s >= 0 and s <= 0
+                     else np.clip(np.arange(lo + s, n + s), 0, n - 1)
+                     for s in window_offsets(t, tau).tolist()]
 
 
 class TestStreamViewPath:
-    """From frame (T-1)*tau on, a push folds the strided slice of its window; the first
-    pushes and finish fold one gather of the clamped frames instead."""
+    """From frame (T-1)*tau on, a push folds the strided slice of its window, and the
+    first pushes one gather of the clamped frames; finish labels the trailing middles
+    with one _window_labels call, whose T slabs are slices or clamped gathers."""
 
     @pytest.mark.parametrize("softmax", [False, True], ids=["logits", "softmax"])
     @pytest.mark.parametrize("tau", [1, 2, 3, 8])
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
     def test_every_push_and_finish_equals_batch(self, t, tau, softmax):
-        span = (t - 1) * tau
+        span, lag = (t - 1) * tau, prediction_lag(t, tau)
         rng = np.random.default_rng(100 * t + tau)
         # one frame short of a full window (no push folds one), exactly one, one past it
         for n in (span, span + 1, span + 2):
@@ -374,8 +400,10 @@ class TestStreamViewPath:
             cfg = PipelineConfig(t=t, tau=tau)
             raw, _ = run_offline(cfg, backend)
             keys, _, pairs = observed_session(cfg, backend, n)
-            want = window_reads(t, tau, n)
-            assert sum(isinstance(key, slice) for key in keys) == n - span, n
+            want = session_reads(t, tau, n)
+            pushes = max(0, n - lag)
+            assert sum(isinstance(key, slice) for key in keys[:pushes]) == n - span, n
+            assert len(keys) == pushes + t, n
             assert [key if isinstance(key, slice) else key.tolist() for key in keys] == \
                 [w if isinstance(w, slice) else w.tolist() for w in want], n
             assert pairs == list(enumerate(raw.tolist())), n
@@ -388,8 +416,7 @@ class TestStreamViewPath:
         # fold's bytes, at one class too, where no label could show it. The table is
         # drawn until a clamped window at each end sums differently newest first.
         n, span, lag = (t - 1) * tau + 12, (t - 1) * tau, prediction_lag(t, tau)
-        idx = np.array([np.arange(n)[w] if isinstance(w, slice) else w
-                        for w in window_reads(t, tau, n)])
+        idx = window_frames(t, tau, n)
         rng = np.random.default_rng(t * tau * c)
         for _ in range(1000):
             table = rng.choice([1e16, 1.0, -1e16], size=(n, c))

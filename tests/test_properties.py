@@ -91,7 +91,16 @@ def stream_cases(draw):
     return pieces, t, tau, cleaner, seed
 
 
+PINNED_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 6.0, 1.0) for c in LABELS.tolist()})
+
+
 @given(stream_cases())
+# finished after fewer pushes than the 12-frame lag, so finish labels every frame
+@example(([(0, 3), (1, 4), (0, 2)], 6, 4, PINNED_CLEANER, 0))
+@example(([(1, 5)], 3, 4, None, 1))
+# T=1: no lag, so finish labels nothing and only flushes the cleaner
+@example(([(0, 2), (1, 7), (2, 1), (0, 3)], 1, 3, PINNED_CLEANER, 2))
+@example(([(3, 1)], 1, 1, None, 3))
 def test_stream_equals_offline_exactly_once_within_lag_bound(case):
     pieces, t, tau, cleaner, seed = case
     labels = LABELS[timeline_of(pieces)]
