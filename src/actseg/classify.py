@@ -15,7 +15,8 @@ _MAGIC = b"ATSL"
 
 
 # float32 values per block: a binary logits file is read this many values at a time into
-# the caller's float64 rows, so no temporary is the size of the table
+# the caller's float64 rows, and written this many at a time, so no temporary is the size
+# of the table
 _LOGITS_BLOCK = 1 << 16
 
 
@@ -160,13 +161,17 @@ def make_synthetic_backend(gt, nm: NoiseModel) -> LogitsBackend:
 
 
 def write_logits_binary(path, logits) -> None:
+    """The magic, (frames, classes) as two little-endian uint32, then the values as
+    little-endian float32 in row order, converted and written _LOGITS_BLOCK at a time."""
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"logits must be 2-d, got shape {arr.shape}")
+    rows = max(1, _LOGITS_BLOCK // max(1, arr.shape[1]))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes())
+        for lo in range(0, arr.shape[0], rows):
+            fh.write(arr[lo:lo + rows].astype("<f4", order="C"))
 
 
 class LogitsReader:

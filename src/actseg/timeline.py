@@ -209,14 +209,18 @@ def _in_frame_order(frames, rest, base):
     return rest
 
 
-def _timeline_rows(frames, rest, base):
-    """The labels, if frames count up from base and no label is negative; else a
-    ValueError at the first row that breaks either rule."""
-    labels = _in_frame_order(frames, rest, base)[:, 0]
+def _labels_at_least_0(labels):
+    """labels, if none is negative; else a ValueError at the first that is."""
     bad = np.flatnonzero(labels < 0)
     if bad.size:
         raise ValueError(f"label_id must be >= 0, got {labels[bad[0]]}")
     return labels
+
+
+def _timeline_rows(frames, rest, base):
+    """The labels, if frames count up from base and no label is negative; else a
+    ValueError at the first row that breaks either rule."""
+    return _labels_at_least_0(_in_frame_order(frames, rest, base)[:, 0])
 
 
 def read_timeline_csv(path) -> np.ndarray:
@@ -224,45 +228,56 @@ def read_timeline_csv(path) -> np.ndarray:
     return _read_table(path, "timeline", 2, np.int64, _timeline_rows).copy()
 
 
+# bytes of CSV rows per block: a table is written this many bytes at a time, so no
+# temporary is the size of the table
+_CSV_BLOCK = 1 << 17
+
+
 def _write_int_csv(path, header, columns) -> None:
     """A header row, then non-negative int64 columns of one length as rows, in the bytes
     csv.writer writes: `%d` fields, commas and CRLF line ends.
 
-    The rows are built as one uint8 array. Each column's digits are computed
-    right-aligned into an (n, width) byte block, beside a mask of the bytes `%d` prints
-    (no leading zeros), and buf[keep] packs the rows."""
+    Each column is as wide as its largest value's digits, and the rows are written
+    _CSV_BLOCK bytes at a time through one (rows, width) uint8 block: each column's
+    digits are computed right-aligned into it, beside a mask of the bytes `%d` prints
+    (no leading zeros), and buf[keep] packs the block's rows."""
     tops = [int(col.max(initial=0)) for col in columns]
-    buf = np.empty((columns[0].size, sum(len(str(top)) + 1 for top in tops) + 1), np.uint8)
+    digits = [len(str(top)) for top in tops]
+    width = sum(digits) + len(digits) + 1
+    buf = np.empty((max(1, _CSV_BLOCK // width), width), np.uint8)
     keep = np.ones(buf.shape, bool)
     at = 0
-    for col, top in zip(columns, tops):
-        digits = len(str(top))
-        m = vals = col.astype(np.min_scalar_type(top))  # unsigned
-        for j in range(at + digits - 1, at - 1, -1):  # last digit first
-            q = m // 10
-            t = q * 10
-            t -= ord("0")  # unsigned, so m - t wraps back to m - 10q + ord("0")
-            np.subtract(m, t, out=buf[:, j], casting="unsafe")
-            m = q
-        for j in range(digits - 1):  # leading zeros are not printed
-            np.greater_equal(vals, 10 ** (digits - 1 - j), out=keep[:, at + j])
-        at += digits
+    for d in digits:  # every block's commas, then CR over the last column's comma, and LF
+        at += d
         buf[:, at] = ord(",")
         at += 1
-    # over the last column's comma, by two scalar fills: broadcasting one (CR, LF) pair
-    # over the rows takes about six times as long
     buf[:, -2] = ord("\r")
     buf[:, -1] = ord("\n")
+    n = columns[0].size
     with open(path, "wb") as fh:
         fh.write(f"{','.join(header)}\r\n".encode())
-        fh.write(buf[keep])
+        for lo in range(0, n, len(buf)):
+            rows = min(len(buf), n - lo)
+            block, mask = buf[:rows], keep[:rows]
+            at = 0
+            for col, top, d in zip(columns, tops, digits):
+                m = vals = col[lo:lo + rows].astype(np.min_scalar_type(top))  # unsigned
+                for j in range(at + d - 1, at - 1, -1):  # last digit first
+                    q = m // 10
+                    t = q * 10
+                    t -= ord("0")  # unsigned, so m - t wraps back to m - 10q + ord("0")
+                    np.subtract(m, t, out=block[:, j], casting="unsafe")
+                    m = q
+                for j in range(d - 1):  # leading zeros are not printed
+                    np.greater_equal(vals, 10 ** (d - 1 - j), out=mask[:, at + j])
+                at += d + 1
+            fh.write(block[mask])
 
 
 def write_timeline_csv(path, labels) -> None:
     """CSV `frame,label_id` with csv.writer's CRLF line ends; labels must be >= 0 as on reading."""
-    arr = as_timeline(labels)
-    frames = np.arange(arr.size, dtype=np.int64)
-    _write_int_csv(path, ("frame", "label_id"), (frames, _timeline_rows(frames, arr[:, None], 0)))
+    arr = _labels_at_least_0(as_timeline(labels))
+    _write_int_csv(path, ("frame", "label_id"), (np.arange(arr.size, dtype=np.int64), arr))
 
 
 def read_segments_csv(path):

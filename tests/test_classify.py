@@ -341,6 +341,31 @@ class TestLogitsIO:
         # reading the whole 4 MB body first and converting it peaked at 1.5x the table
         assert peak < table.nbytes + 4 * classify._LOGITS_BLOCK + 65536
 
+    def test_binary_write_holds_one_block(self, tmp_path):
+        logits = np.ones((40_000, 25))
+        tracemalloc.start()
+        try:
+            write_logits_binary(tmp_path / "x.logits", logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # converting the whole table to float32 and that to bytes peaked at 8 MB
+        assert peak < 4 * classify._LOGITS_BLOCK + 65536
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(9, 25), (7, 3), (50, 1), (51, 1), (3, 60), (4, 0)])
+    def test_binary_written_in_blocks_is_the_table(self, tmp_path, monkeypatch, shape, order):
+        # a block of 50 values writes as many whole rows, at least one, and leaves a
+        # short last block, in row order whatever the table's memory order
+        monkeypatch.setattr(classify, "_LOGITS_BLOCK", 50)
+        logits = np.asarray(np.random.default_rng(11).normal(size=shape), order=order)
+        path = tmp_path / "x.logits"
+        write_logits_binary(path, logits)
+        assert path.read_bytes() == (b"ATSL" + struct.pack("<II", *shape)
+                                     + logits.astype("<f4").tobytes())
+        if logits.size:
+            assert np.array_equal(read_binary(path), logits.astype(np.float32))
+
     def test_binary_non_finite_names_file_and_frame(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classify, "_LOGITS_BLOCK", 50)  # blocks of 2 rows
         logits = np.zeros((9, 25))

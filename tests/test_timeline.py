@@ -1,12 +1,15 @@
 import csv
 import io
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from actseg import timeline
 from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_timeline, encode_runs,
                              read_segments_csv, read_timeline_csv, segments_from_timeline,
                              timeline_from_segments, write_segments_csv, write_timeline_csv)
@@ -237,16 +240,33 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("writers")
 
 
-def assert_writes_like_row_loop(csv_dir, write, header, columns, arg):
-    write(csv_dir / "got.csv", arg)
+def assert_writes_like_row_loop(csv_dir, write, header, columns, arg, block_rows=(1, 3)):
+    """write(path, arg) writes the bytes of a csv.writer row loop over columns, in blocks
+    of the default size and in blocks of each of block_rows rows."""
     write_csv_ref(csv_dir / "want.csv", header, columns)
-    assert (csv_dir / "got.csv").read_bytes() == (csv_dir / "want.csv").read_bytes()
+    want = (csv_dir / "want.csv").read_bytes()
+    # a row's bytes: each column as wide as its largest value, a comma after each but
+    # the last, and CRLF
+    width = sum(len(str(max(np.asarray(c).tolist(), default=0))) + 1 for c in columns) + 1
+    for block in (timeline._CSV_BLOCK, *(rows * width for rows in block_rows)):
+        with mock.patch.object(timeline, "_CSV_BLOCK", block):
+            write(csv_dir / "got.csv", arg)
+        assert (csv_dir / "got.csv").read_bytes() == want, f"blocks of {block} bytes"
 
 
+# with blocks of 3 rows: a block that ends inside a run of 2-digit labels; blocks of
+# 1-digit labels only, under a 4-digit maximum; 2, 3, 4 and 7 rows (block - 1, block,
+# block + 1 and 2 * block + 1)
 @given(labels=st.lists(labels_ok, max_size=30))
 @example(labels=[])
 @example(labels=[0])
 @example(labels=[0, INT64.max, 9, 10])
+@example(labels=[5, 10, 11, 12, 13, 14, 15])
+@example(labels=[1000, 1, 2, 3, 4, 5, 6])
+@example(labels=[7, 255])
+@example(labels=[7, 255, 0])
+@example(labels=[7, 255, 0, 9])
+@example(labels=[7, 255, 0, 9, 10, 256, 1])
 def test_timeline_writer_equals_row_loop(csv_dir, labels):
     assert_writes_like_row_loop(csv_dir, write_timeline_csv, ("frame", "label_id"),
                                 (range(len(labels)), labels), np.array(labels, dtype=np.int64))
@@ -270,9 +290,13 @@ def test_negative_label_is_the_readers_error(tmp_path, bad):
 
 @pytest.mark.parametrize("frames", [0, 1, 10, 11, 100, 101, 100001])
 def test_frame_counts_across_digit_boundaries(csv_dir, frames):
+    # blocks of 3 rows end inside runs of frames with one digit count and hold frames
+    # shorter than the last; over 100,001 frames they would take seconds, so there the
+    # blocks are 997 rows, and the last, from frame 99,700, crosses 99,999
     labels = np.resize(np.array(EDGES, dtype=np.int64), frames)
     assert_writes_like_row_loop(csv_dir, write_timeline_csv, ("frame", "label_id"),
-                                (range(frames), labels), labels)
+                                (range(frames), labels), labels,
+                                (3,) if frames < 1000 else (997,))
     if frames:
         assert np.array_equal(read_timeline_csv(csv_dir / "got.csv"), labels)
 
@@ -285,11 +309,41 @@ def valid_runs(draw):
     return tuple(np.array(c, dtype=np.int64) for c in (starts, ends, labels))
 
 
+def runs_of(*rows):
+    """Runs (starts, ends, labels) from rows (start, end, label)."""
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*rows))
+
+
+# with blocks of 3 rows, as for the timeline writer: a block that ends inside runs of
+# 2-digit values, blocks of values shorter than each column's maximum, and 2, 3, 4 and
+# 7 rows
 @given(runs=valid_runs())
 @example(runs=(np.array([0, INT64.max - 1]), np.array([10, INT64.max]), np.array([0, INT64.max])))
+@example(runs=runs_of((1, 10, 10), (10, 11, 11), (11, 12, 12), (12, 13, 13), (13, 14, 14),
+                      (14, 15, 15), (15, 16, 16)))
+@example(runs=runs_of((1000, 2000, 1000), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4),
+                      (5, 6, 5), (6, 7, 6)))
+@example(runs=runs_of((0, 9, 3), (9, 10, 24)))
+@example(runs=runs_of((0, 9, 3), (9, 10, 24), (10, 255, 0)))
+@example(runs=runs_of((0, 9, 3), (9, 10, 24), (10, 255, 0), (255, 256, 9)))
+@example(runs=runs_of((0, 9, 3), (9, 10, 24), (10, 255, 0), (255, 256, 9), (256, 1000, 10),
+                      (0, 1, 255), (5, 7, 1)))
 def test_segments_writer_equals_row_loop(csv_dir, runs):
     assert_writes_like_row_loop(csv_dir, write_segments_csv, ("start", "end", "label_id"),
                                 runs, runs)
     if runs[0].size:
         back = read_segments_csv(csv_dir / "got.csv")
         assert all(np.array_equal(a, b) for a, b in zip(back, runs))
+
+
+def test_timeline_writer_holds_the_frames_and_one_block(tmp_path):
+    labels = np.resize(np.arange(NUM_CLASSES, dtype=np.int64), 1_000_000)
+    tracemalloc.start()
+    try:
+        write_timeline_csv(tmp_path / "t.csv", labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the frame column is the labels' size; a table-sized byte array, its mask and a
+    # second frame column to re-check the first peaked at 50.0 MB
+    assert peak <= labels.nbytes + 2 * 2**20
