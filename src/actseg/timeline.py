@@ -237,10 +237,10 @@ def _write_int_csv(path, header, columns) -> None:
     """A header row, then non-negative int64 columns of one length as rows, in the bytes
     csv.writer writes: `%d` fields, commas and CRLF line ends.
 
-    Each column is as wide as its largest value's digits, and the rows are written
-    _CSV_BLOCK bytes at a time through one (rows, width) uint8 block: each column's
+    Each column is as wide as its largest value's digits. The rows are formatted
+    _CSV_BLOCK bytes at a time in one reused (rows, width) uint8 array: each column's
     digits are computed right-aligned into it, beside a mask of the bytes `%d` prints
-    (no leading zeros), and buf[keep] packs the block's rows."""
+    (no leading zeros), and the masked bytes are written."""
     tops = [int(col.max(initial=0)) for col in columns]
     digits = [len(str(top)) for top in tops]
     width = sum(digits) + len(digits) + 1
