@@ -60,7 +60,9 @@ def levenshtein(a, b):
     deltas for one column are bit vectors over the longer sequence, held
     in Python ints, so a column costs a few big-int operations instead of
     a loop over its cells, and the loop runs over the shorter sequence's
-    columns.
+    columns. The distance is read once, after the loop: D[m][n] is
+    D[0][n] = n plus the last column's vertical deltas, the set bits of vp
+    less those of vn. An empty shorter side leaves column 0, all +1, so m.
 
     The columns look up only the shorter sequence's symbols, so a match mask
     is built per symbol of it: np.packbits of a == symbol, read as one
@@ -72,31 +74,23 @@ def levenshtein(a, b):
     b = np.asarray(b, dtype=np.int64)
     if a.size < b.size:
         a, b = b, a
-    m = a.size
-    if b.size == 0:
-        return m
     syms, cols = np.unique(b, return_inverse=True)
     # bit i: a[i] is the symbol; packbits pads the last byte with zeros
     peq = [int.from_bytes(np.packbits(a == s, bitorder="little").tobytes(), "little")
            for s in syms.tolist()]
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    vp, vn, dist = full, 0, m      # column 0: D[i][0] = i, all vertical deltas +1
+    full = (1 << a.size) - 1
+    vp, vn = full, 0               # column 0: D[i][0] = i, all vertical deltas +1
     for col in cols.tolist():
         eq = peq[col]
         xv = eq | vn
         xh = ((((eq & vp) + vp) ^ vp) | eq) & full
         hp = vn | (full ^ (xh | vp))
         hn = vp & xh
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
         hp = ((hp << 1) | 1) & full    # row 0: D[0][j] = j, a +1 shifts in
         hn = (hn << 1) & full
         vp = hn | (full ^ (xv | hp))
         vn = hp & xv
-    return dist
+    return b.size + vp.bit_count() - vn.bit_count()
 
 
 def fold_mean(slabs, out):

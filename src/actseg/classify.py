@@ -2,7 +2,6 @@
 pipeline takes, each file's read through LogitsReader, which checks each value
 once, where it enters; plus a synthetic noisy oracle for harness work."""
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ _MAGIC = b"ATSL"
 # the caller's float64 rows, and written this many at a time, so no temporary is the size
 # of the table
 _LOGITS_BLOCK = 1 << 16
+_CSV_ROWS = 4096  # rows per write of a logits CSV
 
 
 def _check_shape(shape, where=""):
@@ -252,12 +252,16 @@ class LogitsReader:
 
 
 def write_logits_csv(path, logits) -> None:
+    """CSV `frame,logit_0,...` as csv.writer writes it, _CSV_ROWS rows at a time; the rows
+    come from tolist(), as repr of a numpy 2 float64 is `np.float64(...)`."""
     arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"logits must be 2-d, got shape {arr.shape}")
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["frame"] + [f"logit_{i}" for i in range(arr.shape[1])])
-        for i, row in enumerate(arr):
-            wr.writerow([i] + [repr(float(v)) for v in row])
+        fh.write(",".join(["frame"] + [f"logit_{i}" for i in range(arr.shape[1])]) + "\r\n")
+        for lo in range(0, arr.shape[0], _CSV_ROWS):
+            fh.write("".join([",".join([str(i), *map(repr, row)]) + "\r\n"
+                              for i, row in enumerate(arr[lo:lo + _CSV_ROWS].tolist(), lo)]))
 
 
 def read_logits_csv(path) -> np.ndarray:

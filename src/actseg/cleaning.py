@@ -20,6 +20,7 @@ from .timeline import (BACKGROUND_ID, FPS, NUM_CLASSES, _text_lines, as_runs, as
                        encode_runs, whole_label)
 
 SWEEP_KAPPAS = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
+_INT64_MAX = np.iinfo(np.int64).max  # the threshold clamp, no run reaches it
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def compute_class_stats(runs):
 def threshold(stats: ClassStats, kappa: float) -> int:
     """Minimum accepted run length: floor(mean - kappa*std) clamped to [1, int64 max]."""
     t = stats.mean_frames - kappa * stats.std_frames  # -inf if kappa*std overflows
-    return int(min(max(t, 1.0), np.iinfo(np.int64).max))  # int() floors a value >= 1
+    return int(min(max(t, 1.0), _INT64_MAX))  # int() floors a value >= 1
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,11 @@ def _both_scored_runs(p, g, cfg):
 
 
 def _accuracy(p, g, cfg) -> float:
-    if cfg.ignore_background:
-        mask = g != BACKGROUND_ID
-        if not mask.any():
-            return 100.0
-        p, g = p[mask], g[mask]
-    return 100.0 * float(np.mean(p == g))
+    if not cfg.ignore_background:
+        return 100.0 * float(np.mean(p == g))
+    scored = g != BACKGROUND_ID  # counted, not copied: a mean divides the same exact integers
+    total = np.count_nonzero(scored)
+    return 100.0 * (np.count_nonzero((p == g) & scored) / total) if total else 100.0
 
 
 def _edit(pl, gl) -> float:

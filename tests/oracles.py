@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, full DP matrices, finite differences) and shares no code with the
 implementations under test. The read_*_ref functions are the row-by-row
 CSV parsers that the package's whole-file table reader replaced, and
-write_csv_ref is the csv.writer row loop that the digit-array writer replaced.
+write_csv_ref and write_logits_csv_ref are the csv.writer row loops that the
+digit-array and block writers replaced.
 """
 
 import csv
@@ -246,6 +247,16 @@ def write_csv_ref(path, header, columns):
         wr.writerow(header)
         for row in zip(*(np.asarray(c).tolist() for c in columns)):
             wr.writerow(row)
+
+
+def write_logits_csv_ref(path, logits):
+    """A logits CSV, one csv.writer row per frame: the frame, then repr of each value."""
+    arr = np.asarray(logits, dtype=np.float64)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["frame"] + [f"logit_{i}" for i in range(arr.shape[1])])
+        for i, row in enumerate(arr):
+            wr.writerow([i] + [repr(float(v)) for v in row])
 
 
 HAND_HEADER = ("frame", "p1", "x1", "y1", "p2", "x2", "y2")

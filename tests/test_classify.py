@@ -12,7 +12,7 @@ from actseg.classify import (LogitsBackend, LogitsReader, NoiseModel, load_logit
 from actseg.grid import FeatureMap
 from actseg.sampling import inference_clip, training_clip
 from actseg.timeline import NUM_CLASSES, segments_from_timeline
-from oracles import classify_clip_ref, predict_clip_ref
+from oracles import classify_clip_ref, predict_clip_ref, write_logits_csv_ref
 
 
 class TestBackend:
@@ -442,6 +442,35 @@ class TestLogitsIO:
         path = tmp_path / "x.csv"
         write_logits_csv(path, logits)
         assert np.array_equal(read_logits_csv(path), logits)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    @pytest.mark.parametrize("logits", [
+        # signed zero, the smallest subnormal, near the largest float, a repeating
+        # fraction and whole floats, which repr writes as 2.0, not 2
+        [[-0.0, 0.0, 5e-324], [1e308, -1e308, 1 / 3], [2.0, -7.0, 1e16]],
+        [[0.1]], np.zeros((3, 0)), np.zeros((0, 4)),
+        # 4,099 rows: past one block of the default size
+        (np.arange(4099 * 3) % 17 - 8.5).reshape(4099, 3) / 3.0,
+    ], ids=["specials", "one_value", "no_classes", "no_frames", "past_one_block"])
+    def test_csv_writer_bytes_equal_csv_writer_rows(self, tmp_path, monkeypatch, logits,
+                                                     rows_per_block):
+        if rows_per_block is not None:
+            monkeypatch.setattr(classify, "_CSV_ROWS", rows_per_block)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_logits_csv(got, logits)
+        write_logits_csv_ref(want, logits)
+        assert got.read_bytes() == want.read_bytes()
+        arr = np.asarray(logits, dtype=np.float64)
+        if arr.size:
+            back = read_logits_csv(got)
+            assert back.tobytes() == arr.tobytes() and back.shape == arr.shape
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3, 1))])
+    def test_csv_writer_rejects_tables_not_2d(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(f"logits must be 2-d, got shape {bad.shape}")):
+            write_logits_csv(path, bad)
+        assert not path.exists()
 
     def test_csv_jagged_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

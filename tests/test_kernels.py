@@ -16,16 +16,35 @@ def test_levenshtein_matches_dp_oracle():
 
 
 def test_levenshtein_edges():
+    # an empty side runs no column, so the distance is column 0's deltas: m +1s
     empty = np.array([], dtype=np.int64)
     seq = np.array([1, 2, 3], dtype=np.int64)
     assert _kernels.levenshtein(empty, empty) == 0
+    assert _kernels.levenshtein([], []) == 0
     assert _kernels.levenshtein(seq, empty) == 3
     assert _kernels.levenshtein(empty, seq) == 3
+    assert _kernels.levenshtein([7], []) == 1
+    assert _kernels.levenshtein([], [7]) == 1
     assert _kernels.levenshtein(seq, seq) == 0
     # an empty side against one longer than a 64-bit word
     long_seq = np.arange(70) % 4
     assert _kernels.levenshtein(empty, long_seq) == 70
     assert _kernels.levenshtein(long_seq, empty) == 70
+    # every result is a Python int, as the DP's is
+    assert type(_kernels.levenshtein(seq, [1, 3])) is int
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # the first two columns' (eq & vp) + vp carries out past bit 70, over two words
+    ([0] + [1] * 70, [1, 1, 0], 69),
+    # every column's carries out past bit 8, one bit past a whole byte
+    ([2, 1, 1, 1, 1, 1, 1, 0, 1], [1, 0, 1], 6),
+])
+def test_levenshtein_carry_out_of_the_top_bit(a, b, want):
+    # the carry must not reach the vertical deltas, whose set bits give the distance
+    assert levenshtein_ref(a, b) == want
+    assert _kernels.levenshtein(a, b) == want
+    assert _kernels.levenshtein(b, a) == want
 
 
 def lcg_symbols(n, k, seed):

@@ -92,6 +92,11 @@ def stream_cases(draw):
 
 
 PINNED_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 6.0, 1.0) for c in LABELS.tolist()})
+# floor(1.5 - 0.2) = 1 for every class: no run is ever held
+NO_HOLD_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 1.5, 0.2) for c in LABELS.tolist()})
+# class 0 at threshold 40, the others at 3
+ONE_LONG_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 40.0 if c == 0 else 3.0, 0.0)
+                                       for c in LABELS.tolist()})
 
 
 @given(stream_cases())
@@ -101,13 +106,20 @@ PINNED_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 6.0, 1.0) for c in LABE
 # T=1: no lag, so finish labels nothing and only flushes the cleaner
 @example(([(0, 2), (1, 7), (2, 1), (0, 3)], 1, 3, PINNED_CLEANER, 2))
 @example(([(3, 1)], 1, 1, None, 3))
+# every threshold 1: no frame waits longer than the window's lag, and most wait exactly that
+@example(([(0, 3), (1, 1), (2, 4), (4, 2), (3, 5)], 4, 2, NO_HOLD_CLEANER, 4))
+@example(([(1, 2), (3, 1), (1, 6)], 1, 1, NO_HOLD_CLEANER, 5))
+# one threshold far above the rest: class 0's long runs may wait 39 frames, the others 2
+@example(([(1, 4), (0, 45), (2, 2), (1, 5), (0, 12), (3, 3), (0, 41)], 4, 2,
+          ONE_LONG_CLEANER, 6))
+@example(([(2, 6), (0, 40), (1, 3), (0, 39), (3, 4)], 1, 1, ONE_LONG_CLEANER, 7))
 def test_stream_equals_offline_exactly_once_within_lag_bound(case):
     pieces, t, tau, cleaner, seed = case
     labels = LABELS[timeline_of(pieces)]
     noise = np.random.default_rng(seed).normal(0.0, 0.5, (labels.size, NUM_CLASSES))
     backend = LogitsBackend(2.0 * one_hot_logits(labels) + noise)
     cfg = PipelineConfig(t, tau, 15.0, NUM_CLASSES, cleaner)
-    _, want = run_offline(cfg, backend)
+    raw, want = run_offline(cfg, backend)
 
     session = StreamSession(cfg, backend)
     got = np.full(labels.size, -1, dtype=np.int64)
@@ -124,8 +136,12 @@ def test_stream_equals_offline_exactly_once_within_lag_bound(case):
 
     assert np.all(count == 1)
     assert np.array_equal(got, want)
-    bound = (t // 2) * tau + (cleaner.max_threshold() if cleaner else 0)
-    assert np.all(emitted_at - np.arange(labels.size) <= bound)
+    waited = emitted_at - np.arange(labels.size)
+    lag = (t // 2) * tau
+    assert np.all(waited <= lag + (cleaner.max_threshold() if cleaner else 0))
+    # per class: a held run of raw class c is released by the push of its
+    # threshold(c)-th frame at the latest, so its first frame waits threshold(c) - 1
+    assert np.all(waited <= lag + (cleaner.thresholds()[raw] - 1 if cleaner else 0))
 
 
 # ------------------------------------------------------------ run-length encoding
