@@ -15,11 +15,12 @@ def nearest_index(n_in, n_out, lo=0, hi=None):
 def gather_cells(src, rows, cols):
     """out[..., i, j] = src[..., rows[i], cols[j]] over the last two axes, C-contiguous.
 
-    One take per axis: fancy indexing both axes at once yields a transposed
-    memory layout, and copying or adding that into a C-ordered array costs
-    several times the gather itself.
+    One take of the flat cell indices rows[i] * w + cols[j] from the last two
+    axes seen as one: the taken cells come out in C order.
     """
-    return np.take(np.take(src, rows, axis=-2), cols, axis=-1)
+    *lead, h, w = src.shape
+    flat = (rows[:, None] * w + cols).ravel()
+    return np.take(src.reshape(*lead, h * w), flat, axis=-1).reshape(*lead, rows.size, cols.size)
 
 
 def resize_nearest(src, out_h, out_w):

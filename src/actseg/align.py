@@ -169,38 +169,35 @@ def enhance(f: FeatureMap, f_left: FeatureMap, f_right: FeatureMap,
     backbone = scaled[:, :c] + np.diag(s)  # s (I + W_f): the residual add folded in
     bias = s * (w.bias - w.bn_mean) + w.bn_shift
     out = np.empty(f.shape)
-    hands = [add for add in (_hand_adder(f_left, g_left, f.h, f.w, scaled[:, c:c + c_l]),
-                             _hand_adder(f_right, g_right, f.h, f.w, scaled[:, c + c_l:]))
-             if add is not None]
+    hands = [cells for cells in (_hand_cells(f_left, g_left, f.h, f.w, scaled[:, c:c + c_l]),
+                                 _hand_cells(f_right, g_right, f.h, f.w, scaled[:, c + c_l:]))
+             if cells is not None]
     for k in range(f.t):
         frame = out[k]
         _kernels.mix_1x1(f.values[k], backbone, bias, frame)
-        for add in hands:
-            add(k, frame)
+        for hand, weight, mixed, window, src_rows, src_cols in hands:
+            _kernels.mix_1x1(hand[k], weight, None, mixed)
+            frame[window] += _kernels.gather_cells(mixed, src_rows, src_cols)
     return FeatureMap(out)
 
 
-def _hand_adder(fh: FeatureMap, g: CropGeometry, h: int, w: int, weight):
-    """add(k, frame): frame += weight mixed over fh[k]'s placed footprint on an (h, w) grid.
+def _hand_cells(fh: FeatureMap, g: CropGeometry, h: int, w: int, weight):
+    """(hand, weight, mixed, window, src_rows, src_cols) placing fh's footprint on an (h, w) grid.
 
-    None when no footprint cell lies on the grid. Cells come from fh by the
-    same nearest-neighbour rule as resize_nearest followed by zero_pad_place.
-    Each call mixes the whole hand frame fh[k] into one buffer, which every
-    call reuses, and gathers the visible cells from it.
+    None when no footprint cell lies on the grid. The grid window's cells come
+    from fh's cells src_rows x src_cols, by the same nearest-neighbour rule as
+    resize_nearest followed by zero_pad_place; mixed is the one (c_out, fh.h,
+    fh.w) buffer that each hand frame is mixed into before the gather.
     """
     rows, cols, off_y, off_x = footprint(g, h, w)
     y0, y1 = max(off_y, 0), min(off_y + rows, h)
     x0, x1 = max(off_x, 0), min(off_x + cols, w)
     if y0 >= y1 or x0 >= x1:
         return None
-    src_rows = _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y)
-    src_cols = _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x)
-    mixed = np.empty((weight.shape[0], fh.h, fh.w))
-
-    def add(k, frame):
-        _kernels.mix_1x1(fh.values[k], weight, None, mixed)
-        frame[:, y0:y1, x0:x1] += _kernels.gather_cells(mixed, src_rows, src_cols)
-    return add
+    return (fh.values, weight, np.empty((weight.shape[0], fh.h, fh.w)),
+            (slice(None), slice(y0, y1), slice(x0, x1)),
+            _kernels.nearest_index(fh.h, rows, y0 - off_y, y1 - off_y),
+            _kernels.nearest_index(fh.w, cols, x0 - off_x, x1 - off_x))
 
 
 def fallback_geometry(full_w, full_h, scale_short, crop_size, crop_off_x, crop_off_y,

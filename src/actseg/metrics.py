@@ -44,10 +44,9 @@ def _both_scored_runs(p, g, cfg):
 
 
 def _accuracy(p, g, cfg) -> float:
-    if not cfg.ignore_background:
-        return 100.0 * float(np.mean(p == g))
-    scored = g != BACKGROUND_ID  # counted, not copied: a mean divides the same exact integers
-    total = np.count_nonzero(scored)
+    """Percent of scored frames labelled right: all frames, or those whose truth is not background."""
+    scored = g != BACKGROUND_ID if cfg.ignore_background else np.ones(g.size, bool)
+    total = np.count_nonzero(scored)  # counted: a mean would divide the same exact integers
     return 100.0 * (np.count_nonzero((p == g) & scored) / total) if total else 100.0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actseg import _kernels
 from actseg.grid import (FeatureMap, MixerWeights, concat_channels, mix_1x1, residual_norm,
                          resize_nearest, zero_pad_place)
 from oracles import pad_place_ref, resize_nearest_ref
@@ -59,11 +60,18 @@ class TestResizeNearest:
 
     def test_matches_cell_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            m = rand_map(rng)
-            nh, nw = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+        cases = [(m, int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+                 for m in (rand_map(rng) for _ in range(25))]
+        # upsampling, downsampling, a non-square target from a square map, a 1x1 target
+        cases += [(rand_map(rng, h=3, w=4), 7, 10), (rand_map(rng, h=11, w=9), 4, 3),
+                  (rand_map(rng, h=5, w=5), 2, 8), (rand_map(rng, h=6, w=7), 1, 1)]
+        for m, nh, nw in cases:
             out = resize_nearest(m, nh, nw)
             assert np.array_equal(out.values, resize_nearest_ref(m.values, nh, nw))
+            # the kernel's own output, before FeatureMap could make it contiguous
+            cells = _kernels.resize_nearest(m.values, nh, nw)
+            assert cells.flags.c_contiguous
+            assert np.array_equal(cells, out.values)
 
     def test_up_then_down_on_block_constant_map(self):
         rng = np.random.default_rng(12)

@@ -39,6 +39,12 @@ class TestFrameAccuracy:
     def test_all_background_gt_is_vacuous(self):
         assert frame_accuracy([0, 1], [BG, BG]) == 100.0
 
+    # keeping background, two empty timelines read nan with numpy's "Mean of empty slice"
+    @pytest.mark.filterwarnings("error")
+    def test_empty_timelines_are_vacuous_in_both_configs(self):
+        assert frame_accuracy([], []) == 100.0
+        assert frame_accuracy([], [], KEEP_BG) == 100.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             frame_accuracy([0], [0, 0])

@@ -2,19 +2,19 @@
 
 Each mutant changes one site inside one of the named functions: it swaps a
 comparison (< and <=, > and >=, == and !=, is and is not, in and not in), an
-arithmetic operator (+ and -, * and /, // and /), a boolean operator (and and
-or), drops a `not`, negates the condition of an if, adds 1 to an integer
-literal (so an index -1 becomes -2), flips a True or False, or deletes a
-statement that stores into an attribute or item or is a bare call. The source
-tree and the tests are copied into a fresh temporary directory, every mutant
-is written there in turn and the tests run against it with -x, so the
-checkout is never touched. The tests run with the -W flags of CI's
-latest-numpy legs (WARNINGS), so a deprecation or a file left open fails a
-mutant as it fails CI. The unmutated tests run first, within TIMEOUT
-seconds, and are timed; a mutant is killed when the tests fail or run SLOWDOWN
-times as long, so one that never ends costs a sweep a bounded wait. A survivor
-is printed with its site, for a test to kill or for a reason why it is
-equivalent.
+arithmetic operator (+ and -, * and /, // and /), a bitwise operator (& and |,
+^ to |, << and >>), a boolean operator (and and or), drops a `not`, negates
+the condition of an if, adds 1 to an integer literal (so an index -1 becomes
+-2), flips a True or False, or deletes a statement that stores into an
+attribute or item or is a bare call. The source tree and the tests are copied
+into a fresh temporary directory, every mutant is written there in turn and
+the tests run against it with -x, so the checkout is never touched. The tests
+run with the -W flags of CI's latest-numpy legs (WARNINGS), so a deprecation or
+a file left open fails a mutant as it fails CI. The unmutated tests run first,
+within TIMEOUT seconds, and are timed; a mutant is killed when the tests fail
+or run SLOWDOWN times as long, so one that never ends costs a sweep a bounded
+wait. A survivor is printed with its site, for a test to kill or for a reason
+why it is equivalent.
 
     python3 tools/mutate.py src/actseg/pipeline.py:_window_labels \\
         src/actseg/classify.py:LogitsBackend.__init__ -- tests/test_pipeline.py
@@ -38,7 +38,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "README.md", "pyproject.toml")
 TIMEOUT = 300.0  # seconds of the unmutated tests
 # a mutant's tests may run this many times as long as the unmutated ones: a survivor runs
 # about as long, give or take noise, and a killed one stops early
@@ -53,6 +53,8 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
     ast.FloorDiv: ast.Div, ast.And: ast.Or, ast.Or: ast.And,
+    ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitOr,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift,
 }
 
 
