@@ -44,7 +44,7 @@ def _both_scored_runs(p, g, cfg):
 
 
 def _accuracy(p, g, cfg) -> float:
-    """Percent of scored frames labelled right: all frames, or those whose truth is not background."""
+    """Percent of scored frames labelled right: every frame, or those not background in truth."""
     scored = g != BACKGROUND_ID if cfg.ignore_background else np.ones(g.size, bool)
     total = np.count_nonzero(scored)  # counted: a mean would divide the same exact integers
     return 100.0 * (np.count_nonzero((p == g) & scored) / total) if total else 100.0
