@@ -98,9 +98,9 @@ def fold_mean(slabs, out):
     """Mean of T slabs, the left fold ((s0 + s1) + ...) / T, into out, a buffer the caller owns.
 
     slabs is a sequence of T (m, C) slabs; their mean is (m, C). Every window
-    mean of run_file and of StreamSession.finish comes from here, so a row adds
-    its window in one order whether its slab is sliced or gathered, in any block.
-    A StreamSession push sums its (T, C) window with np.add.accumulate, which is
+    mean of run_file and every clamped one of a StreamSession comes from here, so
+    a row adds its window in one order whether its slab is sliced or gathered.
+    A push of a full window sums its (T, C) rows with np.add.accumulate, which is
     defined as the same fold (the same IEEE adds in the same order): that is
     what keeps stream and batch labels byte-identical. Here slabs are added one
     by one into out, because accumulate over 1,024 rows takes 8-9 times as

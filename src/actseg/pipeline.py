@@ -5,11 +5,11 @@ The one offline loop, run_file, labels its rows in blocks through
 _window_labels, whose T slabs are slices of a buffer that its reader fills a
 block at a time, run_offline's from the backend's table with no second check;
 only a slab that passes an end gathers, and _kernels.fold_mean adds the slabs.
-A stream push folds the strided slice of its window once a full window has been
-pushed, and one gather of the clamped frames before that, with np.add.accumulate
-into buffers built once; finish labels the trailing middles with one _window_labels
-call. Both folds add a window's rows oldest first and divide by T, the same IEEE
-operations in the same order, so stream and batch labels are byte-identical.
+A stream push folds a full window's strided slice with np.add.accumulate into a
+buffer built once; every clamped window, a first push's or the trailing middles'
+that finish labels in one call, goes through _window_labels as in run_file. Both
+folds add a window's rows oldest first and divide by T, the same IEEE operations
+in the same order, so stream and batch labels are byte-identical.
 A frame's raw prediction is computable exactly floor(T/2)*tau pushes after the
 frame itself, and the cleaner adds at most its largest class threshold on top.
 """
@@ -114,21 +114,21 @@ class StreamSession:
 
     push(i) accepts frame i (consecutive from 0) and returns every (frame,
     label) finalized by it; finish() drains the tail. Without a cleaner a
-    frame's raw label comes from the push that first covers its window.
+    frame's raw label comes from the push that first covers its window: one fold
+    of its strided slice once the window is full, _window_labels while it clamps.
     """
 
     def __init__(self, cfg: PipelineConfig, backend: LogitsBackend):
         _check_classes(cfg, backend.num_classes)
         self._table = backend.table
         self._frames = backend.num_frames
-        self._offsets = window_offsets(cfg.t, cfg.tau)
+        self._shifts = window_offsets(cfg.t, cfg.tau).tolist()
         self._span = (cfg.t - 1) * cfg.tau
         self._tau = cfg.tau
         self._lag = prediction_lag(cfg.t, cfg.tau)
         # a window's running sums, oldest row first, and their last row: its sum
         self._acc = np.empty((cfg.t, backend.num_classes))
         self._sum = self._acc[-1]
-        self._row = np.empty(backend.num_classes)  # the window's mean
         # T as a 0-d float64: np.divide converts a Python int divisor on every call
         self._t = np.array(float(cfg.t))
         self._cleaner = StreamCleaner(cfg.cleaner) if cfg.cleaner is not None else None
@@ -139,8 +139,8 @@ class StreamSession:
         """Feed the next frame; returns labels finalized by it."""
         if self._finished:
             raise RuntimeError("session already finished")
-        try:
-            frame = operator.index(frame_index)
+        try:  # a bool is an int to Python, but no frame index
+            frame = operator.index(None if isinstance(frame_index, bool) else frame_index)
         except TypeError:
             raise ValueError(f"frame index must be an integer, got {frame_index!r}") from None
         if frame != self._pushed:
@@ -152,14 +152,13 @@ class StreamSession:
         if middle < 0:
             return []
         first = frame - self._span
-        if first >= 0:
-            # the window ends at the frame just pushed, so no frame clamps
-            rows = self._table[first:frame + 1:self._tau]
-        else:
-            rows = self._table[np.clip(middle + self._offsets, 0, frame)]
-        np.add.accumulate(rows, axis=0, out=self._acc)
-        # the method, not np.argmax: its Python wrapper cost a push about 1 us
-        label = int(np.divide(self._sum, self._t, out=self._row).argmax())
+        if first >= 0:  # no frame clamps; the next fold overwrites _sum, so divide in place
+            np.add.accumulate(self._table[first:frame + 1:self._tau], axis=0, out=self._acc)
+            # the method, not np.argmax: its Python wrapper cost a push about 1 us
+            label = int(np.divide(self._sum, self._t, out=self._sum).argmax())
+        else:  # the window reaches before frame 0: label it as run_file's first block does
+            label = int(_window_labels(self._table, middle, middle + 1, frame + 1,
+                                       self._shifts, self._acc)[0])
         if self._cleaner is None:
             return [(middle, label)]
         return self._cleaner.push(middle, label)
@@ -172,8 +171,8 @@ class StreamSession:
         self._finished = True
         n = self._pushed
         lo = max(0, n - self._lag)  # push emitted every middle before lo
-        labels = _window_labels(self._table, lo, n, n, self._offsets.tolist(),
-                                np.empty((n - lo, self._row.size)))
+        labels = _window_labels(self._table, lo, n, n, self._shifts,
+                                np.empty((n - lo, self._sum.size)))
         out = list(enumerate(labels.tolist(), lo))
         if self._cleaner is not None:
             out = [p for pair in out for p in self._cleaner.push(*pair)] + self._cleaner.flush()

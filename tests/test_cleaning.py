@@ -446,6 +446,25 @@ class TestStatsIO:
         write_class_stats(stats, path)
         assert read_class_stats(path) == stats
 
+    def test_written_bytes(self, tmp_path):
+        # one record per class in class order, two-space indents, a final newline
+        path = tmp_path / "stats.json"
+        write_class_stats({5: ClassStats(5, 2, 9.5, 1.25, "pick"),
+                           3: ClassStats(3, 4, 7.0, 0.0)}, path)
+        assert path.read_text() == (
+            '[\n  {\n    "class_id": 3,\n    "name": "",\n    "count": 4,\n'
+            '    "mean_frames": 7.0,\n    "std_frames": 0.0\n  },\n'
+            '  {\n    "class_id": 5,\n    "name": "pick",\n    "count": 2,\n'
+            '    "mean_frames": 9.5,\n    "std_frames": 1.25\n  }\n]\n')
+
+    @pytest.mark.parametrize("text", ["[]", "{}", '{"class_id": 3}', "3", "null"])
+    def test_empty_or_non_array_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a nonempty"
+                                             " JSON array of class stats$"):
+            read_class_stats(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

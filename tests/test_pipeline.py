@@ -279,9 +279,10 @@ class TestStreamSession:
             session.push(2)
 
     @pytest.mark.parametrize("pushed, index", [(0, 0.0), (100, 100.0), (100, np.float64(100.0)),
-                                               (100, "100")])
+                                               (100, "100"), (0, False), (1, True), (1, np.True_)])
     def test_index_that_is_not_an_integer_rejected(self, pushed, index):
-        # 0.0 == 0 let push(0.0) through, and push(100.0) failed in numpy's slicing
+        # 0.0 == 0 let push(0.0) through, and push(100.0) failed in numpy's slicing;
+        # operator.index(True) == 1 took push(False) and push(True) as frames 0 and 1
         session = StreamSession(PipelineConfig(), LogitsBackend(one_hot_logits([0] * 200)))
         for i in range(pushed):
             session.push(i)
@@ -325,11 +326,10 @@ class TestStreamSession:
 
 
 class _Reads(np.ndarray):
-    """A view of a session's table that logs, at each read, the key it reads at and
-    the session's mean row as the previous window's fold left it."""
+    """A view of a session's table that logs the key of each read."""
 
     def __getitem__(self, key):
-        self.log.append((key, self.row.copy()))
+        self.log.append(key)
         return super().__getitem__(key).view(np.ndarray)
 
 
@@ -341,22 +341,27 @@ def observed_session(cfg, backend, n):
     reads.log = []
     session = StreamSession(cfg, SimpleNamespace(table=reads, num_frames=backend.num_frames,
                                                  num_classes=backend.num_classes))
-    reads.row = session._row
-    pairs = [p for i in range(n) for p in session.push(i)]
-    # a push's read logs the row the fold before it left, and the last fold's row is
-    # still there; no push folds before frame lag
-    means = [row for _, row in reads.log[1:]] + ([session._row.copy()] if reads.log else [])
+    lag, means, pairs = prediction_lag(cfg.t, cfg.tau), [], []
     window_labels = pipeline._window_labels
 
     def spy(table, lo, hi, n, shifts, buf):
         labels = window_labels(table, lo, hi, n, shifts, buf)
-        means.extend(buf.copy())  # finish's window means, oldest middle first, and no more
+        # its window means, oldest middle first: a push's are the first row of the
+        # session's (T, C) scratch, and finish's buffer holds its rows and no more
+        means.extend(buf[:hi - lo].copy() if buf is session._acc else buf.copy())
         return labels
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_window_labels", spy)
+        for i in range(n):
+            spied = len(means)
+            pairs += session.push(i)
+            # a push from frame lag on labels one middle; one that called no
+            # _window_labels left its window's mean in _sum
+            if i >= lag and len(means) == spied:
+                means.append(session._sum.copy())
         pairs += session.finish()
-    return [key for key, _ in reads.log], means, pairs
+    return reads.log, means, pairs
 
 
 def window_frames(t, tau, n):
@@ -367,22 +372,26 @@ def window_frames(t, tau, n):
 
 def session_reads(t, tau, n):
     """What a session of n frames reads, in order. A push labelling middle m reads from
-    frame (T-1)*tau on the strided slice of its window, and before that one gather of
-    its clamped frames. finish reads _window_labels' T slabs over the trailing middles:
-    a slice where a slab lies in [0, n), else a gather of its frames clamped to it."""
-    span, lag = (t - 1) * tau, prediction_lag(t, tau)
-    lo, frames = max(0, n - lag), window_frames(t, tau, n)
-    pushes = [slice(m + lag - span, m + lag + 1, tau) if m + lag >= span else frames[m]
-              for m in range(lo)]
-    return pushes + [slice(lo + s, n + s) if lo + s >= 0 and s <= 0
-                     else np.clip(np.arange(lo + s, n + s), 0, n - 1)
-                     for s in window_offsets(t, tau).tolist()]
+    frame (T-1)*tau on the strided slice of its window; before that, _window_labels'
+    T slabs over its frames 0..m+lag, as finish reads them over the trailing middles
+    and all n frames: a slice where a slab lies inside, else a gather of its frames
+    clamped to them."""
+    span, lag, shifts = (t - 1) * tau, prediction_lag(t, tau), window_offsets(t, tau).tolist()
+
+    def slabs(lo, hi, n):
+        return [slice(lo + s, hi + s) if lo + s >= 0 and hi + s <= n
+                else np.clip(np.arange(lo + s, hi + s), 0, n - 1) for s in shifts]
+
+    lo = max(0, n - lag)
+    pushes = [[slice(m + lag - span, m + lag + 1, tau)] if m + lag >= span
+              else slabs(m, m + 1, m + lag + 1) for m in range(lo)]
+    return [key for keys in pushes for key in keys] + slabs(lo, n, n)
 
 
 class TestStreamViewPath:
-    """From frame (T-1)*tau on, a push folds the strided slice of its window, and the
-    first pushes one gather of the clamped frames; finish labels the trailing middles
-    with one _window_labels call, whose T slabs are slices or clamped gathers."""
+    """From frame (T-1)*tau on, a push folds the strided slice of its window; every
+    clamped window, a first push's or the trailing middles' that finish labels in one
+    call, goes through _window_labels, whose T slabs are slices or clamped gathers."""
 
     @pytest.mark.parametrize("softmax", [False, True], ids=["logits", "softmax"])
     @pytest.mark.parametrize("tau", [1, 2, 3, 8])
@@ -402,8 +411,10 @@ class TestStreamViewPath:
             keys, _, pairs = observed_session(cfg, backend, n)
             want = session_reads(t, tau, n)
             pushes = max(0, n - lag)
-            assert sum(isinstance(key, slice) for key in keys[:pushes]) == n - span, n
-            assert len(keys) == pushes + t, n
+            # a full window's read is its strided slice, the only key with a step
+            assert sum(isinstance(key, slice) and key.step is not None
+                       for key in keys) == n - span, n
+            assert len(keys) == (n - span) + t * (pushes - (n - span)) + t, n
             assert [key if isinstance(key, slice) else key.tolist() for key in keys] == \
                 [w if isinstance(w, slice) else w.tolist() for w in want], n
             assert pairs == list(enumerate(raw.tolist())), n

@@ -103,6 +103,9 @@ ONE_LONG_CLEANER = CleanerConfig(1.0, {c: ClassStats(c, 5, 40.0 if c == 0 else 3
 # finished after fewer pushes than the 12-frame lag, so finish labels every frame
 @example(([(0, 3), (1, 4), (0, 2)], 6, 4, PINNED_CLEANER, 0))
 @example(([(1, 5)], 3, 4, None, 1))
+# finished after more than the 12-frame lag and fewer than the 20-frame span: the
+# pushes and finish label clamped windows only
+@example(([(0, 5), (2, 6), (1, 5)], 6, 4, PINNED_CLEANER, 8))
 # T=1: no lag, so finish labels nothing and only flushes the cleaner
 @example(([(0, 2), (1, 7), (2, 1), (0, 3)], 1, 3, PINNED_CLEANER, 2))
 @example(([(3, 1)], 1, 1, None, 3))
