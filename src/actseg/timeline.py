@@ -32,10 +32,10 @@ class Segment:
 
 
 def whole_label(value, frame: int) -> int:
-    """value as an int64 label: an integer, or a float with no fraction. Anything else
-    is a ValueError naming the frame."""
-    try:
-        label = operator.index(value)
+    """value as an int64 label: an integer or bool, or a float with no fraction. Anything
+    else is a ValueError naming the frame."""
+    try:  # numpy's bool is no index: numpy 2.4 raises TypeError, and older numpy warns
+        label = operator.index(int(value) if isinstance(value, np.bool_) else value)
     except TypeError:
         if not isinstance(value, (float, np.floating)):
             raise ValueError(f"label {value!r} at frame {frame} is neither an integer nor a"
@@ -52,24 +52,12 @@ def as_timeline(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"timeline must be 1-d, got shape {arr.shape}")
-    kind = arr.dtype.kind
-    # objects (Python ints past uint64, None), strings, ..., and a list whose float64 form
-    # may have rounded an integer past 2**53 are checked item by item, on the list's own
+    if arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
+        return arr.astype(np.int64, copy=False)  # int64 holds every such label
+    # floats, uint64, objects, strings, ... are checked item by item, on the input's own
     # items: np.asarray turns [1, "a"] into strings and [2**53 + 1, 2.0] into [2**53, 2.0]
-    if kind not in "biuf" or (kind == "f" and not isinstance(labels, np.ndarray)
-                              and np.abs(arr).max(initial=0) >= 2**53):
-        values = arr.tolist() if isinstance(labels, np.ndarray) else labels
-        return np.array([whole_label(v, i) for i, v in enumerate(values)], dtype=np.int64)
-    if kind not in "iu":  # the int64 cast would truncate a fraction
-        bad = np.flatnonzero(~(np.isfinite(arr) & (arr == np.trunc(arr))))
-        if bad.size:
-            raise ValueError(f"label {arr[bad[0]]} at frame {bad[0]} is not a whole number")
-    if kind != "i":  # and would wrap a label of magnitude 2**63 or more
-        big = arr > np.uint64(2**63 - 1) if kind == "u" else np.abs(arr) >= np.float64(2**63)
-        bad = np.flatnonzero(big)
-        if bad.size:
-            raise ValueError(f"label {arr[bad[0]]} at frame {bad[0]} does not fit int64")
-    return arr.astype(np.int64, copy=False)
+    values = labels.tolist() if isinstance(labels, np.ndarray) else labels
+    return np.array([whole_label(v, i) for i, v in enumerate(values)], dtype=np.int64)
 
 
 def encode_runs(labels):
@@ -95,11 +83,17 @@ def segments_from_timeline(labels):
 
 
 def as_runs(runs):
-    """Runs (starts, ends, labels) as three int64 arrays of one size."""
-    starts, ends, labels = r = np.array(runs, dtype=np.int64)  # ragged input raises here
-    if r.ndim != 2 or np.any((starts < 0) | (starts >= ends) | (labels < 0)):
+    """Runs (starts, ends, labels): three int64 arrays of one size, each checked by as_timeline."""
+    cols = list(runs)
+    for i, (name, col) in enumerate(zip(("start", "end", "label"), cols)):
+        try:
+            cols[i] = as_timeline(col)
+        except ValueError as exc:  # a column's frame is a run
+            raise ValueError(f"runs' {name} column: {exc}".replace("at frame", "at run")) from None
+    if len(cols) != 3 or len({c.size for c in cols}) != 1 or np.any(
+            (cols[0] < 0) | (cols[0] >= cols[1]) | (cols[2] < 0)):
         raise ValueError("runs need 0 <= start < end and label >= 0, as three 1-d arrays")
-    return starts, ends, labels
+    return tuple(cols)
 
 
 def timeline_from_segments(runs, length=None, fill=BACKGROUND_ID) -> np.ndarray:

@@ -9,6 +9,7 @@ digit-array and block writers replaced.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -27,6 +28,26 @@ def levenshtein_ref(a, b):
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
     return d[rows - 1][cols - 1]
+
+
+def as_timeline_ref(items):
+    """A timeline's labels as int64, one item at a time: an int, bool or numpy integer is
+    its value, a float must be finite and whole, anything else is rejected, and each value
+    must lie in [-2**63, 2**63). The first item that breaks the rule is a ValueError
+    `frame i`."""
+    out = []
+    for frame, item in enumerate(items):
+        if isinstance(item, (int, np.integer, np.bool_)):  # bool is an int
+            value = int(item)
+        elif (isinstance(item, (float, np.floating)) and math.isfinite(item)
+              and math.floor(item) == item):
+            value = int(item)
+        else:
+            raise ValueError(f"frame {frame}")
+        if not -2**63 <= value <= 2**63 - 1:
+            raise ValueError(f"frame {frame}")
+        out.append(value)
+    return np.array(out, dtype=np.int64)
 
 
 def rle_ref(labels):

@@ -50,7 +50,10 @@ class TestClassStats:
             assert got == want
 
     @pytest.mark.parametrize("runs", [([5], [5], [0]), ([5], [4], [0]), ([0], [5], [-1]),
-                                      ([-1], [5], [0]), ([0, 4], [4], [0, 1])])
+                                      ([-1], [5], [0]), ([0, 4], [4], [0, 1]),
+                                      # the int64 cast made the first class 1, mean 2.0
+                                      ([0.0], [2.7], [1.9]), ([0.5], [3], [1]),
+                                      ([0], [2**63], [1])])
     def test_invalid_runs_rejected(self, runs):
         with pytest.raises(ValueError):
             compute_class_stats(runs)

@@ -7,7 +7,9 @@ The examples are drawn by hypothesis under the deterministic profile that
 conftest.py registers.
 """
 
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +30,10 @@ from actseg.metrics import (IOU_THRESHOLDS, EvalConfig, _both_scored_runs, _clai
 from actseg.pipeline import PipelineConfig, StreamSession, run_offline
 from actseg.sampling import (inference_clip, middle_clip, middle_offset, prediction_lag,
                              training_clip, window_offsets)
-from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, encode_runs, read_timeline_csv,
-                             timeline_from_segments)
-from oracles import (class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref, f1_pct_ref,
-                     greedy_claims_ref, greedy_match_ref, predict_clip_ref, rle_ref)
+from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, as_timeline, encode_runs,
+                             read_timeline_csv, timeline_from_segments)
+from oracles import (as_timeline_ref, class_stats_ref, clean_ref, edit_score_ref, f1_at_iou_ref,
+                     f1_pct_ref, greedy_claims_ref, greedy_match_ref, predict_clip_ref, rle_ref)
 
 
 def run_lists(n_classes, max_len=12, max_runs=40):
@@ -174,6 +176,62 @@ def test_class_stats_equal_list_oracle_bit_for_bit(table):
             for cid, (count, mean, std) in class_stats_ref(triples).items()}
     assert got == want
     assert list(got) == sorted(got)
+
+
+# ------------------------------------------------------------ whole-number labels
+
+INT_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# every dtype an array of drawn labels may take, str and object included
+HOLDERS = [np.bool_, *INT_TYPES, np.float16, np.float32, np.float64, object, str]
+
+numpy_scalars = st.one_of(
+    st.sampled_from(INT_TYPES).flatmap(
+        lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)),
+    *(st.floats(width=w).map(t) for w, t in ((16, np.float16), (32, np.float32),
+                                                (64, np.float64))),
+    st.booleans().map(np.bool_))
+label_items = st.one_of(
+    st.integers(-2, 30),
+    st.sampled_from([-2**63 - 1, -2**63, 2**53 + 1, 2**63 - 1, 2**63, 2**64]),
+    st.integers(),
+    st.sampled_from([-2.0**63, 2.0**63, 0.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.booleans(),
+    numpy_scalars,
+    st.sampled_from([None, "1", "a"]))
+
+
+def arrays_holding(items):
+    """items as an array of each dtype in HOLDERS that holds every item's value exactly."""
+    values = [v.item() if isinstance(v, np.generic) else v for v in items]
+    for dtype in HOLDERS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast that overflows or loses NaN holds nothing
+            try:
+                arr = np.array(items, dtype=dtype)
+            except (ValueError, TypeError, OverflowError, Warning):
+                continue
+        if all(a == v or a != a and v != v for a, v in zip(arr.tolist(), values)):  # NaN is NaN
+            yield arr
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.lists(label_items, max_size=6))
+@example([-2.0**63])  # a float array of int64's minimum was rejected as past int64
+@example([np.float16(2.0)])  # the list's 2**53 test overflowed float16, with a RuntimeWarning
+@example([2.0**63, math.nan])  # a float array named frame 1, an object array frame 0
+def test_as_timeline_equals_item_by_item_rule(items):
+    try:
+        want, bad = as_timeline_ref(items), None
+    except ValueError as exc:
+        bad = str(exc)
+    for labels in [list(items), tuple(items), *arrays_holding(items)]:
+        if bad is None:
+            got = as_timeline(labels)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        else:
+            with pytest.raises(ValueError, match=f"^label .* at {bad} (is|does) "):
+                as_timeline(labels)
 
 
 # ------------------------------------------------------------ clip windows

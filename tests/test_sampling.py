@@ -108,6 +108,11 @@ class TestMiddleClip:
         assert max(c.frames) == 99
         assert min(c.frames) == 99 - 3 * 8
 
+    def test_out_of_range_middle_rejected(self):
+        for middle in (100, -1):
+            with pytest.raises(ValueError, match=rf"^middle must be in \[0, 100\), got {middle}$"):
+                middle_clip(middle, 8, 8, 100)
+
     def test_every_middle_is_reachable(self):
         seq_len = 300
         for m in range(seq_len):
@@ -177,12 +182,24 @@ class TestSurroundSampling:
         with pytest.raises(ValueError):
             surround_sample_start(10, 9, 8, 8, np.random.default_rng(0))
 
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^t must be an integer >= 1, got 8\.0$"):
+            surround_sample_start(10, 20, 8.0, 8, np.random.default_rng(0))
+
 
 class TestCenterSampling:
     def test_reference_segment(self):
         start = center_sample_start(100, 200, 8, 8)
         assert training_clip(start, 8, 8).middle == 150
         assert start == 126
+
+    def test_odd_segment_rounds_the_midpoint_down(self):
+        start = center_sample_start(100, 201, 8, 8)
+        assert start == 126 and isinstance(start, int)
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^tau must be an integer >= 1, got 0$"):
+            center_sample_start(100, 200, 8, 0)
 
     def test_short_segment(self):
         start = center_sample_start(0, 64, 8, 8)
@@ -212,10 +229,16 @@ class TestSpan:
 
     def test_single_frame_span(self):
         assert clip_span_seconds(1, 1, 10.0) == pytest.approx(0.1)
+        assert clip_span_seconds(1, 1, 0.5) == 2.0  # a rate below 1 fps is a rate
 
     def test_bad_fps_rejected(self):
-        with pytest.raises(ValueError):
-            clip_span_seconds(8, 8, 0.0)
+        for fps in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^fps must be finite and > 0, got "):
+                clip_span_seconds(8, 8, fps)
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^t must be an integer >= 1, got 0$"):
+            clip_span_seconds(0, 8, 15.0)
 
 
 class TestClipSpecInvariants:

@@ -10,9 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actseg import timeline
-from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_timeline, encode_runs,
-                             read_segments_csv, read_timeline_csv, segments_from_timeline,
-                             timeline_from_segments, write_segments_csv, write_timeline_csv)
+from actseg.timeline import (BACKGROUND_ID, NUM_CLASSES, Segment, as_runs, as_timeline,
+                             encode_runs, read_segments_csv, read_timeline_csv,
+                             segments_from_timeline, timeline_from_segments, write_segments_csv,
+                             write_timeline_csv)
 from oracles import rle_ref, write_csv_ref
 
 
@@ -90,8 +91,7 @@ class TestRunLength:
                                              ([2.0**63], "9.223372036854776e+18 at frame 0"),
                                              (np.array([0, 2**63], np.uint64),
                                               "9223372036854775808 at frame 1"),
-                                             # arrays keep the vector check, where lists of
-                                             # large floats are checked item by item
+                                             # an array is checked item by item, as a list is
                                              (np.array([0.0, 2.0**63]),
                                               "9.223372036854776e+18 at frame 1"),
                                              (np.array([-1e19]), "-1e+19 at frame 0")])
@@ -135,6 +135,18 @@ class TestRunLength:
         top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
         for labels in (np.array([top, bottom]), np.array([top], np.uint64), [top, bottom]):
             assert as_timeline(labels).tolist() == np.asarray(labels).tolist()
+
+    @pytest.mark.parametrize("runs, bad", [
+        (([0.0], [2.7], [1.9]), "end column: label 2.7 at run 0 is not a whole number"),
+        (([0, 4], [4, 8], [1, 2.5]), "label column: label 2.5 at run 1 is not a whole number"),
+        (([0, 2.0**63], [4, 8], [1, 2]),
+         "start column: label 9.223372036854776e+18 at run 1 does not fit int64")])
+    def test_runs_name_the_column_and_run_of_a_value_that_is_not_whole(self, tmp_path, runs, bad):
+        # as_runs cast with np.array(runs, dtype=np.int64), which truncated 2.7 to 2
+        for use in (as_runs, timeline_from_segments,
+                    lambda r: write_segments_csv(tmp_path / "s.csv", r)):
+            with pytest.raises(ValueError, match=f"^runs' {re.escape(bad)}$"):
+                use(runs)
 
     def test_as_timeline_keeps_whole_labels(self):
         labels = np.array([3, 0, 24])

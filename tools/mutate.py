@@ -9,12 +9,12 @@ the condition of an if, adds 1 to an integer literal (so an index -1 becomes
 attribute or item or is a bare call. The source tree and the tests are copied
 into a fresh temporary directory, every mutant is written there in turn and
 the tests run against it with -x, so the checkout is never touched. The tests
-run with the -W flags of CI's latest-numpy legs (WARNINGS), so a deprecation or
-a file left open fails a mutant as it fails CI. The unmutated tests run first,
-within TIMEOUT seconds, and are timed; a mutant is killed when the tests fail
-or run SLOWDOWN times as long, so one that never ends costs a sweep a bounded
-wait. A survivor is printed with its site, for a test to kill or for a reason
-why it is equivalent.
+run with the -W flags of CI's latest-numpy legs (WARNINGS), so a deprecation, a
+RuntimeWarning or a file left open fails a mutant as it fails CI. The unmutated
+tests run first, within TIMEOUT seconds, and are timed; a mutant is killed when
+the tests fail or run SLOWDOWN times as long, so one that never ends costs a
+sweep a bounded wait. A survivor is printed with its site, for a test to kill
+or for a reason why it is equivalent.
 
     python3 tools/mutate.py src/actseg/pipeline.py:_window_labels \\
         src/actseg/classify.py:LogitsBackend.__init__ -- tests/test_pipeline.py
@@ -45,7 +45,7 @@ TIMEOUT = 300.0  # seconds of the unmutated tests
 SLOWDOWN = 3.0
 # as .github/workflows/tests.yml passes them on its latest-numpy legs
 WARNINGS = ("-W", "error::DeprecationWarning", "-W", "error::ResourceWarning",
-            "-W", "error::pytest.PytestUnraisableExceptionWarning")
+            "-W", "error::pytest.PytestUnraisableExceptionWarning", "-W", "error::RuntimeWarning")
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
